@@ -51,7 +51,12 @@
 //! * [`CycleDetector`] — a fingerprint (state + worklist) of every
 //!   round boundary; a revisited fingerprint under a deterministic
 //!   driver proves an infinite best-response loop, which the drivers
-//!   report explicitly instead of timing out silently.
+//!   report explicitly instead of timing out silently. The fingerprint
+//!   is a Zobrist-style incremental hash — a wrapping sum of per-user
+//!   row keys, an XOR of per-user keys over the scheduled set, and
+//!   `|N|` — so a round boundary costs `O(1)`, a row write `O(k)` and a
+//!   scheduled-flag change `O(1)`: re-convergence after an event pays
+//!   for its checks and moves, not for the population.
 //!
 //! `t11_spatial` sweeps density × conflict range × |C| with both
 //! instruments on and writes `results/BENCH_spatial.json`.
@@ -70,9 +75,7 @@ use crate::types::{ChannelId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 
 // ---------------------------------------------------------------------------
 // Shared geometry predicate
@@ -1752,28 +1755,44 @@ impl PotentialTracker {
     /// nonzero cells in ascending channel order, so the accumulated
     /// float is bit-identical across them.
     pub fn recompute<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(game: &G, nbr: &V) -> f64 {
-        let c_n = nbr.n_channels();
-        // Per-channel prefix ladders Σ_{t≤j} φ_c(t), grown on demand.
-        let mut ladders: Vec<Vec<f64>> = vec![vec![0.0]; c_n];
-        let mut phi = 0.0;
-        for r in 0..nbr.n_users() {
-            nbr.for_each_load(r, |c, l| {
-                let l = l as usize;
-                let lad = &mut ladders[c];
-                while lad.len() <= l {
-                    let j = lad.len() as u32;
-                    let prev = *lad.last().expect("ladder seeded with 0.0");
-                    lad.push(prev + game.channel_payoff(ChannelId(c), j - 1, 1));
-                }
-                phi += lad[l];
-            });
-        }
-        phi
+        let mut fresh = PotentialTracker::default();
+        fresh.add_rows(game, nbr, 0..nbr.n_users());
+        fresh.phi
     }
 
     /// Reset to a freshly recomputed value.
     pub fn reset(&mut self, phi: f64) {
         self.phi = phi;
+    }
+
+    /// Add neighborhood rows `rows`' terms `Σ_c Σ_{j≤ℓ_r(c)} φ_c(j)` to
+    /// `Φ`, cell by cell in ascending (row, channel) order, through
+    /// per-channel prefix ladders `Σ_{t≤j} φ_c(t)` grown on demand. The
+    /// one ladder code behind [`recompute`](Self::recompute) and the
+    /// arrival path: an arrival joins with an empty strategy row, so no
+    /// existing row changes and only its own neighborhood row enters.
+    fn add_rows<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(
+        &mut self,
+        game: &G,
+        nbr: &V,
+        rows: std::ops::Range<usize>,
+    ) {
+        let mut ladders: Vec<Vec<f64>> = vec![Vec::new(); nbr.n_channels()];
+        for r in rows {
+            nbr.for_each_load(r, |c, l| {
+                let l = l as usize;
+                let lad = &mut ladders[c];
+                if lad.is_empty() {
+                    lad.push(0.0);
+                }
+                while lad.len() <= l {
+                    let j = lad.len() as u32;
+                    let prev = lad[lad.len() - 1];
+                    lad.push(prev + game.channel_payoff(ChannelId(c), j - 1, 1));
+                }
+                self.phi += lad[l];
+            });
+        }
     }
 
     /// Integrate one cell transition `ℓ: before → after` on channel `c`
@@ -1819,16 +1838,40 @@ impl PotentialTracker {
     }
 }
 
+/// SplitMix64's finalizer: a bijective avalanche mix of one word.
+#[inline]
+fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Round-boundary cycle detector: a 64-bit fingerprint of (strategy
 /// state, scheduled worklist) per round start. The drivers are
 /// deterministic functions of exactly that pair, so a revisited
 /// fingerprint proves the dynamics entered an infinite best-response
 /// loop — reported as an explicit verdict, never a silent round-cap
-/// timeout. (A hash collision could fake a cycle with probability
-/// ~`rounds² · 2⁻⁶⁴`; detection history spans one `run` call.)
+/// timeout. Detection history spans one `run` call.
+///
+/// The fingerprint is maintained incrementally, Zobrist-style (the
+/// repeated-position hash of game-tree search), from three parts:
+///
+/// * `rows` — the wrapping sum over every user `u` of a splitmix chain
+///   over `(u, row_u)`; a row write `old → new` swaps one key, `O(k)`;
+/// * `scheduled` — the XOR over the scheduled set of a per-user key; a
+///   flag change toggles one key, `O(1)`;
+/// * `|N|`, mixed in when the fingerprint is read, `O(1)`.
+///
+/// Sums and XORs commute, so the value is a pure function of (state,
+/// scheduled set) however the drivers reached it. A collision could
+/// fake a cycle with probability ~`rounds² · 2⁻⁶⁴`. Under
+/// `paranoid-checks` in debug builds every read is compared against a
+/// from-scratch recompute of the same scheme.
 #[derive(Debug, Clone, Default)]
 pub struct CycleDetector {
     seen: HashSet<u64>,
+    rows: u64,
+    scheduled: u64,
 }
 
 impl CycleDetector {
@@ -1840,6 +1883,59 @@ impl CycleDetector {
     /// Forget the history (each `run` is its own detection window).
     pub fn clear(&mut self) {
         self.seen.clear();
+    }
+
+    /// Key of user `u` holding `row`.
+    fn row_key(u: u32, row: &[SparseEntry]) -> u64 {
+        row.iter().fold(
+            splitmix64(u64::from(u) ^ 0x243F_6A88_85A3_08D3),
+            |h, &(c, k)| splitmix64(h ^ ((u64::from(c) << 32) | u64::from(k))),
+        )
+    }
+
+    /// Key the rows of `s` in, with nothing scheduled (`O(Σ_i k_i)`).
+    fn of(s: &SparseStrategies) -> Self {
+        let mut d = CycleDetector::default();
+        for u in 0..s.n_users() {
+            d.push_row(u as u32, s.row(UserId(u)));
+        }
+        d
+    }
+
+    /// User `u` joined holding `row`.
+    fn push_row(&mut self, u: u32, row: &[SparseEntry]) {
+        self.rows = self.rows.wrapping_add(Self::row_key(u, row));
+    }
+
+    /// User `u`'s row was rewritten `old → new`.
+    fn replace_row(&mut self, u: u32, old: &[SparseEntry], new: &[SparseEntry]) {
+        self.rows = self
+            .rows
+            .wrapping_sub(Self::row_key(u, old))
+            .wrapping_add(Self::row_key(u, new));
+    }
+
+    /// User `u` entered or left the scheduled set.
+    fn toggle_scheduled(&mut self, u: u32) {
+        self.scheduled ^= splitmix64(u64::from(u) ^ 0x1319_8A2E_0370_7344);
+    }
+
+    /// The fingerprint of the maintained state over `n` users.
+    fn fingerprint(&self, n: usize) -> u64 {
+        splitmix64(self.rows ^ splitmix64(self.scheduled ^ splitmix64(n as u64)))
+    }
+
+    /// The paranoid oracle: the same scheme recomputed from scratch over
+    /// the arena and the scheduled flags, `O(Σ_i k_i + |N|)`.
+    #[cfg(feature = "paranoid-checks")]
+    fn fingerprint_of(s: &SparseStrategies, scheduled: &[bool]) -> u64 {
+        let mut fresh = CycleDetector::of(s);
+        for (u, &on) in scheduled.iter().enumerate() {
+            if on {
+                fresh.toggle_scheduled(u as u32);
+            }
+        }
+        fresh.fingerprint(s.n_users())
     }
 }
 
@@ -1864,6 +1960,12 @@ impl CycleDetector {
 /// [`CycleDetector`]; a detected cycle aborts with
 /// [`cycle_detected`](Self::cycle_detected)` == true` instead of
 /// spinning to the round cap.
+///
+/// The driver is output-sensitive: the detector's fingerprint is kept
+/// current by every row write (`O(k)`) and scheduled-flag change
+/// (`O(1)`), so a round boundary costs `O(1)` and a round costs its
+/// checks plus its moves' `O(k · deg)` index and wake work. An event
+/// that re-checks a few dozen users pays for those, not for `|N|`.
 #[derive(Debug)]
 pub struct SpatialDynamics {
     s: SparseStrategies,
@@ -1877,6 +1979,9 @@ pub struct SpatialDynamics {
     in_cur: Vec<bool>,
     /// Next epoch (unsorted; flags are the source of truth).
     pending: Vec<u32>,
+    /// Scheduled flags; written only through
+    /// [`set_pending`](Self::set_pending), which keeps the fingerprint's
+    /// scheduled-set term exact.
     in_pending: Vec<bool>,
     counters: DynCounters,
     potential: PotentialTracker,
@@ -1909,6 +2014,7 @@ impl SpatialDynamics {
         assert_eq!(game.n_users(), n, "game/state user count mismatch");
         let mut potential = PotentialTracker::default();
         potential.reset(PotentialTracker::recompute(game, &nbr));
+        let cycles = CycleDetector::of(&s);
         let mut d = SpatialDynamics {
             s,
             nbr,
@@ -1922,12 +2028,12 @@ impl SpatialDynamics {
             in_pending: vec![false; n],
             counters: DynCounters::default(),
             potential,
-            cycles: CycleDetector::default(),
+            cycles,
             cycle_detected: false,
         };
         for u in 0..n as u32 {
             d.pending.push(u);
-            d.in_pending[u as usize] = true;
+            d.set_pending(u, true);
         }
         d.counters.activations = n as u64;
         d
@@ -1969,12 +2075,22 @@ impl SpatialDynamics {
         self.heap_route
     }
 
+    /// Set `v`'s scheduled flag, toggling its fingerprint key when the
+    /// flag changes — the only writer of `in_pending`.
+    fn set_pending(&mut self, v: u32, on: bool) {
+        let flag = &mut self.in_pending[v as usize];
+        if *flag != on {
+            *flag = on;
+            self.cycles.toggle_scheduled(v);
+        }
+    }
+
     /// Schedule `v` for the next round (idempotent).
     fn schedule(&mut self, v: u32) {
         let vi = v as usize;
         if !self.in_pending[vi] && !self.in_cur[vi] {
             self.pending.push(v);
-            self.in_pending[vi] = true;
+            self.set_pending(v, true);
             self.counters.activations += 1;
         }
     }
@@ -1989,7 +2105,7 @@ impl SpatialDynamics {
         }
         if v > rank {
             if self.in_pending[vi] {
-                self.in_pending[vi] = false;
+                self.set_pending(v, false);
             } else {
                 self.counters.activations += 1;
             }
@@ -2028,22 +2144,41 @@ impl SpatialDynamics {
         self.br_row.extend_from_slice(br);
     }
 
-    /// Round-boundary fingerprint: the strategy arena plus the scheduled
-    /// set (the complete mutable driver state between rounds).
+    /// Round-boundary fingerprint of the strategy arena plus the
+    /// scheduled set (the complete mutable driver state between rounds),
+    /// read in `O(1)` from the detector's maintained terms.
     fn fingerprint(&self) -> u64 {
         debug_assert!(self.cur.is_empty(), "fingerprint between rounds only");
-        let mut h = DefaultHasher::new();
-        self.s.hash(&mut h);
-        for (v, &p) in self.in_pending.iter().enumerate() {
-            if p {
-                (v as u32).hash(&mut h);
-            }
-        }
-        h.finish()
+        let fp = self.cycles.fingerprint(self.s.n_users());
+        #[cfg(feature = "paranoid-checks")]
+        debug_assert_eq!(
+            fp,
+            CycleDetector::fingerprint_of(&self.s, &self.in_pending),
+            "fingerprint desync: maintained value differs from a recompute"
+        );
+        fp
     }
 
-    /// Commit `user → br` (already known improving): apply the row,
-    /// integrate the neighborhood-load cells into the potential, wake
+    /// Rewrite `user`'s row to `new`: the arena, the fingerprint's row
+    /// term, and the neighborhood index, whose changed cells integrate
+    /// into the potential — `O(k · deg)`, the one row-write path of
+    /// moves and departures.
+    fn write_row<G: ChannelGame>(&mut self, game: &SpatialGame<G>, user: u32, new: &[SparseEntry]) {
+        let uid = UserId(user as usize);
+        let mut old = std::mem::take(&mut self.old_row);
+        old.clear();
+        old.extend_from_slice(self.s.row(uid));
+        self.s.set_row(uid, new);
+        self.cycles.replace_row(user, &old, new);
+        let pot = &mut self.potential;
+        self.nbr
+            .replace_row(game.graph(), user as usize, &old, new, |_, c, b, a| {
+                pot.cell_changed(game, c, b, a);
+            });
+        self.old_row = old;
+    }
+
+    /// Commit `user → br` (already known improving): write the row, wake
     /// the graph neighbors, and push the trace entry. `rank == u32::MAX`
     /// sends every wake to the next epoch (the parallel Phase-B path).
     fn commit<G: ChannelGame>(
@@ -2054,24 +2189,11 @@ impl SpatialDynamics {
         trace: Option<&mut Vec<(UserId, StrategyVector)>>,
     ) {
         let uid = UserId(user as usize);
-        self.old_row.clear();
-        self.old_row.extend_from_slice(self.s.row(uid));
         let br = std::mem::take(&mut self.br_row);
-        let old = std::mem::take(&mut self.old_row);
-        self.s.set_row(uid, &br);
         let phi_before = self.potential.phi();
-        {
-            let pot = &mut self.potential;
-            self.nbr
-                .replace_row(game.graph(), user as usize, &old, &br, |_, c, b, a| {
-                    pot.cell_changed(game, c, b, a);
-                });
-        }
+        self.write_row(game, user, &br);
         self.potential.note_move(phi_before);
-        for i in game.graph().starts[user as usize] as usize
-            ..game.graph().starts[user as usize + 1] as usize
-        {
-            let v = game.graph().adj[i];
+        for &v in game.graph().neighbors(user) {
             if rank == u32::MAX {
                 self.schedule(v);
             } else {
@@ -2083,7 +2205,6 @@ impl SpatialDynamics {
             t.push((uid, row_to_vector(&br, self.nbr.n_channels())));
         }
         self.br_row = br;
-        self.old_row = old;
     }
 
     /// One worklist round in ascending id order; returns whether any
@@ -2102,7 +2223,7 @@ impl SpatialDynamics {
         for &u in &pending {
             let ui = u as usize;
             if self.in_pending[ui] {
-                self.in_pending[ui] = false;
+                self.set_pending(u, false);
                 if !self.in_cur[ui] {
                     self.cur.push(Reverse(u));
                     self.in_cur[ui] = true;
@@ -2157,9 +2278,10 @@ impl SpatialDynamics {
 
     /// In-place population growth: the game has gained users (and the
     /// graph their vertices, via [`SpatialGame::graph_mut`]) since the
-    /// driver was built. Arrivals join with empty rows, get scheduled,
-    /// and the potential re-anchors (their neighborhood rows enter the
-    /// sum).
+    /// driver was built. Arrivals join with empty rows and get
+    /// scheduled; no existing neighborhood row changes, so only the
+    /// arrivals' own rows enter the potential. Amortized `O(|C|)` plus
+    /// the arrivals' neighborhoods, independent of `|N|`.
     pub fn grow_users<G: ChannelGame>(&mut self, game: &SpatialGame<G>) -> Result<(), Error> {
         let old_n = self.s.n_users();
         let new_n = game.n_users();
@@ -2170,7 +2292,8 @@ impl SpatialDynamics {
             "push arrival vertices before grow_users"
         );
         for u in old_n..new_n {
-            self.s.push_row(game.radios_of(UserId(u)))?;
+            let uid = self.s.push_row(game.radios_of(UserId(u)))?;
+            self.cycles.push_row(u as u32, self.s.row(uid));
             self.in_cur.push(false);
             self.in_pending.push(false);
         }
@@ -2178,33 +2301,21 @@ impl SpatialDynamics {
         for u in old_n..new_n {
             self.schedule(u as u32);
         }
-        self.potential
-            .reset(PotentialTracker::recompute(game, &self.nbr));
+        self.potential.add_rows(game, &self.nbr, old_n..new_n);
         Ok(())
     }
 
     /// Departure path: clear `user`'s row (the game should already
     /// report it as a zero-budget tombstone), wake its graph neighbors,
-    /// and unschedule it.
+    /// and unschedule it — `O(k · deg)`.
     pub fn retire_user<G: ChannelGame>(&mut self, game: &SpatialGame<G>, user: UserId) {
         debug_assert!(self.cur.is_empty(), "retire outside a running round");
-        self.old_row.clear();
-        self.old_row.extend_from_slice(self.s.row(user));
-        let old = std::mem::take(&mut self.old_row);
-        self.s.set_row(user, &[]);
-        {
-            let pot = &mut self.potential;
-            self.nbr
-                .replace_row(game.graph(), user.0, &old, &[], |_, c, b, a| {
-                    pot.cell_changed(game, c, b, a);
-                });
-        }
-        self.old_row = old;
-        let nbs: Vec<u32> = game.graph().neighbors(user.0 as u32).to_vec();
-        for v in nbs {
+        let u = user.0 as u32;
+        self.write_row(game, u, &[]);
+        for &v in game.graph().neighbors(u) {
             self.schedule(v);
         }
-        self.in_pending[user.0] = false;
+        self.set_pending(u, false);
     }
 
     /// Rate-shift path: channel `c`'s payoff changed wholesale, so every
@@ -2386,7 +2497,7 @@ impl SpatialParallelDynamics {
         let mut pending = std::mem::take(&mut self.inner.pending);
         for &u in &pending {
             if self.inner.in_pending[u as usize] {
-                self.inner.in_pending[u as usize] = false;
+                self.inner.set_pending(u, false);
                 self.batch.push(u);
             }
         }
@@ -2873,6 +2984,89 @@ mod tests {
                 .neighborhood_loads()
                 .agrees_with(game.graph(), par.state()));
         }
+    }
+
+    /// Rows of [`path_driver`]'s users 0–3.
+    const PATH_ROWS: [&[SparseEntry]; 4] = [&[(0, 2)], &[(0, 1), (1, 1)], &[(2, 2)], &[(1, 2)]];
+
+    /// A path graph 0–1–2–3, two radios each over three channels, every
+    /// user scheduled.
+    fn path_driver() -> (SpatialGame<ChurnGame>, SpatialDynamics) {
+        let graph = ConflictGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let game = SpatialGame::new(ChurnGame::uniform(4, 2, 3, 1.0), graph);
+        let mut s = SparseStrategies::with_budgets(&[2; 4], 3);
+        for (u, row) in PATH_ROWS.iter().enumerate() {
+            s.set_row(UserId(u), row);
+        }
+        let d = SpatialDynamics::new(&game, s);
+        (game, d)
+    }
+
+    #[test]
+    fn fingerprint_is_path_independent() {
+        let (game, mut d) = path_driver();
+        let (a, b) = (PATH_ROWS[1], PATH_ROWS[2]);
+        // Every user starts scheduled, so the commits below schedule
+        // nobody new: only user 1's row differs between the boundaries.
+        let fp_a = d.fingerprint();
+        assert!(!d.cycles.observe(fp_a));
+        d.set_br_row(b);
+        d.commit(&game, 1, u32::MAX, None);
+        let fp_b = d.fingerprint();
+        assert_ne!(fp_b, fp_a);
+        assert!(!d.cycles.observe(fp_b));
+        d.set_br_row(a);
+        d.commit(&game, 1, u32::MAX, None);
+        assert_eq!(d.fingerprint(), fp_a, "A → B → A must restore the value");
+        assert!(
+            d.cycles.observe(fp_a),
+            "the detector must report the revisit"
+        );
+        // ... and equal a fresh driver's keying of the same state.
+        let fresh = SpatialDynamics::new(&game, d.state().clone());
+        assert_eq!(fresh.fingerprint(), fp_a);
+    }
+
+    #[test]
+    fn fingerprint_separates_scheduled_sets_rows_and_arrivals() {
+        let (mut game, mut d) = path_driver();
+        let fp = d.fingerprint();
+        d.set_pending(2, false);
+        assert_ne!(d.fingerprint(), fp, "scheduled sets differ");
+        d.set_pending(2, true);
+        assert_eq!(d.fingerprint(), fp);
+
+        // Keys are positional: users 0 and 3 trading rows is a new state.
+        for (u, row) in [(0, PATH_ROWS[3]), (3, PATH_ROWS[0])] {
+            d.set_br_row(row);
+            d.commit(&game, u, u32::MAX, None);
+        }
+        assert_ne!(d.fingerprint(), fp, "swapped rows");
+        for (u, row) in [(0, PATH_ROWS[0]), (3, PATH_ROWS[3])] {
+            d.set_br_row(row);
+            d.commit(&game, u, u32::MAX, None);
+        }
+        assert_eq!(d.fingerprint(), fp);
+
+        // One empty-row arrival, unscheduled again so the scheduled set
+        // is unchanged: the extra row alone must move the fingerprint.
+        game.inner_mut().push_user(2);
+        game.graph_mut().push_vertex(&[3]);
+        d.grow_users(&game).unwrap();
+        d.set_pending(4, false);
+        assert_ne!(d.fingerprint(), fp, "one extra empty row");
+    }
+
+    /// The paranoid oracle recomputes the fingerprint at every round
+    /// boundary: a row write that bypasses the maintained row term is
+    /// caught before the next round starts.
+    #[cfg(all(feature = "paranoid-checks", debug_assertions))]
+    #[test]
+    #[should_panic(expected = "fingerprint desync")]
+    fn paranoid_check_catches_a_fingerprint_desync() {
+        let (game, mut d) = path_driver();
+        d.s.set_row(UserId(0), &[]);
+        d.run(&game, 10, None);
     }
 
     #[test]

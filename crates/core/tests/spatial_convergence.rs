@@ -13,13 +13,115 @@ mod common;
 
 use mrca_core::churn::ChurnGame;
 use mrca_core::spatial::{
-    is_nash_spatial, ConflictGraph, NeighborhoodLoads, PotentialTracker, SpatialDynamics,
-    SpatialGame, SpatialParallelDynamics,
+    is_nash_spatial, ConflictGraph, GeoIndex, NbrIndex, NeighborhoodLoads, PotentialTracker,
+    SpatialDynamics, SpatialGame, SpatialParallelDynamics,
 };
 use mrca_core::{SparseStrategies, UserId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const MAX_ROUNDS: usize = 2_000;
+
+/// Either spatial driver, behind the calls the arrival stream needs.
+enum Driver {
+    Seq(SpatialDynamics),
+    Par(SpatialParallelDynamics),
+}
+
+impl Driver {
+    /// `threads == 0` selects the sequential driver.
+    fn new(game: &SpatialGame<ChurnGame>, start: SparseStrategies, threads: usize) -> Self {
+        if threads == 0 {
+            Driver::Seq(SpatialDynamics::new(game, start))
+        } else {
+            Driver::Par(SpatialParallelDynamics::new(game, start, threads))
+        }
+    }
+
+    /// `(converged, cycle_detected)`.
+    fn run(&mut self, game: &SpatialGame<ChurnGame>) -> (bool, bool) {
+        match self {
+            Driver::Seq(d) => (d.run(game, MAX_ROUNDS, None).0, d.cycle_detected()),
+            Driver::Par(d) => (d.run(game, MAX_ROUNDS).0, d.cycle_detected()),
+        }
+    }
+
+    fn grow_users(&mut self, game: &SpatialGame<ChurnGame>) {
+        match self {
+            Driver::Seq(d) => d.grow_users(game).expect("arena growth"),
+            Driver::Par(d) => d.grow_users(game).expect("arena growth"),
+        }
+    }
+
+    fn books(&self) -> (&SparseStrategies, &NbrIndex, f64) {
+        match self {
+            Driver::Seq(d) => (d.state(), d.neighborhood_loads(), d.potential().phi()),
+            Driver::Par(d) => (d.state(), d.neighborhood_loads(), d.potential().phi()),
+        }
+    }
+}
+
+/// The maintained index equals a rebuild and `Φ` is within 1e-9
+/// relative of a from-scratch recompute.
+fn check_no_drift(
+    game: &SpatialGame<ChurnGame>,
+    d: &Driver,
+    at: &str,
+) -> Result<(), TestCaseError> {
+    let (state, nbr, phi) = d.books();
+    prop_assert!(
+        nbr.agrees_with(game.graph(), state),
+        "neighborhood index drifted {at}"
+    );
+    let fresh = PotentialTracker::recompute(game, nbr);
+    prop_assert!(
+        (phi - fresh).abs() <= 1e-9 * fresh.abs().max(1.0),
+        "potential drifted {at}: {phi} vs {fresh}"
+    );
+    Ok(())
+}
+
+/// Settle a geometric instance, then replay a seeded arrival stream —
+/// batches of one or two empty-row users at random positions, joining
+/// the graph through [`GeoIndex`] — re-converging after every batch.
+/// Arrivals add only their own neighborhood rows to `Φ`, so the check
+/// runs both right after each grow and after each re-convergence.
+fn check_arrival_stream(
+    n: usize,
+    k: u32,
+    c: usize,
+    range: f64,
+    seed: u64,
+    batches: usize,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let side = 6.0;
+    let (graph, positions) = ConflictGraph::random_geometric(n, side, range, seed);
+    let mut geo = GeoIndex::new(&positions, range);
+    let mut game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
+    let start = SparseStrategies::random_uniform(n, k, c, seed ^ 0xA221);
+    let mut d = Driver::new(&game, start, threads);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xA77);
+    for batch in 0..=batches {
+        if batch > 0 {
+            for _ in 0..rng.gen_range(1..=2usize) {
+                game.inner_mut().push_user(rng.gen_range(1..=k));
+                let p = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
+                game.graph_mut().push_vertex_at(&mut geo, p);
+            }
+            d.grow_users(&game);
+            check_no_drift(&game, &d, &format!("after grow {batch}"))?;
+        }
+        let (converged, cycle) = d.run(&game);
+        prop_assert!(converged || cycle, "silent round cap at batch {batch}");
+        check_no_drift(&game, &d, &format!("after run {batch}"))?;
+        if cycle {
+            return Ok(());
+        }
+    }
+    Ok(())
+}
 
 fn check_explicit_outcome(
     game: &SpatialGame<ChurnGame>,
@@ -133,6 +235,21 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The drift check over a seeded geometric arrival stream, on the
+    /// sequential driver and the parallel one at two workers.
+    #[test]
+    fn arrival_stream_keeps_potential_exact(
+        n in 2usize..=16,
+        k in 1u32..=3,
+        c in 2usize..=4,
+        range in 0.5f64..3.0,
+        seed in 0u64..1_000,
+        batches in 1usize..=10,
+    ) {
+        check_arrival_stream(n, k, c, range, seed, batches, 0)?;
+        check_arrival_stream(n, k, c, range, seed, batches, 2)?;
     }
 }
 
