@@ -109,8 +109,7 @@ pub use loads::ChannelLoads;
 pub use rate_model::{ConstantRate, MeasuredRate, RateModel, RateShape};
 pub use sparse::SparseStrategies;
 pub use spatial::{
-    ConflictGraph, GeoIndex, NbrIndex, NbrLoadView, SparseNbrLoads, SpatialDynamics, SpatialGame,
-    SpatialParallelDynamics,
+    ConflictGraph, GeoIndex, NbrIndex, SpatialDynamics, SpatialGame, SpatialParallelDynamics,
 };
 pub use strategy::{StrategyMatrix, StrategyVector};
 pub use types::{ChannelId, UserId};
@@ -145,7 +144,7 @@ pub mod prelude {
     pub use crate::sparse::SparseStrategies;
     pub use crate::spatial::{
         is_nash_spatial, nash_check_spatial, spatial_dynamics, ConflictGraph, GeoIndex, NbrIndex,
-        NbrLoadView, SparseNbrLoads, SpatialDynamics, SpatialGame, SpatialParallelDynamics,
+        SpatialDynamics, SpatialGame, SpatialParallelDynamics,
     };
     pub use crate::strategy::{StrategyMatrix, StrategyVector};
     pub use crate::types::{ChannelId, UserId};

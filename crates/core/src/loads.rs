@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cached channel-load vector `(k_{c_1}, …, k_{c_|C|})` of a strategy
 /// matrix, kept exact under incremental updates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ChannelLoads {
     loads: Vec<u32>,
 }
@@ -80,8 +80,8 @@ impl ChannelLoads {
     }
 
     /// Size the vector to `n` zeroed cells if it is not already that
-    /// shape. The sparse neighborhood index materializes its short rows
-    /// through this view with the sparse-set trick — fill the occupied
+    /// shape. The neighborhood index materializes its CSR rows through
+    /// this view with the sparse-set trick — fill the occupied
     /// cells, run the kernel, clear the same cells — so between uses the
     /// view is all zeros and this call is an `O(1)` length check, not an
     /// `O(|C|)` wipe.
@@ -101,15 +101,6 @@ impl ChannelLoads {
     #[inline]
     pub(crate) fn set_raw(&mut self, c: usize, v: u32) {
         self.loads[c] = v;
-    }
-
-    /// Size the vector to `n` cells and zero them all unconditionally —
-    /// for reclaiming a view left dirty by a full-width fill (one
-    /// memset, where [`ensure_zeroed`](Self::ensure_zeroed) assumes the
-    /// all-zeros invariant already holds).
-    pub(crate) fn resize_wiped(&mut self, n: usize) {
-        self.loads.clear();
-        self.loads.resize(n, 0);
     }
 
     /// Number of channels tracked.

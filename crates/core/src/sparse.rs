@@ -330,10 +330,10 @@ impl From<&SparseStrategies> for StrategyMatrix {
 /// Merge two sorted sparse rows into their per-channel count deltas
 /// (`new − old`, ascending channel, zero deltas dropped) in a
 /// caller-owned buffer. This is the one delta computation behind every
-/// row replacement in the spatial neighborhood indexes — both the dense
-/// oracle and the default sparse representation consume exactly this
-/// list, which is what makes their `on_cell` callback sequences (and
-/// therefore the potential ladder they feed) identical by construction.
+/// row replacement in the spatial neighborhood index — its dense and
+/// CSR layouts consume exactly this list, which is what makes their
+/// `on_cell` callback sequences (and therefore the potential ladder
+/// they feed) identical by construction.
 pub fn row_deltas_into(old: &[SparseEntry], new: &[SparseEntry], out: &mut Vec<(u32, i64)>) {
     out.clear();
     let (mut a, mut b) = (0usize, 0usize);

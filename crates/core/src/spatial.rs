@@ -34,6 +34,12 @@
 //! disjoint: two candidate moves commute unless they touch a common
 //! channel *and* the movers are graph neighbors.
 //!
+//! Both drivers keep every closed-neighborhood row exact in one
+//! [`NbrIndex`]. Its rows are either dense (flat `N·|C|` cells) or CSR
+//! (sorted nonzero cells), picked once at build by size — CSR exactly
+//! when its arena is smaller — so the index is never larger than the
+//! dense matrix, and the layout changes no load, callback or float.
+//!
 //! # Convergence is measured, not guaranteed
 //!
 //! The paper's theorems (and the exact Rosenthal potential behind them)
@@ -426,7 +432,7 @@ impl GeoIndex {
 /// Any [`ChannelGame`] restricted to a conflict graph: payoffs, budgets
 /// and dimensions delegate to the inner game verbatim — only *which*
 /// loads a user experiences changes, and that is the drivers' business
-/// ([`NeighborhoodLoads`]), not the payoff's. On
+/// ([`NbrIndex`]), not the payoff's. On
 /// [`ConflictGraph::clique`] every code path reduces bit-identically to
 /// the single-domain engine.
 #[derive(Debug, Clone)]
@@ -517,156 +523,12 @@ impl<G: ChannelGame> ChannelGame for SpatialGame<G> {
 // Per-neighborhood load index
 // ---------------------------------------------------------------------------
 
-/// The **dense** per-(user, channel) closed-neighborhood load index
-/// `ℓ_i(c) = k_{i,c} + Σ_{j ∈ N(i)} k_{j,c}` — the spatial analogue of
-/// the global [`ChannelLoads`] cache, maintained incrementally on every
-/// move/grow/retire: a row replacement by `u` updates the `|Δ|` touched
-/// channels of `u` and of every graph neighbor, reporting each cell
-/// transition to the caller (the potential tracker consumes them).
-/// Memory is `|N| · |C|` `u32`s, flat user-major — past the `Θ(N·|C|)`
-/// wall the drivers default to [`SparseNbrLoads`]; this representation
-/// is retained as the differential oracle `spatial_index_equiv` pins
-/// the sparse rows against (identical loads, identical `on_cell`
-/// sequences, bit-identical dynamics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NeighborhoodLoads {
-    n_channels: usize,
-    loads: Vec<u32>,
-    /// Merge scratch for a row replacement's per-channel deltas.
-    deltas: Vec<(u32, i64)>,
-}
-
-impl NeighborhoodLoads {
-    /// Build the index from scratch: `O(Σ_i k_i · (1 + deg i))`.
-    pub fn of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
-        let n = s.n_users();
-        let c_n = s.n_channels();
-        assert_eq!(graph.n_vertices(), n, "one graph vertex per user");
-        let mut loads = vec![0u32; n * c_n];
-        for v in 0..n {
-            for &(c, k) in s.row(UserId(v)) {
-                loads[v * c_n + c as usize] += k;
-                for &u in graph.neighbors(v as u32) {
-                    loads[u as usize * c_n + c as usize] += k;
-                }
-            }
-        }
-        NeighborhoodLoads {
-            n_channels: c_n,
-            loads,
-            deltas: Vec::new(),
-        }
-    }
-
-    /// Number of channels per row.
-    pub fn n_channels(&self) -> usize {
-        self.n_channels
-    }
-
-    /// Number of user rows.
-    pub fn n_users(&self) -> usize {
-        self.loads
-            .len()
-            .checked_div(self.n_channels)
-            .unwrap_or_default()
-    }
-
-    /// User `u`'s closed-neighborhood load row (`|C|` entries).
-    pub fn row(&self, u: usize) -> &[u32] {
-        &self.loads[u * self.n_channels..(u + 1) * self.n_channels]
-    }
-
-    /// `ℓ_u(c)`.
-    pub fn load(&self, u: usize, c: ChannelId) -> u32 {
-        self.loads[u * self.n_channels + c.0]
-    }
-
-    /// Apply `user`'s row change `old → new`, updating the user's own
-    /// row and every neighbor's. `on_cell(affected_user, channel,
-    /// before, after)` fires once per changed cell — the exact ladder
-    /// steps the potential tracker integrates. A no-op replacement
-    /// (empty merged delta list) returns without walking the graph.
-    pub fn replace_row<F: FnMut(usize, usize, u32, u32)>(
-        &mut self,
-        graph: &ConflictGraph,
-        user: usize,
-        old: &[SparseEntry],
-        new: &[SparseEntry],
-        mut on_cell: F,
-    ) {
-        let mut deltas = std::mem::take(&mut self.deltas);
-        crate::sparse::row_deltas_into(old, new, &mut deltas);
-        if deltas.is_empty() {
-            self.deltas = deltas;
-            return;
-        }
-        let touch = |this: &mut Self, v: usize, on_cell: &mut F| {
-            let base = v * this.n_channels;
-            for &(c, d) in &deltas {
-                let cell = &mut this.loads[base + c as usize];
-                let before = *cell;
-                let after = (before as i64 + d) as u32;
-                *cell = after;
-                on_cell(v, c as usize, before, after);
-            }
-        };
-        touch(self, user, &mut on_cell);
-        let nbs = graph.starts[user] as usize..graph.starts[user + 1] as usize;
-        for i in nbs {
-            let v = graph.adj[i] as usize;
-            touch(self, v, &mut on_cell);
-        }
-        self.deltas = deltas;
-    }
-
-    /// Append rows for users added since the index was built. New rows
-    /// are recomputed from `s` over the grown `graph`; existing users'
-    /// rows are left untouched, so arrivals must join with empty
-    /// strategy rows (which the churn path guarantees — otherwise a
-    /// pre-existing neighbor's row would miss the arrival's load).
-    pub fn grow(&mut self, graph: &ConflictGraph, s: &SparseStrategies) {
-        let old_rows = self.n_users();
-        assert_eq!(graph.n_vertices(), s.n_users(), "one graph vertex per user");
-        for u in old_rows..s.n_users() {
-            let base = self.loads.len();
-            self.loads.resize(base + self.n_channels, 0);
-            for &(c, k) in s.row(UserId(u)) {
-                self.loads[base + c as usize] += k;
-            }
-            for &v in graph.neighbors(u as u32) {
-                for &(c, k) in s.row(UserId(v as usize)) {
-                    self.loads[base + c as usize] += k;
-                }
-            }
-        }
-    }
-
-    /// Full recomputation check (tests and `paranoid-checks` only).
-    /// Compares the load cells, not the reusable delta scratch.
-    pub fn agrees_with(&self, graph: &ConflictGraph, s: &SparseStrategies) -> bool {
-        let fresh = NeighborhoodLoads::of(graph, s);
-        self.n_channels == fresh.n_channels && self.loads == fresh.loads
-    }
-
-    /// Heap footprint (capacities, not lengths).
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.loads.capacity() * size_of::<u32>() + self.deltas.capacity() * size_of::<(u32, i64)>()
-    }
-
-    /// The flat `N·|C|` cell bytes a dense index holds by construction —
-    /// the denominator of the sparse index's memory-win gate.
-    pub fn dense_bytes(&self) -> usize {
-        self.n_users() * self.n_channels * std::mem::size_of::<u32>()
-    }
-}
-
-/// Build-time closed-neighborhood aggregation shared by
-/// [`SparseNbrLoads::of`] and [`SparseNbrLoads::grow`]: one user's
-/// strategy row plus every graph neighbor's, accumulated in a dense
-/// per-channel scratch and emitted as a sorted nonzero row. Narrow
+/// Row-by-row closed-neighborhood aggregation, shared by the build above
+/// [`FLAT_BUILD_CELLS`], [`NbrIndex::grow`] and [`NbrIndex::agrees_with`]:
+/// one user's strategy row plus every graph neighbor's, accumulated in a
+/// dense per-channel scratch and emitted as a sorted nonzero row. Narrow
 /// channel spaces scan the whole scratch (branch-free adds, the dense
-/// index's inner loop); wide ones track the touched ids so the scan —
+/// builder's inner loop); wide ones track the touched ids so the scan —
 /// and the zeroing — never strides the `|C|`-wide scratch.
 struct RowAggregator {
     scratch: Vec<u32>,
@@ -735,7 +597,23 @@ impl RowAggregator {
     }
 }
 
-/// Slot capacity for a sparse row of `len` live entries: an `L/8` slack
+/// The dense builder: every user's strategy row scattered into its own
+/// and its graph neighbors' flat `|C|`-wide rows, `O(Σ_i k_i·(1 + deg i))`.
+fn scatter(graph: &ConflictGraph, s: &SparseStrategies) -> Vec<u32> {
+    let c_n = s.n_channels();
+    let mut flat = vec![0u32; s.n_users() * c_n];
+    for v in 0..s.n_users() {
+        for &(c, k) in s.row(UserId(v)) {
+            flat[v * c_n + c as usize] += k;
+            for &u in graph.neighbors(v as u32) {
+                flat[u as usize * c_n + c as usize] += k;
+            }
+        }
+    }
+    flat
+}
+
+/// Slot capacity for a CSR row of `len` live entries: an `L/8` slack
 /// plus two spare slots so load-only churn and small channel-set drift
 /// stay in place, clamped to `|C|` (a row can never hold more distinct
 /// channels than exist).
@@ -744,36 +622,75 @@ fn cap_for(len: usize, n_channels: usize) -> usize {
     (len + len / 8 + 2).min(n_channels)
 }
 
-/// Cell cap on the transient dense scatter table [`SparseNbrLoads::of`]
-/// may use while building (16M `u32` cells = 64 MB): under it the
-/// dense-style scatter build is faster and the transient harmless;
-/// above it that transient would *be* the Θ(N·|C|) wall this index
-/// exists to avoid, so the builder aggregates row by row instead.
+/// The layout rule: CSR rows of these live lengths take fewer bytes than
+/// the dense layout's `4·|C|` per row — 8 B (channel id + load) per
+/// capped slot plus 12 B of per-row `meta` and `caps`. Ties go to dense.
+fn csr_is_smaller(lens: &[u32], n_channels: usize) -> bool {
+    let csr: usize = lens
+        .iter()
+        .map(|&len| 8 * cap_for(len as usize, n_channels) + 12)
+        .sum();
+    csr < lens.len() * 4 * n_channels
+}
+
+/// Cell cap on the transient flat scatter table the builder may use
+/// (16M `u32` cells = 64 MB): under it the scatter — the dense layout
+/// as built — yields every row length in one sweep, and is kept as is
+/// when dense wins. Above it that transient would *be* the `Θ(N·|C|)`
+/// wall CSR rows avoid, so the builder aggregates row by row instead
+/// and scatters only once dense has won.
 const FLAT_BUILD_CELLS: usize = 16 << 20;
 
-/// The **sparse** closed-neighborhood load index: per-user CSR rows of
-/// sorted `(channel, load)` entries holding the channels with nonzero
-/// closed-neighborhood load (a row that has reached full `|C|` width
-/// may additionally retain zero-load entries — see
-/// [`patch_row`](Self::patch_row)) — at degree `d` and `k` radios that
-/// is `≤ (d+1)·k` entries instead of `|C|`, which is the whole memory
-/// story in `|C| ≫ k` regimes (a 10⁵-user, `|C| = 512`, `k = 2`
-/// geometric cell holds ~18-entry rows: ~10× under the dense index).
+/// The closed-neighborhood load index
+/// `ℓ_i(c) = k_{i,c} + Σ_{j ∈ N(i)} k_{j,c}` — the spatial analogue of
+/// the global [`ChannelLoads`] cache, kept exact on every move, arrival
+/// and departure: a row replacement by `u` updates the `|Δ|` touched
+/// channels of `u` and of every graph neighbor, reporting each cell
+/// transition to the caller (the potential tracker integrates them).
 ///
-/// The layout mirrors [`SparseStrategies`]: one entry arena with
-/// per-row `(start, len, cap)` and amortized in-place growth. Unlike
-/// the strategy arena, capacities are **exact-reserved** (`L/8` slack,
-/// compaction at 25% waste) rather than doubled — `heap_bytes` is the
-/// measured gate, and `Vec`'s doubling would hand back half the win.
+/// Rows take one of two private layouts, picked once when the index is
+/// built and kept for its life ([`grow`](Self::grow) appends rows in
+/// it):
 ///
-/// [`replace_row`](Self::replace_row) fires the same
-/// `on_cell(affected_user, channel, before, after)` sequence as the
-/// dense [`NeighborhoodLoads`] (ascending channel; mover first, then
-/// graph neighbors in adjacency order), so the potential ladder and the
-/// cycle detector are untouched by the representation switch —
-/// `spatial_index_equiv` pins that bit for bit.
+/// * **dense** — flat user-major `N·|C|` `u32` cells;
+/// * **CSR** — per-user sorted `(channel, load)` rows holding exactly
+///   the nonzero cells. At degree `d` and `k` radios a row holds at
+///   most `(d+1)·k` cells instead of `|C|`, which is the whole memory
+///   story in `|C| ≫ k` regimes (a 10⁵-user, `|C| = 512`, `k = 2`
+///   geometric cell holds ~18-cell rows: ~10× under dense).
+///
+/// [`sparse_of`](Self::sparse_of) takes CSR exactly when its arena is
+/// smaller than the dense matrix, so a freshly built index is never
+/// larger than dense. Both layouts fire the same `on_cell` sequence
+/// (ascending channel; mover first, then graph neighbors in adjacency
+/// order) and hand back the same `u32` loads in the same order, so the
+/// layout cannot change a committed move, a potential bit or a
+/// fingerprint — `spatial_index_equiv` pins that through the
+/// [`dense_of`](Self::dense_of) / [`csr_of`](Self::csr_of) test seams.
 #[derive(Debug, Clone)]
-pub struct SparseNbrLoads {
+pub struct NbrIndex {
+    n_channels: usize,
+    rows: Rows,
+    /// Merge scratch for a row replacement's per-channel deltas.
+    deltas: Vec<(u32, i64)>,
+}
+
+#[derive(Debug, Clone)]
+enum Rows {
+    /// Flat user-major `N·|C|` cells.
+    Dense(Vec<u32>),
+    /// Sorted nonzero rows in a slack arena.
+    Csr(Csr),
+}
+
+/// CSR rows. The layout mirrors [`SparseStrategies`]: one entry arena
+/// with per-row `(start, len, cap)` and amortized in-place growth.
+/// Unlike the strategy arena, capacities are **exact-reserved** (`L/8`
+/// slack, compaction at 25% waste) rather than doubled — `heap_bytes`
+/// is the measured gate, and `Vec`'s doubling would hand back half the
+/// win.
+#[derive(Debug, Clone)]
+struct Csr {
     n_channels: usize,
     /// Per-user `(row start into entries, live entry count)` — packed
     /// so the patch hot path fetches both with one read.
@@ -785,182 +702,153 @@ pub struct SparseNbrLoads {
     chans: Vec<u32>,
     /// Row loads, parallel to `chans`. Split out (structure-of-arrays)
     /// so the load-only patch hot path touches 4-byte cells — the same
-    /// cache traffic as the dense index — instead of 8-byte pairs.
+    /// cache traffic as the dense layout — instead of 8-byte pairs.
     loads: Vec<u32>,
     /// Slots abandoned by relocated rows, reclaimed by compaction.
     dead_slots: usize,
-    /// True while *every* row is full-width (`len == cap == |C|`), so
-    /// row `v` sits at offset `v·|C|` — dense-occupancy regimes (small
-    /// `|C|`, high degree) patch and read with a base multiply instead
-    /// of a `meta` load, the dense index's exact access pattern. Rows
-    /// never shrink below full width (zero entries stay in place), so
-    /// the flag only flips off when `grow` appends a short row.
-    uniform_full: bool,
-    /// Merge scratch for a row replacement's per-channel deltas.
-    deltas: Vec<(u32, i64)>,
     /// Merge scratch for a patched row.
     merged: Vec<SparseEntry>,
 }
 
-impl SparseNbrLoads {
-    /// Build the index from scratch: `O(Σ_i k_i·(1 + deg i))` closed-
-    /// neighborhood aggregation through a dense scratch (only the
-    /// touched channel ids — at most `min((d+1)·k, |C|)` of them — are
-    /// sorted per row), with the arena allocated to its exact capped
-    /// size in one reservation.
-    pub fn of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
-        let n = s.n_users();
-        let c_n = s.n_channels();
+impl NbrIndex {
+    /// Build the index from scratch, `O(Σ_i k_i·(1 + deg i))`, on the
+    /// smaller layout: CSR when its arena (8 B per capped slot plus
+    /// 12 B per row) is smaller than the dense `4·|C|` B per row, dense
+    /// otherwise, ties to dense. The serving builder — the drivers'
+    /// `new` calls it.
+    pub fn sparse_of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
+        Self::build(graph, s, |lens| csr_is_smaller(lens, s.n_channels()))
+    }
+
+    /// Build on the dense layout whatever the size — the differential
+    /// oracle of `spatial_index_equiv`.
+    #[doc(hidden)]
+    pub fn dense_of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
+        Self::build(graph, s, |_| false)
+    }
+
+    /// Build on the CSR layout whatever the size — the oracle's
+    /// counterpart, so narrow channel spaces exercise CSR too.
+    #[doc(hidden)]
+    pub fn csr_of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
+        Self::build(graph, s, |_| true)
+    }
+
+    /// Build every row's live length through one of two builders, then
+    /// let `pick_csr` choose the layout from them. CSR rows are laid out
+    /// with their slot caps in one exact reservation.
+    fn build(
+        graph: &ConflictGraph,
+        s: &SparseStrategies,
+        pick_csr: impl FnOnce(&[u32]) -> bool,
+    ) -> Self {
+        let (n, c_n) = (s.n_users(), s.n_channels());
         assert_eq!(graph.n_vertices(), n, "one graph vertex per user");
-        // Pass 1: every logical row into one flat temp, lens recorded.
-        // Two builders: when the transient dense `N·|C|` scatter table
-        // is small, build exactly like the dense index (pure scatter,
-        // no per-row bookkeeping) and sweep each row out; past the gate
-        // — where that transient would *be* the Θ(N·|C|) wall this
-        // index removes — aggregate row by row through the scratch.
-        let mut rows: Vec<SparseEntry> = Vec::new();
+        let mut entries: Vec<SparseEntry> = Vec::new();
         let mut lens: Vec<u32> = Vec::with_capacity(n);
-        if n.saturating_mul(c_n) <= FLAT_BUILD_CELLS {
-            let mut flat = vec![0u32; n * c_n];
-            for v in 0..n {
-                for &(c, k) in s.row(UserId(v)) {
-                    flat[v * c_n + c as usize] += k;
-                    for i in graph.starts[v] as usize..graph.starts[v + 1] as usize {
-                        flat[graph.adj[i] as usize * c_n + c as usize] += k;
-                    }
-                }
-            }
-            let occupied = flat.iter().filter(|&&l| l != 0).count();
-            if occupied * 8 >= n * c_n * 7 {
-                // Dense-occupancy regime (≥ 7/8 of all cells loaded):
-                // pad every row to full width — channel `c` at offset
-                // `c`, zero entries legal — so the whole index runs the
-                // uniform-full fast paths. At this occupancy the padding
-                // costs no more than the slack-capped compact layout it
-                // replaces, and `flat` is reused as the loads array.
-                let mut chans: Vec<u32> = Vec::with_capacity(n * c_n);
-                for _ in 0..n {
-                    chans.extend(0..c_n as u32);
-                }
-                return SparseNbrLoads {
-                    n_channels: c_n,
-                    meta: (0..n).map(|v| ((v * c_n) as u32, c_n as u32)).collect(),
-                    caps: vec![c_n as u32; n],
-                    chans,
-                    loads: flat,
-                    dead_slots: 0,
-                    uniform_full: true,
-                    deltas: Vec::new(),
-                    merged: Vec::new(),
-                };
-            }
-            for v in 0..n {
-                let before = rows.len();
-                for (c, &l) in flat[v * c_n..(v + 1) * c_n].iter().enumerate() {
-                    if l != 0 {
-                        rows.push((c as u32, l));
-                    }
-                }
-                lens.push((rows.len() - before) as u32);
+        let rows = if n.saturating_mul(c_n) <= FLAT_BUILD_CELLS {
+            let flat = scatter(graph, s);
+            let nonzero = |v: usize| {
+                let row = flat[v * c_n..(v + 1) * c_n].iter().enumerate();
+                row.filter(|&(_, &l)| l != 0).map(|(c, &l)| (c as u32, l))
+            };
+            lens.extend((0..n).map(|v| nonzero(v).count() as u32));
+            if pick_csr(&lens) {
+                entries.reserve_exact(lens.iter().map(|&l| l as usize).sum());
+                entries.extend((0..n).flat_map(nonzero));
+                Rows::Csr(Csr::lay_out(&entries, &lens, c_n))
+            } else {
+                Rows::Dense(flat)
             }
         } else {
             let mut agg = RowAggregator::new(c_n);
             for v in 0..n {
-                let before = rows.len();
-                agg.aggregate(graph, s, v, &mut rows);
-                lens.push((rows.len() - before) as u32);
+                let before = entries.len();
+                agg.aggregate(graph, s, v, &mut entries);
+                lens.push((entries.len() - before) as u32);
             }
-        }
-        // Pass 2: lay rows out with their slot caps, exactly reserved.
-        let mut caps: Vec<u32> = Vec::with_capacity(n);
-        let mut total = 0usize;
-        for &len in &lens {
-            let cap = cap_for(len as usize, c_n);
-            caps.push(cap as u32);
-            total += cap;
-        }
-        assert!(total <= u32::MAX as usize, "sparse index arena overflow");
-        let mut chans: Vec<u32> = Vec::with_capacity(total);
-        let mut loads: Vec<u32> = Vec::with_capacity(total);
-        let mut meta: Vec<(u32, u32)> = Vec::with_capacity(n);
-        let mut off = 0usize;
-        for (v, &len) in lens.iter().enumerate() {
-            let start = chans.len();
-            meta.push((start as u32, len));
-            for &(c, l) in &rows[off..off + len as usize] {
-                chans.push(c);
-                loads.push(l);
+            if pick_csr(&lens) {
+                Rows::Csr(Csr::lay_out(&entries, &lens, c_n))
+            } else {
+                drop(entries);
+                Rows::Dense(scatter(graph, s))
             }
-            chans.resize(start + caps[v] as usize, 0);
-            loads.resize(start + caps[v] as usize, 0);
-            off += len as usize;
-        }
-        let uniform_full = lens.iter().all(|&l| l as usize == c_n);
-        SparseNbrLoads {
+        };
+        NbrIndex {
             n_channels: c_n,
-            meta,
-            caps,
-            chans,
-            loads,
-            dead_slots: 0,
-            uniform_full,
+            rows,
             deltas: Vec::new(),
-            merged: Vec::new(),
         }
     }
 
-    /// Number of channels (the dense row width this index avoids).
+    /// Number of channels per row.
     pub fn n_channels(&self) -> usize {
         self.n_channels
     }
 
     /// Number of user rows.
     pub fn n_users(&self) -> usize {
-        self.meta.len()
+        match &self.rows {
+            Rows::Dense(loads) => loads.len().checked_div(self.n_channels).unwrap_or_default(),
+            Rows::Csr(csr) => csr.meta.len(),
+        }
     }
 
-    /// User `u`'s row as parallel `(channel ids, loads)` slices, sorted
-    /// by channel.
-    pub fn row_parts(&self, u: usize) -> (&[u32], &[u32]) {
-        let (s, e) = if self.uniform_full {
-            let s = u * self.n_channels;
-            (s, s + self.n_channels)
-        } else {
-            let (s, l) = self.meta[u];
-            (s as usize, (s + l) as usize)
-        };
-        (&self.chans[s..e], &self.loads[s..e])
+    /// Whether the rows are held in the CSR layout (otherwise dense).
+    pub fn is_csr(&self) -> bool {
+        matches!(self.rows, Rows::Csr(_))
     }
 
-    /// User `u`'s sorted `(channel, load)` row cells (a full-width row
-    /// may include zero-load cells — see [`patch_row`](Self::patch_row)).
-    pub fn row(&self, u: usize) -> impl Iterator<Item = SparseEntry> + '_ {
-        let (cs, ls) = self.row_parts(u);
-        cs.iter().copied().zip(ls.iter().copied())
-    }
-
-    /// `ℓ_u(c)` (`O(log row)`; a full-width row indexes directly).
+    /// `ℓ_u(c)` — a direct read on the dense layout, `O(log row)` on CSR.
     pub fn load(&self, u: usize, c: ChannelId) -> u32 {
-        if self.uniform_full {
-            // Channel `c` sits at offset `c` of row `u` — the dense
-            // index's exact load read.
-            return self.loads[u * self.n_channels + c.0];
-        }
-        let (cs, ls) = self.row_parts(u);
-        if cs.len() == self.n_channels {
-            return ls[c.0];
-        }
-        match cs.binary_search(&(c.0 as u32)) {
-            Ok(i) => ls[i],
-            Err(_) => 0,
+        match &self.rows {
+            Rows::Dense(loads) => loads[u * self.n_channels + c.0],
+            Rows::Csr(csr) => {
+                let (cs, ls) = csr.row(u);
+                cs.binary_search(&(c.0 as u32)).map_or(0, |i| ls[i])
+            }
         }
     }
 
-    /// Apply `user`'s row change `old → new` — the sparse twin of
-    /// [`NeighborhoodLoads::replace_row`], same callback contract, same
-    /// early return on an empty merged delta list. Each affected row is
-    /// patched by one merge walk of its entries against the deltas:
-    /// `O(deg·(k + row))` total.
+    /// Visit `u`'s nonzero cells as `(channel, load)` in ascending
+    /// channel order — the same cells in the same order on either
+    /// layout, so every float accumulated from them downstream is
+    /// bit-identical across layouts.
+    pub(crate) fn for_each_load(&self, u: usize, mut f: impl FnMut(usize, u32)) {
+        match &self.rows {
+            Rows::Dense(loads) => {
+                let row = &loads[u * self.n_channels..(u + 1) * self.n_channels];
+                for (c, &l) in row.iter().enumerate() {
+                    if l != 0 {
+                        f(c, l);
+                    }
+                }
+            }
+            Rows::Csr(csr) => {
+                let (cs, ls) = csr.row(u);
+                for (&c, &l) in cs.iter().zip(ls) {
+                    f(c as usize, l);
+                }
+            }
+        }
+    }
+
+    /// User `u`'s row materialized dense — tests and goldens; the hot
+    /// path materializes through [`fill_view`](Self::fill_view) instead.
+    pub fn dense_row(&self, u: usize) -> Vec<u32> {
+        let mut out = vec![0u32; self.n_channels];
+        self.for_each_load(u, |c, l| out[c] = l);
+        out
+    }
+
+    /// Apply `user`'s row change `old → new`, updating the user's own
+    /// row and every neighbor's. `on_cell(affected_user, channel,
+    /// before, after)` fires once per changed cell, in ascending channel
+    /// order per row — the exact ladder steps the potential tracker
+    /// integrates. A no-op replacement (empty merged delta list) returns
+    /// without walking the graph. A CSR row is patched by one merge walk
+    /// of its entries against the deltas, `O(deg·(k + row))` in total; a
+    /// cell that drops to zero leaves its row.
     pub fn replace_row<F: FnMut(usize, usize, u32, u32)>(
         &mut self,
         graph: &ConflictGraph,
@@ -975,36 +863,190 @@ impl SparseNbrLoads {
             self.deltas = deltas;
             return;
         }
-        if self.uniform_full {
-            // Every row full-width at offset `v·|C|`: run the dense
-            // index's exact touch loop, the branch hoisted out of the
-            // per-row path.
-            let touch = |this: &mut Self, v: usize, on_cell: &mut F| {
-                let base = v * this.n_channels;
-                for &(c, d) in &deltas {
-                    let cell = &mut this.loads[base + c as usize];
-                    let before = *cell;
-                    let after = (before as i64 + d) as u32;
-                    *cell = after;
-                    on_cell(v, c as usize, before, after);
+        let affected =
+            std::iter::once(user).chain(graph.neighbors(user as u32).iter().map(|&v| v as usize));
+        match &mut self.rows {
+            Rows::Dense(loads) => {
+                let c_n = self.n_channels;
+                for v in affected {
+                    let row = &mut loads[v * c_n..(v + 1) * c_n];
+                    for &(c, d) in &deltas {
+                        let before = row[c as usize];
+                        let after = (before as i64 + d) as u32;
+                        row[c as usize] = after;
+                        on_cell(v, c as usize, before, after);
+                    }
                 }
-            };
-            touch(self, user, &mut on_cell);
-            for i in graph.starts[user] as usize..graph.starts[user + 1] as usize {
-                touch(self, graph.adj[i] as usize, &mut on_cell);
             }
-        } else {
-            self.patch_row(user, &deltas, &mut on_cell);
-            for i in graph.starts[user] as usize..graph.starts[user + 1] as usize {
-                let v = graph.adj[i] as usize;
-                self.patch_row(v, &deltas, &mut on_cell);
+            Rows::Csr(csr) => {
+                for v in affected {
+                    csr.patch_row(v, &deltas, &mut on_cell);
+                }
             }
         }
         self.deltas = deltas;
     }
 
+    /// Append rows, in the index's layout, for users added since it was
+    /// built. Existing rows are left untouched, so arrivals must join
+    /// with empty strategy rows (which the churn path guarantees —
+    /// otherwise a pre-existing neighbor's row would miss the arrival's
+    /// load); each new row aggregates its (possibly loaded) neighbors.
+    pub fn grow(&mut self, graph: &ConflictGraph, s: &SparseStrategies) {
+        assert_eq!(graph.n_vertices(), s.n_users(), "one graph vertex per user");
+        let c_n = self.n_channels;
+        let mut agg = RowAggregator::new(c_n);
+        let mut row = Vec::new();
+        for v in self.n_users()..s.n_users() {
+            row.clear();
+            agg.aggregate(graph, s, v, &mut row);
+            match &mut self.rows {
+                Rows::Dense(loads) => {
+                    // The arena's `L/8` slack, not `Vec` doubling.
+                    let base = loads.len();
+                    if loads.capacity() < base + c_n {
+                        loads.reserve_exact(c_n + base / 8);
+                    }
+                    loads.resize(base + c_n, 0);
+                    for &(c, l) in &row {
+                        loads[base + c as usize] = l;
+                    }
+                }
+                Rows::Csr(csr) => {
+                    csr.meta.push((0, 0));
+                    csr.caps.push(0);
+                    csr.relocate(v, &row);
+                }
+            }
+        }
+    }
+
+    /// Full recomputation check (tests and the benchmark's output
+    /// checks): every logical row against the same row re-aggregated
+    /// from `s` by the builder's row aggregation. The check holds
+    /// `O(|C|)` scratch on either layout — a CSR index never
+    /// materializes the dense matrix for it — and a zero cell left in a
+    /// CSR row fails it.
+    pub fn agrees_with(&self, graph: &ConflictGraph, s: &SparseStrategies) -> bool {
+        if graph.n_vertices() != s.n_users()
+            || self.n_users() != s.n_users()
+            || self.n_channels != s.n_channels()
+        {
+            return false;
+        }
+        let mut agg = RowAggregator::new(self.n_channels);
+        let (mut fresh, mut held) = (Vec::new(), Vec::new());
+        (0..self.n_users()).all(|u| {
+            fresh.clear();
+            held.clear();
+            agg.aggregate(graph, s, u, &mut fresh);
+            self.for_each_load(u, |c, l| held.push((c as u32, l)));
+            fresh == held
+        })
+    }
+
+    /// Heap footprint (capacities, not lengths) — the numerator of the
+    /// `t11_spatial` memory gate.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let rows = match &self.rows {
+            Rows::Dense(loads) => loads.capacity() * size_of::<u32>(),
+            Rows::Csr(csr) => {
+                csr.meta.capacity() * size_of::<(u32, u32)>()
+                    + (csr.caps.capacity() + csr.chans.capacity() + csr.loads.capacity())
+                        * size_of::<u32>()
+                    + csr.merged.capacity() * size_of::<SparseEntry>()
+            }
+        };
+        rows + self.deltas.capacity() * size_of::<(u32, i64)>()
+    }
+
+    /// The flat `N·|C|` cell bytes the dense layout holds (or would
+    /// hold) — the memory gate's denominator.
+    pub fn dense_bytes(&self) -> usize {
+        self.n_users() * self.n_channels * std::mem::size_of::<u32>()
+    }
+
+    /// Materialize `u`'s row into the BR scratch view, with zero
+    /// allocation. The dense layout copies its row over the whole view;
+    /// CSR scatters its `O(deg·k)` cells over an all-zeros view, which
+    /// [`clear_view`](Self::clear_view) restores after the query. The
+    /// layout is fixed at build, so a scratch only ever sees one of the
+    /// two protocols.
+    pub(crate) fn fill_view(&self, u: usize, view: &mut ChannelLoads) {
+        match &self.rows {
+            Rows::Dense(loads) => {
+                view.copy_from_slice(&loads[u * self.n_channels..(u + 1) * self.n_channels]);
+            }
+            Rows::Csr(csr) => {
+                view.ensure_zeroed(self.n_channels);
+                let (cs, ls) = csr.row(u);
+                for (&c, &l) in cs.iter().zip(ls) {
+                    view.set_raw(c as usize, l);
+                }
+            }
+        }
+    }
+
+    /// Undo a CSR [`fill_view`](Self::fill_view) by zeroing the same
+    /// cells; a no-op on the dense layout, whose next fill overwrites.
+    pub(crate) fn clear_view(&self, u: usize, view: &mut ChannelLoads) {
+        if let Rows::Csr(csr) = &self.rows {
+            for &c in csr.row(u).0 {
+                view.set_raw(c as usize, 0);
+            }
+        }
+    }
+}
+
+impl Csr {
+    /// Lay out `lens[v]` consecutive `entries` per row, each in a slot
+    /// of `cap_for(len)`, in one exact reservation.
+    fn lay_out(entries: &[SparseEntry], lens: &[u32], n_channels: usize) -> Self {
+        let mut caps: Vec<u32> = Vec::with_capacity(lens.len());
+        let mut total = 0usize;
+        for &len in lens {
+            let cap = cap_for(len as usize, n_channels);
+            caps.push(cap as u32);
+            total += cap;
+        }
+        assert!(total <= u32::MAX as usize, "sparse index arena overflow");
+        let mut chans: Vec<u32> = Vec::with_capacity(total);
+        let mut loads: Vec<u32> = Vec::with_capacity(total);
+        let mut meta: Vec<(u32, u32)> = Vec::with_capacity(lens.len());
+        let mut off = 0usize;
+        for (v, &len) in lens.iter().enumerate() {
+            let start = chans.len();
+            meta.push((start as u32, len));
+            for &(c, l) in &entries[off..off + len as usize] {
+                chans.push(c);
+                loads.push(l);
+            }
+            chans.resize(start + caps[v] as usize, 0);
+            loads.resize(start + caps[v] as usize, 0);
+            off += len as usize;
+        }
+        Csr {
+            n_channels,
+            meta,
+            caps,
+            chans,
+            loads,
+            dead_slots: 0,
+            merged: Vec::new(),
+        }
+    }
+
+    /// User `u`'s row as parallel `(channel ids, loads)` slices, sorted
+    /// by channel.
+    fn row(&self, u: usize) -> (&[u32], &[u32]) {
+        let (s, l) = self.meta[u];
+        let (s, e) = (s as usize, (s + l) as usize);
+        (&self.chans[s..e], &self.loads[s..e])
+    }
+
     /// Merge `deltas` into row `v`, firing `on_cell` per changed cell in
-    /// ascending channel order — the exact sequence the dense oracle's
+    /// ascending channel order — the exact sequence the dense layout's
     /// delta loop produces, because both iterate the same sorted deltas.
     #[inline]
     fn patch_row<F: FnMut(usize, usize, u32, u32)>(
@@ -1013,44 +1055,17 @@ impl SparseNbrLoads {
         deltas: &[(u32, i64)],
         on_cell: &mut F,
     ) {
-        debug_assert!(
-            !self.uniform_full,
-            "uniform-full indexes take replace_row's hoisted touch loop"
-        );
         let (start, len) = self.meta[v];
         let (start, len) = (start as usize, len as usize);
 
-        // Optimistic in-place walk — the common case in dense-occupancy
-        // regimes (small `|C|`, high degree): a delta landing on a
-        // channel the row already holds, leaving it nonzero, patches
-        // the load in place with no scratch merge and no copy-back.
-        // The first structural delta (an insert or an emptied entry)
-        // hands the rest of the walk to the merge below; the in-place
-        // prefix stays applied, so the callback sequence is identical
-        // either way — exactly the delta channels, ascending.
-        let fallback = if len == self.n_channels {
-            // Full-width row: sorted distinct channels covering
-            // `0..n_channels` put channel `c` at offset `c` — direct
-            // indexing, the same inner loop the dense oracle runs. A
-            // cell dropping to zero *stays in place as a zero entry*
-            // (the row is at its `|C|` cap anyway, so evicting it buys
-            // nothing and would cost a structural merge per eviction);
-            // readers filter zeros, so the logical row is unchanged.
-            let row = &mut self.loads[start..start + len];
-            for &(c, d) in deltas {
-                let cell = &mut row[c as usize];
-                debug_assert_eq!(
-                    self.chans[start + c as usize],
-                    c,
-                    "full-width row out of position"
-                );
-                let before = *cell;
-                let after = (before as i64 + d) as u32;
-                on_cell(v, c as usize, before, after);
-                *cell = after;
-            }
-            None
-        } else {
+        // Optimistic in-place walk — the common case: a delta landing on
+        // a channel the row already holds, leaving it nonzero, patches
+        // the load in place with no scratch merge and no copy-back. The
+        // first structural delta (an insert or an emptied entry) hands
+        // the rest of the walk to the merge below; the in-place prefix
+        // stays applied, so the callback sequence is identical either
+        // way — exactly the delta channels, ascending.
+        let fallback = {
             let chans = &self.chans[start..start + len];
             let row = &mut self.loads[start..start + len];
             let (mut a, mut b) = (0usize, 0usize);
@@ -1081,10 +1096,11 @@ impl SparseNbrLoads {
         }
     }
 
-    /// The structural tail of [`patch_row`]: merge row suffix
-    /// `entries[a0..]` with `deltas[b0..]` into the scratch (the
-    /// in-place prefix `[..a0]` is copied over verbatim) and store the
-    /// result, relocating the row if it outgrew its slot.
+    /// The structural tail of [`patch_row`](Self::patch_row): merge row
+    /// suffix `entries[a0..]` with `deltas[b0..]` into the scratch (the
+    /// in-place prefix `[..a0]` is copied over verbatim), dropping
+    /// emptied cells, and store the result, relocating the row if it
+    /// outgrew its slot.
     fn patch_row_merge<F: FnMut(usize, usize, u32, u32)>(
         &mut self,
         v: usize,
@@ -1134,13 +1150,8 @@ impl SparseNbrLoads {
 
     /// Store `row` as `v`'s entries: in place when it fits the slot,
     /// otherwise relocated to the arena end (the old slot goes dead;
-    /// compaction reclaims at 25% waste). Arena growth is
-    /// `reserve_exact` with an `L/8` slack — never `Vec` doubling,
-    /// which would halve the measured memory win.
+    /// compaction reclaims at 25% waste).
     fn write_row(&mut self, v: usize, row: &[SparseEntry]) {
-        // Only merge walks write rows, and full-width rows never merge,
-        // so a uniform-full index can never reach here.
-        debug_assert!(!self.uniform_full, "write_row on a uniform-full index");
         if row.len() <= self.caps[v] as usize {
             let start = self.meta[v].0 as usize;
             for (i, &(c, l)) in row.iter().enumerate() {
@@ -1155,6 +1166,13 @@ impl SparseNbrLoads {
             self.compact(v, row);
             return;
         }
+        self.relocate(v, row);
+    }
+
+    /// Store `row` as `v`'s entries in a fresh slot at the arena end.
+    /// Arena growth is `reserve_exact` with an `L/8` slack — never `Vec`
+    /// doubling, which would halve the measured memory win.
+    fn relocate(&mut self, v: usize, row: &[SparseEntry]) {
         let cap = cap_for(row.len(), self.n_channels);
         if self.loads.capacity() < self.loads.len() + cap {
             let extra = cap + self.loads.len() / 8;
@@ -1217,321 +1235,6 @@ impl SparseNbrLoads {
         self.loads = loads;
         self.dead_slots = 0;
     }
-
-    /// Append rows for users added since the index was built — the same
-    /// contract as [`NeighborhoodLoads::grow`]: arrivals must join with
-    /// empty strategy rows, so existing rows are untouched and each new
-    /// row aggregates its (possibly loaded) neighbors.
-    pub fn grow(&mut self, graph: &ConflictGraph, s: &SparseStrategies) {
-        let old_rows = self.meta.len();
-        assert_eq!(graph.n_vertices(), s.n_users(), "one graph vertex per user");
-        let mut agg = RowAggregator::new(self.n_channels);
-        let mut merged = std::mem::take(&mut self.merged);
-        for v in old_rows..s.n_users() {
-            merged.clear();
-            agg.aggregate(graph, s, v, &mut merged);
-            let cap = cap_for(merged.len(), self.n_channels);
-            if self.loads.capacity() < self.loads.len() + cap {
-                let extra = cap + self.loads.len() / 8;
-                self.chans.reserve_exact(extra);
-                self.loads.reserve_exact(extra);
-            }
-            let start = self.loads.len();
-            assert!(
-                start + cap <= u32::MAX as usize,
-                "sparse index arena overflow"
-            );
-            self.meta.push((start as u32, merged.len() as u32));
-            self.caps.push(cap as u32);
-            for &(c, l) in merged.iter() {
-                self.chans.push(c);
-                self.loads.push(l);
-            }
-            self.chans.resize(start + cap, 0);
-            self.loads.resize(start + cap, 0);
-            self.uniform_full = self.uniform_full && merged.len() == self.n_channels;
-        }
-        self.merged = merged;
-    }
-
-    /// Full recomputation check (tests and `paranoid-checks` only) —
-    /// compares logical rows, which also catches a lingering
-    /// explicit-zero entry the merge should have dropped.
-    pub fn agrees_with(&self, graph: &ConflictGraph, s: &SparseStrategies) -> bool {
-        let fresh = SparseNbrLoads::of(graph, s);
-        self.n_channels == fresh.n_channels
-            && self.meta.len() == fresh.meta.len()
-            && (0..self.meta.len()).all(|v| {
-                // Zero entries (legal only in full-width rows, and on
-                // either side — the fresh rebuild may pad a
-                // dense-occupancy instance) are not part of the
-                // logical row.
-                self.row(v)
-                    .filter(|&(_, l)| l != 0)
-                    .eq(fresh.row(v).filter(|&(_, l)| l != 0))
-            })
-    }
-
-    /// Heap footprint (capacities, not lengths) — the numerator of the
-    /// `t11_spatial` memory-win gate.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.meta.capacity() * size_of::<(u32, u32)>()
-            + (self.caps.capacity() + self.chans.capacity() + self.loads.capacity())
-                * size_of::<u32>()
-            + self.deltas.capacity() * size_of::<(u32, i64)>()
-            + self.merged.capacity() * size_of::<SparseEntry>()
-    }
-
-    /// The flat `N·|C|` cell bytes a dense index would hold.
-    pub fn dense_bytes(&self) -> usize {
-        self.meta.len() * self.n_channels * std::mem::size_of::<u32>()
-    }
-
-    /// Dead (relocated, unreclaimed) slots — compaction bookkeeping,
-    /// exposed for tests.
-    #[cfg(test)]
-    fn dead(&self) -> usize {
-        self.dead_slots
-    }
-}
-
-/// Read access to a closed-neighborhood load index, independent of
-/// representation — what the utility sum, the welfare sum, and the
-/// potential recompute need. Both methods expose the same `u32` cells
-/// in the same order for both representations, so every float
-/// accumulation downstream is bit-identical across them.
-pub trait NbrLoadView {
-    /// Number of channels per (logical) row.
-    fn n_channels(&self) -> usize;
-    /// Number of user rows.
-    fn n_users(&self) -> usize;
-    /// `ℓ_u(c)`.
-    fn load(&self, u: usize, c: ChannelId) -> u32;
-    /// Visit `u`'s nonzero cells as `(channel, load)` in ascending
-    /// channel order.
-    fn for_each_load(&self, u: usize, f: impl FnMut(usize, u32));
-}
-
-impl NbrLoadView for NeighborhoodLoads {
-    fn n_channels(&self) -> usize {
-        self.n_channels
-    }
-
-    fn n_users(&self) -> usize {
-        NeighborhoodLoads::n_users(self)
-    }
-
-    fn load(&self, u: usize, c: ChannelId) -> u32 {
-        NeighborhoodLoads::load(self, u, c)
-    }
-
-    fn for_each_load(&self, u: usize, mut f: impl FnMut(usize, u32)) {
-        for (c, &l) in self.row(u).iter().enumerate() {
-            if l != 0 {
-                f(c, l);
-            }
-        }
-    }
-}
-
-impl NbrLoadView for SparseNbrLoads {
-    fn n_channels(&self) -> usize {
-        self.n_channels
-    }
-
-    fn n_users(&self) -> usize {
-        SparseNbrLoads::n_users(self)
-    }
-
-    fn load(&self, u: usize, c: ChannelId) -> u32 {
-        SparseNbrLoads::load(self, u, c)
-    }
-
-    fn for_each_load(&self, u: usize, mut f: impl FnMut(usize, u32)) {
-        // Full-width rows may hold zero entries (see `patch_row`); the
-        // logical row is the nonzero cells either way.
-        for (c, l) in self.row(u) {
-            if l != 0 {
-                f(c as usize, l);
-            }
-        }
-    }
-}
-
-/// The neighborhood index a spatial driver maintains: sparse CSR rows
-/// by default, the dense flat rows as the retained differential oracle
-/// (`SpatialDynamics::new_dense_oracle`). Every mutation and query is
-/// representation-transparent — same `on_cell` sequences, same loads —
-/// so swapping the variant cannot change a single committed move.
-#[derive(Debug, Clone)]
-pub enum NbrIndex {
-    /// Sorted nonzero `(channel, load)` CSR rows — the default.
-    Sparse(SparseNbrLoads),
-    /// Flat `N·|C|` rows — the `Θ(N·|C|)` differential oracle.
-    Dense(NeighborhoodLoads),
-}
-
-impl NbrIndex {
-    /// Build the default (sparse) index.
-    pub fn sparse_of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
-        NbrIndex::Sparse(SparseNbrLoads::of(graph, s))
-    }
-
-    /// Build the dense oracle index.
-    pub fn dense_of(graph: &ConflictGraph, s: &SparseStrategies) -> Self {
-        NbrIndex::Dense(NeighborhoodLoads::of(graph, s))
-    }
-
-    /// Whether this is the sparse (default) representation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, NbrIndex::Sparse(_))
-    }
-
-    /// `ℓ_u(c)` — inherent twin of [`NbrLoadView::load`] so callers
-    /// don't need the trait in scope.
-    pub fn load(&self, u: usize, c: ChannelId) -> u32 {
-        NbrLoadView::load(self, u, c)
-    }
-
-    /// Delegating [`NeighborhoodLoads::replace_row`] /
-    /// [`SparseNbrLoads::replace_row`].
-    pub fn replace_row<F: FnMut(usize, usize, u32, u32)>(
-        &mut self,
-        graph: &ConflictGraph,
-        user: usize,
-        old: &[SparseEntry],
-        new: &[SparseEntry],
-        on_cell: F,
-    ) {
-        match self {
-            NbrIndex::Sparse(ix) => ix.replace_row(graph, user, old, new, on_cell),
-            NbrIndex::Dense(ix) => ix.replace_row(graph, user, old, new, on_cell),
-        }
-    }
-
-    /// Delegating grow (churn arrivals; see [`NeighborhoodLoads::grow`]).
-    pub fn grow(&mut self, graph: &ConflictGraph, s: &SparseStrategies) {
-        match self {
-            NbrIndex::Sparse(ix) => ix.grow(graph, s),
-            NbrIndex::Dense(ix) => ix.grow(graph, s),
-        }
-    }
-
-    /// Full recomputation check (tests and `paranoid-checks` only).
-    pub fn agrees_with(&self, graph: &ConflictGraph, s: &SparseStrategies) -> bool {
-        match self {
-            NbrIndex::Sparse(ix) => ix.agrees_with(graph, s),
-            NbrIndex::Dense(ix) => ix.agrees_with(graph, s),
-        }
-    }
-
-    /// Heap footprint of the held representation.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            NbrIndex::Sparse(ix) => ix.heap_bytes(),
-            NbrIndex::Dense(ix) => ix.heap_bytes(),
-        }
-    }
-
-    /// The flat `N·|C|` cell bytes the dense representation holds (or
-    /// would hold) — the memory-gate denominator.
-    pub fn dense_bytes(&self) -> usize {
-        match self {
-            NbrIndex::Sparse(ix) => ix.dense_bytes(),
-            NbrIndex::Dense(ix) => ix.dense_bytes(),
-        }
-    }
-
-    /// User `u`'s row materialized dense — tests and goldens; the hot
-    /// path materializes through [`fill_view`](Self::fill_view) instead.
-    pub fn dense_row(&self, u: usize) -> Vec<u32> {
-        let mut out = vec![0u32; NbrLoadView::n_channels(self)];
-        self.for_each_load(u, |c, l| out[c] = l);
-        out
-    }
-
-    /// Materialize `u`'s row into the BR scratch view. A full-width row
-    /// (dense, or sparse at `|C|` width) copies the flat loads in one
-    /// pass and returns `true`: every cell was overwritten, so the
-    /// caller may skip [`clear_view`](Self::clear_view) and pass the
-    /// view back as `dirty` instead. A short sparse row scatters only
-    /// its `O(deg·k)` occupied cells over an all-zeros view (wiping
-    /// first when handed a dirty one) and returns `false`. Zero
-    /// allocation either way.
-    pub(crate) fn fill_view(&self, u: usize, view: &mut ChannelLoads, dirty: bool) -> bool {
-        match self {
-            NbrIndex::Sparse(ix) => {
-                if ix.uniform_full {
-                    let s = u * ix.n_channels;
-                    view.copy_from_slice(&ix.loads[s..s + ix.n_channels]);
-                    return true;
-                }
-                let (cs, ls) = ix.row_parts(u);
-                if cs.len() == ix.n_channels {
-                    // Full-width row: its loads half IS the dense row.
-                    view.copy_from_slice(ls);
-                    true
-                } else {
-                    if dirty {
-                        view.resize_wiped(ix.n_channels);
-                    } else {
-                        view.ensure_zeroed(ix.n_channels);
-                    }
-                    for (&c, &l) in cs.iter().zip(ls) {
-                        view.set_raw(c as usize, l);
-                    }
-                    false
-                }
-            }
-            NbrIndex::Dense(ix) => {
-                view.copy_from_slice(ix.row(u));
-                true
-            }
-        }
-    }
-
-    /// Undo a `false`-returning [`fill_view`](Self::fill_view): restore
-    /// the all-zeros invariant by walking the same sparse row. (After a
-    /// full-width fill the caller skips this and carries the view as
-    /// dirty — matching the dense index, which never pays a clear.)
-    pub(crate) fn clear_view(&self, u: usize, view: &mut ChannelLoads) {
-        if let NbrIndex::Sparse(ix) = self {
-            for &c in ix.row_parts(u).0 {
-                view.set_raw(c as usize, 0);
-            }
-        }
-    }
-}
-
-impl NbrLoadView for NbrIndex {
-    fn n_channels(&self) -> usize {
-        match self {
-            NbrIndex::Sparse(ix) => ix.n_channels,
-            NbrIndex::Dense(ix) => ix.n_channels,
-        }
-    }
-
-    fn n_users(&self) -> usize {
-        match self {
-            NbrIndex::Sparse(ix) => ix.n_users(),
-            NbrIndex::Dense(ix) => NeighborhoodLoads::n_users(ix),
-        }
-    }
-
-    fn load(&self, u: usize, c: ChannelId) -> u32 {
-        match self {
-            NbrIndex::Sparse(ix) => ix.load(u, c),
-            NbrIndex::Dense(ix) => NeighborhoodLoads::load(ix, u, c),
-        }
-    }
-
-    fn for_each_load(&self, u: usize, f: impl FnMut(usize, u32)) {
-        match self {
-            NbrIndex::Sparse(ix) => ix.for_each_load(u, f),
-            NbrIndex::Dense(ix) => ix.for_each_load(u, f),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1542,42 +1245,24 @@ impl NbrLoadView for NbrIndex {
 /// neighborhood row materialized as a [`ChannelLoads`] view plus the
 /// route-specific kernel buffers. One per driver (sequential) or per
 /// Phase-A worker (parallel).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SpatialScratch {
     view: ChannelLoads,
-    /// True when `view` holds a stale full-width fill instead of
-    /// all-zeros — see [`NbrIndex::fill_view`]'s dirty protocol.
-    view_dirty: bool,
     table: MarginalTable,
     kernel: KernelScratch,
     knap: br_dp::KnapsackScratch,
     counts: Vec<u32>,
 }
 
-impl Default for SpatialScratch {
-    fn default() -> Self {
-        SpatialScratch {
-            view: ChannelLoads::zeros(0),
-            view_dirty: false,
-            table: MarginalTable::default(),
-            kernel: KernelScratch::default(),
-            knap: br_dp::KnapsackScratch::default(),
-            counts: Vec::new(),
-        }
-    }
-}
-
 /// Current utility of `user` from its sparse row against its
 /// neighborhood loads: `Σ_c payoff(c, ℓ_u(c) − k_{u,c}, k_{u,c})`, in
 /// ascending channel order — the same accumulation the single-domain
 /// [`crate::br_fast::utility_sparse`] performs, so on a clique the sums
-/// are bit-identical. Generic over the index representation
-/// ([`NbrLoadView`]): both hand back the same `u32` loads, so the sum
-/// is bit-identical across them too.
-pub fn spatial_utility<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(
+/// are bit-identical.
+pub fn spatial_utility<G: ChannelGame + ?Sized>(
     game: &G,
     s: &SparseStrategies,
-    nbr: &V,
+    nbr: &NbrIndex,
     user: UserId,
 ) -> f64 {
     let mut total = 0.0;
@@ -1592,10 +1277,10 @@ pub fn spatial_utility<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(
 /// single-domain case this does not collapse to a per-channel sum — a
 /// channel's rate is shared per *neighborhood*, so spatial reuse can
 /// push welfare above the one-domain ceiling.
-pub fn spatial_welfare<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(
+pub fn spatial_welfare<G: ChannelGame + ?Sized>(
     game: &G,
     s: &SparseStrategies,
-    nbr: &V,
+    nbr: &NbrIndex,
 ) -> f64 {
     UserId::all(s.n_users())
         .map(|u| spatial_utility(game, s, nbr, u))
@@ -1611,10 +1296,8 @@ pub fn spatial_welfare<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(
 /// their floats bit for bit.
 ///
 /// The kernels need a full-width row; `user`'s is materialized into
-/// `scratch.view` through [`NbrIndex::fill_view`] — a flat copy for
-/// full-width rows (the view then stays dirty, like the dense path), an
-/// `O(deg·k)` sparse-set fill/[`NbrIndex::clear_view`] for short ones.
-/// Zero allocation either way.
+/// `scratch.view` through [`NbrIndex::fill_view`] and released through
+/// [`NbrIndex::clear_view`]. Zero allocation either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spatial_best_response_into<G: ChannelGame + ?Sized>(
     game: &G,
@@ -1627,7 +1310,7 @@ pub(crate) fn spatial_best_response_into<G: ChannelGame + ?Sized>(
     out: &mut Vec<SparseEntry>,
 ) -> f64 {
     out.clear();
-    let full = nbr.fill_view(user, &mut scratch.view, scratch.view_dirty);
+    nbr.fill_view(user, &mut scratch.view);
     let value = if heap_route {
         scratch.table.rebuild(game, &scratch.view);
         kernel_best_response_into(
@@ -1671,12 +1354,7 @@ pub(crate) fn spatial_best_response_into<G: ChannelGame + ?Sized>(
         );
         value
     };
-    if full {
-        scratch.view_dirty = true;
-    } else {
-        nbr.clear_view(user, &mut scratch.view);
-        scratch.view_dirty = false;
-    }
+    nbr.clear_view(user, &mut scratch.view);
     value
 }
 
@@ -1751,10 +1429,10 @@ pub struct PotentialTracker {
 impl PotentialTracker {
     /// Recompute `Φ` from scratch (initialization, cross-checks, and
     /// after events that change payoffs wholesale, e.g. a rate shift).
-    /// Generic over the index representation: both visit the same
-    /// nonzero cells in ascending channel order, so the accumulated
-    /// float is bit-identical across them.
-    pub fn recompute<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(game: &G, nbr: &V) -> f64 {
+    /// Either index layout visits the same nonzero cells in ascending
+    /// channel order, so the accumulated float is bit-identical across
+    /// them.
+    pub fn recompute<G: ChannelGame + ?Sized>(game: &G, nbr: &NbrIndex) -> f64 {
         let mut fresh = PotentialTracker::default();
         fresh.add_rows(game, nbr, 0..nbr.n_users());
         fresh.phi
@@ -1771,10 +1449,10 @@ impl PotentialTracker {
     /// one ladder code behind [`recompute`](Self::recompute) and the
     /// arrival path: an arrival joins with an empty strategy row, so no
     /// existing row changes and only its own neighborhood row enters.
-    fn add_rows<G: ChannelGame + ?Sized, V: NbrLoadView + ?Sized>(
+    fn add_rows<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
-        nbr: &V,
+        nbr: &NbrIndex,
         rows: std::ops::Range<usize>,
     ) {
         let mut ladders: Vec<Vec<f64>> = vec![Vec::new(); nbr.n_channels()];
@@ -1796,7 +1474,7 @@ impl PotentialTracker {
     }
 
     /// Integrate one cell transition `ℓ: before → after` on channel `c`
-    /// (the [`NeighborhoodLoads::replace_row`] callback).
+    /// (the [`NbrIndex::replace_row`] callback).
     pub fn cell_changed<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
@@ -1990,28 +1668,25 @@ pub struct SpatialDynamics {
 }
 
 impl SpatialDynamics {
-    /// Build the driver over `s` on the default sparse index; every
-    /// user starts scheduled.
+    /// Build the driver over `s` on the index [`NbrIndex::sparse_of`]
+    /// builds; every user starts scheduled.
     pub fn new<G: ChannelGame>(game: &SpatialGame<G>, s: SparseStrategies) -> Self {
         let nbr = NbrIndex::sparse_of(game.graph(), &s);
         Self::with_index(game, s, nbr)
     }
 
-    /// Build the driver on the dense `Θ(N·|C|)` index — the
-    /// differential oracle `spatial_index_equiv` pins the sparse
-    /// default against. Same dynamics, bit for bit.
-    pub fn new_dense_oracle<G: ChannelGame>(game: &SpatialGame<G>, s: SparseStrategies) -> Self {
-        let nbr = NbrIndex::dense_of(game.graph(), &s);
-        Self::with_index(game, s, nbr)
-    }
-
-    fn with_index<G: ChannelGame>(
+    /// Build the driver on a given index of `s` — the test seam that
+    /// runs the same dynamics on each layout ([`NbrIndex::dense_of`],
+    /// [`NbrIndex::csr_of`]).
+    #[doc(hidden)]
+    pub fn with_index<G: ChannelGame>(
         game: &SpatialGame<G>,
         s: SparseStrategies,
         nbr: NbrIndex,
     ) -> Self {
         let n = s.n_users();
         assert_eq!(game.n_users(), n, "game/state user count mismatch");
+        assert_eq!(nbr.n_users(), n, "index/state user count mismatch");
         let mut potential = PotentialTracker::default();
         potential.reset(PotentialTracker::recompute(game, &nbr));
         let cycles = CycleDetector::of(&s);
@@ -2404,23 +2079,23 @@ pub struct SpatialParallelDynamics {
 }
 
 impl SpatialParallelDynamics {
-    /// Build the driver over `s` (default sparse index) with `threads`
-    /// Phase-A workers (`0` = [`par::available_threads`]); every user
-    /// starts scheduled.
+    /// Build the driver over `s` (on [`NbrIndex::sparse_of`]) with
+    /// `threads` Phase-A workers (`0` = [`par::available_threads`]);
+    /// every user starts scheduled.
     pub fn new<G: ChannelGame>(game: &SpatialGame<G>, s: SparseStrategies, threads: usize) -> Self {
         let inner = SpatialDynamics::new(game, s);
         Self::over(inner, threads)
     }
 
-    /// The dense-oracle twin of [`new`](Self::new) — see
-    /// [`SpatialDynamics::new_dense_oracle`].
-    pub fn new_dense_oracle<G: ChannelGame>(
+    /// The parallel twin of [`SpatialDynamics::with_index`].
+    #[doc(hidden)]
+    pub fn with_index<G: ChannelGame>(
         game: &SpatialGame<G>,
         s: SparseStrategies,
+        nbr: NbrIndex,
         threads: usize,
     ) -> Self {
-        let inner = SpatialDynamics::new_dense_oracle(game, s);
-        Self::over(inner, threads)
+        Self::over(SpatialDynamics::with_index(game, s, nbr), threads)
     }
 
     fn over(inner: SpatialDynamics, threads: usize) -> Self {
@@ -2795,14 +2470,22 @@ mod tests {
         assert!(g.neighbors(4).is_empty());
     }
 
-    #[test]
-    fn neighborhood_index_incremental_matches_rebuild() {
+    /// The CSR rows of `ix`.
+    fn csr_rows(ix: &NbrIndex) -> &Csr {
+        match &ix.rows {
+            Rows::Csr(csr) => csr,
+            Rows::Dense(_) => panic!("not a CSR index"),
+        }
+    }
+
+    /// Runs a few row replacements through the index `build` makes,
+    /// checking the incremental walk against a from-scratch rebuild
+    /// after each one.
+    fn incremental_matches_rebuild(build: fn(&ConflictGraph, &SparseStrategies) -> NbrIndex) {
         let graph = ConflictGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4), (1, 4)]);
         let mut s = SparseStrategies::random_uniform(5, 3, 4, 11);
-        let mut nbr = NeighborhoodLoads::of(&graph, &s);
+        let mut nbr = build(&graph, &s);
         assert!(nbr.agrees_with(&graph, &s));
-        // A few row replacements, checking the incremental walk against
-        // a from-scratch rebuild each time.
         let rows: [&[SparseEntry]; 3] = [&[(0, 2), (3, 1)], &[], &[(1, 3)]];
         for (step, new_row) in rows.iter().enumerate() {
             let user = step % 5;
@@ -2816,35 +2499,28 @@ mod tests {
             assert!(nbr.agrees_with(&graph, &s), "step {step}");
             assert!(cells > 0 || old.as_slice() == *new_row);
         }
+        // A row the strategies do not back fails the check.
+        nbr.replace_row(&graph, 0, s.row(UserId(0)), &[(2, 3)], |_, _, _, _| {});
+        assert!(!nbr.agrees_with(&graph, &s));
+    }
+
+    #[test]
+    fn neighborhood_index_incremental_matches_rebuild() {
+        incremental_matches_rebuild(NbrIndex::dense_of);
     }
 
     #[test]
     fn sparse_index_incremental_matches_rebuild() {
-        let graph = ConflictGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4), (1, 4)]);
-        let mut s = SparseStrategies::random_uniform(5, 3, 4, 11);
-        let mut nbr = SparseNbrLoads::of(&graph, &s);
-        assert!(nbr.agrees_with(&graph, &s));
-        let rows: [&[SparseEntry]; 3] = [&[(0, 2), (3, 1)], &[], &[(1, 3)]];
-        for (step, new_row) in rows.iter().enumerate() {
-            let user = step % 5;
-            let old: Vec<SparseEntry> = s.row(UserId(user)).to_vec();
-            s.set_row(UserId(user), new_row);
-            let mut cells = 0u32;
-            nbr.replace_row(&graph, user, &old, new_row, |_, _, b, a| {
-                assert_ne!(b, a, "callback must fire only on changed cells");
-                cells += 1;
-            });
-            assert!(nbr.agrees_with(&graph, &s), "step {step}");
-            assert!(cells > 0 || old.as_slice() == *new_row);
-        }
+        incremental_matches_rebuild(NbrIndex::csr_of);
     }
 
     #[test]
     fn sparse_and_dense_fire_identical_cell_sequences() {
         let (graph, _) = ConflictGraph::random_geometric(20, 6.0, 2.0, 3);
         let mut s = SparseStrategies::random_uniform(20, 2, 6, 17);
-        let mut sparse = SparseNbrLoads::of(&graph, &s);
-        let mut dense = NeighborhoodLoads::of(&graph, &s);
+        let mut csr = NbrIndex::csr_of(&graph, &s);
+        let mut dense = NbrIndex::dense_of(&graph, &s);
+        assert!(csr.is_csr() && !dense.is_csr());
         let mut rng = StdRng::seed_from_u64(99);
         for step in 0..60 {
             let user = rng.gen_range(0..20usize);
@@ -2859,7 +2535,7 @@ mod tests {
             s.set_row(UserId(user), &new);
             let mut ev_s: Vec<(usize, usize, u32, u32)> = Vec::new();
             let mut ev_d: Vec<(usize, usize, u32, u32)> = Vec::new();
-            sparse.replace_row(&graph, user, &old, &new, |v, c, b, a| {
+            csr.replace_row(&graph, user, &old, &new, |v, c, b, a| {
                 ev_s.push((v, c, b, a))
             });
             dense.replace_row(&graph, user, &old, &new, |v, c, b, a| {
@@ -2867,71 +2543,89 @@ mod tests {
             });
             assert_eq!(ev_s, ev_d, "step {step}");
             for u in 0..20 {
-                // The sparse row's *logical* cells (a full-width row may
-                // hold zero entries) must equal dense's nonzero cells.
-                assert_eq!(
-                    sparse.row(u).filter(|&(_, l)| l > 0).collect::<Vec<_>>(),
-                    dense
-                        .row(u)
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(c, &l)| (l > 0).then_some((c as u32, l)))
-                        .collect::<Vec<_>>(),
-                    "step {step} user {u}"
-                );
+                assert_eq!(csr.dense_row(u), dense.dense_row(u), "step {step} user {u}");
             }
         }
-        assert!(sparse.agrees_with(&graph, &s) && dense.agrees_with(&graph, &s));
+        assert!(csr.agrees_with(&graph, &s) && dense.agrees_with(&graph, &s));
     }
 
     #[test]
     fn sparse_index_relocation_and_compaction() {
         // A star: every leaf move patches the hub's row, growing it one
         // distinct channel at a time past its slot cap — forcing
-        // relocations and, eventually, a compaction.
-        let n = 34usize;
+        // relocations and compactions — until it is full width.
+        let c_n = 64usize;
+        let n = c_n + 1;
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
         let graph = ConflictGraph::from_edges(n, &edges);
-        let mut s = SparseStrategies::with_budgets(&vec![1; n], 64);
-        let mut nbr = SparseNbrLoads::of(&graph, &s);
+        let mut s = SparseStrategies::with_budgets(&vec![1; n], c_n);
+        let mut nbr = NbrIndex::csr_of(&graph, &s);
+        // Every row holds exactly its nonzero cells, and the hub's `live`.
+        let check = |nbr: &NbrIndex, s: &SparseStrategies, live: usize, at: &str| {
+            assert!(nbr.agrees_with(&graph, s), "{at}");
+            let rows = csr_rows(nbr);
+            assert!(
+                (0..n).all(|u| rows.row(u).1.iter().all(|&l| l != 0)),
+                "zero cell kept ({at})"
+            );
+            assert_eq!(rows.row(0).0.len(), live, "hub row ({at})");
+        };
         let mut relocated = false;
         for v in 1..n {
-            let new: &[SparseEntry] = &[(v as u32, 1)];
+            let new: &[SparseEntry] = &[(v as u32 - 1, 1)];
             nbr.replace_row(&graph, v, &[], new, |_, _, _, _| {});
             s.set_row(UserId(v), new);
-            assert!(nbr.agrees_with(&graph, &s), "leaf {v}");
-            relocated |= nbr.dead() > 0;
+            check(&nbr, &s, v, &format!("leaf {v} joined"));
+            let rows = csr_rows(&nbr);
+            relocated |= rows.dead_slots > 0;
             assert!(
-                nbr.dead() * 4 < nbr.loads.len().max(1),
+                rows.dead_slots * 4 < rows.loads.len().max(1),
                 "compaction must bound dead slots (leaf {v})"
             );
         }
         assert!(relocated, "the hub row must have outgrown its slot");
-        assert_eq!(nbr.row(0).count(), n - 1);
-        // Shrink everything back: rows rewrite in place, loads stay exact.
+        // Full width; now empty it channel by channel.
         for v in 1..n {
             let old: Vec<SparseEntry> = s.row(UserId(v)).to_vec();
             s.set_row(UserId(v), &[]);
             nbr.replace_row(&graph, v, &old, &[], |_, _, _, _| {});
+            check(&nbr, &s, c_n - v, &format!("leaf {v} left"));
         }
-        assert!(nbr.agrees_with(&graph, &s));
-        assert_eq!(nbr.row(0).count(), 0);
     }
 
     #[test]
-    fn index_enum_default_is_sparse_and_oracle_agrees() {
+    fn size_rule_picks_dense_for_full_rows_and_csr_for_wide_channel_spaces() {
+        // Toy spatial-dense and spatial-wide shapes: 2 000 users at
+        // density 0.1 with conflict range 5 (mean degree ≈ 7.9), two
+        // radios each, over |C| = 8 and |C| = 512.
+        let (graph, _) = ConflictGraph::random_geometric(2_000, 141.4, 5.0, 1);
+        for (c_n, csr) in [(8, false), (512, true)] {
+            let s = SparseStrategies::random_uniform(2_000, 2, c_n, 2);
+            let ix = NbrIndex::sparse_of(&graph, &s);
+            assert_eq!(ix.is_csr(), csr, "|C| = {c_n}");
+            assert!(ix.heap_bytes() <= ix.dense_bytes(), "|C| = {c_n}");
+            assert!(ix.agrees_with(&graph, &s));
+        }
+    }
+
+    #[test]
+    fn forced_layouts_run_identical_dynamics() {
         let (graph, _) = ConflictGraph::random_geometric(24, 6.0, 2.0, 5);
         let game = SpatialGame::new(ChurnGame::uniform(24, 2, 3, 1.0), graph);
         let start = SparseStrategies::random_uniform(24, 2, 3, 9);
-        let mut d = SpatialDynamics::new(&game, start.clone());
-        assert!(d.neighborhood_loads().is_sparse());
-        let mut o = SpatialDynamics::new_dense_oracle(&game, start);
-        assert!(!o.neighborhood_loads().is_sparse());
+        // At |C| = 3 no CSR row is smaller than a dense one.
+        let fresh = SpatialDynamics::new(&game, start.clone());
+        assert!(!fresh.neighborhood_loads().is_csr());
+        let csr = NbrIndex::csr_of(game.graph(), &start);
+        let mut d = SpatialDynamics::with_index(&game, start.clone(), csr);
+        let dense = NbrIndex::dense_of(game.graph(), &start);
+        let mut o = SpatialDynamics::with_index(&game, start, dense);
         let (dc, dr) = d.run(&game, 200, None);
         let (oc, or) = o.run(&game, 200, None);
         assert_eq!((dc, dr), (oc, or));
         assert_eq!(d.state(), o.state());
         assert_eq!(d.potential().phi().to_bits(), o.potential().phi().to_bits());
+        assert!(d.neighborhood_loads().is_csr() && !o.neighborhood_loads().is_csr());
         assert!(d.neighborhood_loads().heap_bytes() > 0);
         assert!(o.neighborhood_loads().heap_bytes() >= o.neighborhood_loads().dense_bytes());
     }
@@ -2940,12 +2634,15 @@ mod tests {
     fn clique_potential_is_population_scaled_rosenthal() {
         let game = SpatialGame::clique(ChurnGame::uniform(6, 2, 3, 1.0));
         let s = SparseStrategies::random_uniform(6, 2, 3, 3);
-        let nbr = NeighborhoodLoads::of(game.graph(), &s);
+        let nbr = NbrIndex::sparse_of(game.graph(), &s);
         let mut tracker = PotentialTracker::default();
         tracker.reset(PotentialTracker::recompute(&game, &nbr));
         // On the clique every neighborhood row is the global load
         // vector, so Φ = n · Σ_c Σ_{j≤L(c)} payoff(c, j−1, 1).
         let loads = ChannelLoads::of_sparse(&s);
+        for u in 0..6 {
+            assert_eq!(nbr.dense_row(u), loads.as_slice(), "user {u}");
+        }
         let mut rosenthal = 0.0;
         for c in 0..s.n_channels() {
             for j in 1..=loads.load(ChannelId(c)) {
@@ -3079,12 +2776,14 @@ mod tests {
         // one working round plus the certifying quiet round suffice.
         assert!(rounds <= 2, "rounds = {rounds}");
         assert!(is_nash_spatial(&game, &s));
-        // With no interference a user's neighborhood load is its own row.
-        let nbr = NeighborhoodLoads::of(game.graph(), &s);
+        // With no interference a user's neighborhood row is its own row.
+        let nbr = NbrIndex::sparse_of(game.graph(), &s);
         for u in 0..8 {
-            for &(c, t) in s.row(UserId(u)) {
-                assert_eq!(nbr.load(u, ChannelId(c as usize)), t);
-            }
+            assert_eq!(
+                nbr.dense_row(u),
+                row_to_vector(s.row(UserId(u)), 4).counts(),
+                "user {u}"
+            );
         }
     }
 }

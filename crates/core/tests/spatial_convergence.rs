@@ -13,8 +13,8 @@ mod common;
 
 use mrca_core::churn::ChurnGame;
 use mrca_core::spatial::{
-    is_nash_spatial, ConflictGraph, GeoIndex, NbrIndex, NeighborhoodLoads, PotentialTracker,
-    SpatialDynamics, SpatialGame, SpatialParallelDynamics,
+    is_nash_spatial, ConflictGraph, GeoIndex, NbrIndex, PotentialTracker, SpatialDynamics,
+    SpatialGame, SpatialParallelDynamics,
 };
 use mrca_core::{SparseStrategies, UserId};
 use proptest::prelude::*;
@@ -327,7 +327,7 @@ fn two_triangle_golden_move_sequence() {
         );
     }
     assert_eq!(
-        NeighborhoodLoads::of(game.graph(), d.state()).row(3),
-        expect_nbr[3].as_slice()
+        NbrIndex::sparse_of(game.graph(), d.state()).dense_row(3),
+        expect_nbr[3]
     );
 }

@@ -20,14 +20,18 @@
 //!
 //! Beyond the sweep, two standalone cells probe the scale axes
 //! separately: a 10⁶-user geometric **smoke** cell (population) and a
-//! `|C| = 512` **wide** cell (channel width), where the sparse CSR
-//! neighborhood index is measured against the dense `N·|C|` matrix it
-//! replaced (`index_bytes` vs `index_dense_bytes`, `mem_ratio`).
+//! `|C| = 512` **wide** cell (channel width). Every cell measures the
+//! neighborhood index the driver held — dense or CSR rows, whichever
+//! the build found smaller — against the dense `N·|C|` matrix
+//! (`index_bytes` vs `index_dense_bytes`; `mem_ratio` is dense bytes
+//! over held bytes, so ≥ 1 within the index's scratch means never
+//! larger than dense).
 //!
-//! `t11_spatial` drives this and writes `results/BENCH_spatial.json`
-//! plus the per-cell `results/t11_spatial.csv`; the CI `spatial-smoke`
-//! job gates both standalone cells — convergence and the ≥8× index
-//! memory reduction — through the `spatial:` summary line.
+//! `t11_spatial` drives this and writes the per-cell
+//! `results/t11_spatial.csv`, plus `results/BENCH_spatial.json` on a
+//! full run; the CI `spatial-smoke` job gates both standalone cells —
+//! convergence, the smoke cell's index at most dense size and the ≥8×
+//! wide-cell memory reduction — through the `spatial:` summary line.
 
 use mrca_core::churn::ChurnGame;
 use mrca_core::spatial::{
@@ -145,7 +149,7 @@ pub struct CellReport {
     /// Users whose equilibrium rate weakly dominates their coloring rate.
     pub dominated: usize,
     /// Heap bytes of the neighborhood-load index the driver actually
-    /// held (sparse CSR by default).
+    /// held, in whichever layout its build picked.
     pub index_bytes: usize,
     /// Bytes the dense `N·|C|` matrix would hold for the same cell.
     pub index_dense_bytes: usize,
@@ -156,8 +160,9 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    /// Dense-over-sparse index memory ratio (how many times smaller the
-    /// sparse index is than the dense matrix it replaced).
+    /// Dense bytes over held index bytes: how many times smaller the
+    /// held index is than the dense `N·|C|` matrix (just under 1 when
+    /// the build picked the dense layout, whose delta scratch counts).
     pub fn mem_ratio(&self) -> f64 {
         self.index_dense_bytes as f64 / self.index_bytes.max(1) as f64
     }
@@ -264,8 +269,9 @@ pub fn run_cell(
     let graph_bytes = game.graph().heap_bytes();
 
     // Welfare and per-user domination vs the greedy coloring baseline.
-    // Both comparison indices are sparse too — at the wide cell a dense
-    // pair would cost 2·N·|C|·4 bytes just to score the outcome.
+    // Both comparison indices come from the serving builder too — at the
+    // wide cell a forced dense pair would cost 2·N·|C|·4 bytes just to
+    // score the outcome.
     let coloring = greedy_coloring(game.graph(), n_channels, cfg.radios);
     let nbr_eq = NbrIndex::sparse_of(game.graph(), &state);
     let nbr_col = NbrIndex::sparse_of(game.graph(), &coloring);
@@ -522,7 +528,7 @@ mod tests {
         assert!(report.smoke.converged);
         assert!(report.wide.converged);
         // The memory accounting is live: nonzero index and graph bytes,
-        // and the wide cell's sparse index beats its dense equivalent.
+        // and the wide cell's CSR index beats its dense equivalent.
         assert!(report.smoke.index_bytes > 0 && report.smoke.graph_bytes > 0);
         assert!(report.wide.index_bytes > 0 && report.wide.graph_bytes > 0);
         assert!(report.wide.mem_ratio() > 1.0);

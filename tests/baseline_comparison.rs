@@ -111,8 +111,7 @@ fn spatial_equilibrium_weakly_dominates_coloring_per_user() {
     // (other users' selfish moves can hurt a bystander); exceptions
     // must stay a small, explicitly accounted minority.
     use multi_radio_alloc::core::spatial::{
-        spatial_utility, ConflictGraph as CoreGraph, NeighborhoodLoads, SpatialDynamics,
-        SpatialGame,
+        spatial_utility, ConflictGraph as CoreGraph, NbrIndex, SpatialDynamics, SpatialGame,
     };
 
     let (n, k, c) = (20usize, 2u32, 4usize);
@@ -156,7 +155,7 @@ fn spatial_equilibrium_weakly_dominates_coloring_per_user() {
             start.set_row(UserId(u), &row);
         }
 
-        let nbr0 = NeighborhoodLoads::of(game.graph(), &start);
+        let nbr0 = NbrIndex::sparse_of(game.graph(), &start);
         let before: Vec<f64> = (0..n)
             .map(|u| spatial_utility(&game, &start, &nbr0, UserId(u)))
             .collect();
@@ -164,7 +163,7 @@ fn spatial_equilibrium_weakly_dominates_coloring_per_user() {
         let mut d = SpatialDynamics::new(&game, start);
         let (converged, _) = d.run(&game, 2_000, None);
         assert!(converged, "seed {seed}: dynamics must settle");
-        let nbr = NeighborhoodLoads::of(game.graph(), d.state());
+        let nbr = NbrIndex::sparse_of(game.graph(), d.state());
         for (u, &was) in before.iter().enumerate() {
             cells += 1;
             let after = spatial_utility(&game, d.state(), &nbr, UserId(u));
