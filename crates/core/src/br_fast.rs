@@ -38,11 +38,12 @@
 //! sweep with an exact dirty-user worklist. After a move it re-activates
 //! only
 //!
-//! * the parked **occupants** of the touched channels (their current
-//!   utility changed — found via the parked-occupant shelf, the
-//!   worklist's removal-free specialization of the
-//!   [`ChannelOccupants`](crate::sparse::ChannelOccupants) channel→users
-//!   reverse index, kept alongside the CSR arena), and
+//! * the parked **occupants** of the touched channels whose park
+//!   certificate the new load breaks — found via the threshold-ordered
+//!   occupant index, where each park files the load interval its
+//!   certificate holds over, so a load change visits only the occupants
+//!   whose interval it leaves; each is re-validated in `O(k)` when its
+//!   rank comes up, before it may pay a best-response query — and
 //! * parked users whose recorded best-response **slack**
 //!   ([`crate::br_dp::park_slack`]) could have been overcome by the
 //!   cumulative payoff-column improvements since their last check —
@@ -76,7 +77,7 @@
 
 use crate::br_dp::{self, park_slack, ChannelGame};
 use crate::error::Error;
-use crate::game::{improvement_eps, improves, NashCheck};
+use crate::game::{improvement_eps, improves, NashCheck, UTILITY_TOLERANCE};
 use crate::loads::ChannelLoads;
 use crate::sparse::{touched_channels_into, SparseEntry, SparseStrategies};
 use crate::strategy::StrategyVector;
@@ -115,12 +116,15 @@ impl Ord for MarginalKey {
 }
 
 /// Global heap entry: a channel's first-radio marginal stamped with the
-/// load it was computed at (lazy invalidation: stale when the stamp no
-/// longer matches the live load).
+/// load and the payoff epoch it was computed at (lazy invalidation: stale
+/// when either stamp no longer matches the live channel — a reprice
+/// changes the payoff under an unchanged load, so the load alone cannot
+/// tell a pre-reprice key from a fresh one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GlobalEntry {
     key: MarginalKey,
     load: u32,
+    epoch: u32,
 }
 
 impl PartialOrd for GlobalEntry {
@@ -170,6 +174,8 @@ impl Ord for LocalEntry {
 pub struct HeapEngine {
     heap: BinaryHeap<GlobalEntry>,
     n_channels: usize,
+    /// Per-channel payoff epoch, bumped by [`reprice`](Self::reprice).
+    epochs: Vec<u32>,
 }
 
 impl HeapEngine {
@@ -185,16 +191,17 @@ impl HeapEngine {
             game.payoff_is_separable_monotone() && !game.may_idle_radios(),
             "HeapEngine requires a separable-monotone payoff with all radios deployed"
         );
-        let entries: Vec<GlobalEntry> = (0..loads.n_channels())
-            .map(|c| Self::fresh_entry(game, loads, ChannelId(c)))
-            .collect();
-        HeapEngine {
-            heap: BinaryHeap::from(entries),
+        let mut engine = HeapEngine {
+            heap: BinaryHeap::new(),
             n_channels: loads.n_channels(),
-        }
+            epochs: vec![0; loads.n_channels()],
+        };
+        engine.rebuild(game, loads);
+        engine
     }
 
     fn fresh_entry<G: ChannelGame + ?Sized>(
+        &self,
         game: &G,
         loads: &ChannelLoads,
         c: ChannelId,
@@ -207,7 +214,21 @@ impl HeapEngine {
                 chan: c.0 as u32,
             },
             load,
+            epoch: self.epochs[c.0],
         }
+    }
+
+    /// Replace the heap with one fresh entry per channel (`O(|C|)`).
+    fn rebuild<G: ChannelGame + ?Sized>(&mut self, game: &G, loads: &ChannelLoads) {
+        let entries: Vec<GlobalEntry> = (0..self.n_channels)
+            .map(|c| self.fresh_entry(game, loads, ChannelId(c)))
+            .collect();
+        self.heap = BinaryHeap::from(entries);
+    }
+
+    fn is_fresh(&self, e: &GlobalEntry, loads: &ChannelLoads) -> bool {
+        let c = e.key.chan as usize;
+        e.load == loads.load(ChannelId(c)) && e.epoch == self.epochs[c]
     }
 
     /// Refresh the entries of channels whose load changed (`O(log |C|)`
@@ -221,15 +242,26 @@ impl HeapEngine {
         touched: &[ChannelId],
     ) {
         if self.heap.len() + touched.len() > 4 * self.n_channels + 64 {
-            let entries: Vec<GlobalEntry> = (0..self.n_channels)
-                .map(|c| Self::fresh_entry(game, loads, ChannelId(c)))
-                .collect();
-            self.heap = BinaryHeap::from(entries);
+            self.rebuild(game, loads);
             return;
         }
         for &c in touched {
-            self.heap.push(Self::fresh_entry(game, loads, c));
+            let e = self.fresh_entry(game, loads, c);
+            self.heap.push(e);
         }
+    }
+
+    /// Channel `c`'s payoff changed under an unchanged load (a rate
+    /// shift): advance its epoch, so every entry keyed under the old
+    /// payoff reads stale, and push a fresh one. `O(log |C|)`.
+    pub fn reprice<G: ChannelGame + ?Sized>(
+        &mut self,
+        game: &G,
+        loads: &ChannelLoads,
+        c: ChannelId,
+    ) {
+        self.epochs[c.0] = self.epochs[c.0].wrapping_add(1);
+        self.repair(game, loads, &[c]);
     }
 
     /// Exact best response of `user` (current sparse row `row`, budget
@@ -275,7 +307,7 @@ impl HeapEngine {
             while gtop.is_none() {
                 let Some(e) = self.heap.pop() else { break };
                 let chan = e.key.chan;
-                if e.load != loads.load(ChannelId(chan as usize)) {
+                if !self.is_fresh(&e, loads) {
                     continue; // stale: drop permanently
                 }
                 if promoted.contains(&chan) {
@@ -716,6 +748,19 @@ impl BrEngine {
             BrEngine::Dp(d) => d.repair(game, loads, touched),
         }
     }
+
+    /// Repair after channel `c`'s payoff changed under an unchanged load.
+    pub fn reprice<G: ChannelGame + ?Sized>(
+        &mut self,
+        game: &G,
+        loads: &ChannelLoads,
+        c: ChannelId,
+    ) {
+        match self {
+            BrEngine::Heap(h) => h.reprice(game, loads, c),
+            BrEngine::Dp(d) => d.repair(game, loads, &[c]),
+        }
+    }
 }
 
 /// Eq. 3 from a sparse row against a cached load vector: `O(k)` — only
@@ -777,19 +822,18 @@ pub struct DynCounters {
     /// worklist proved unnecessary (`rounds · |N| − checks` for the round
     /// drivers; counted per skipped probe for the protocol).
     pub skipped_checks: u64,
-    /// Re-activations delivered through the parked-occupant shelf (the
-    /// per-channel reverse index — see
-    /// [`ChannelOccupants`](crate::sparse::ChannelOccupants) for the
-    /// general form): one count per live entry a load-changed channel
-    /// woke.
+    /// Parked users scheduled through the occupant index: one count per
+    /// parked occupant a load change pushed out of its certificate
+    /// interval, or a reprice drained. Occupants whose interval still
+    /// contains the new load are never visited and not counted.
     pub occupant_wakeups: u64,
-    /// Deliveries resolved by the O(k) certificate re-validation instead
-    /// of a full engine query: the woken user's own-channel loads were
-    /// back at their park-time values and its threshold still cleared
-    /// the horizon, so the park certificate was provably intact and the
-    /// user was re-parked in place. Booked under `skipped_checks`, not
-    /// `checks` — the sweep would have paid a full check here and found
-    /// nothing.
+    /// Deliveries resolved by an O(k) certificate test instead of a full
+    /// engine query: the filed certificate still held — own loads back
+    /// inside their intervals, threshold clear of the horizon — or, on
+    /// the concave route, the exchange bound held at the delivery-time
+    /// loads and the user re-filed under it. Booked under
+    /// `skipped_checks`, not `checks` — the sweep would have paid a full
+    /// check here and found nothing.
     pub revalidated: u64,
     /// Re-activations delivered through the temptation index (lazy
     /// rank-order discovery or an eager drain, per the calling path).
@@ -910,6 +954,238 @@ impl TemptIndex {
     }
 }
 
+/// How far, in radios per side, a certificate's load interval may
+/// extend past the load it was filed at. Any width is sound; at
+/// equilibrium loads the binding marginal leaves its range within a step
+/// or two, so the cap only bounds the scan on flat payoff stretches and
+/// sizes the occupant index's bucket ring.
+const SPAN_STEPS: u32 = 2;
+
+/// Bucket ring size of [`ChannelIndex`]: at least the `2·SPAN_STEPS + 1`
+/// distinct values live interval ends can take around the current load.
+const RING: usize = 8;
+const _: () = assert!(RING > 2 * SPAN_STEPS as usize);
+
+/// One channel's slice of the threshold-ordered occupant index. Every
+/// parked occupant files the load interval `[lo, hi]` over which its park
+/// certificate holds: once in the bucket of `hi` (popped when the load
+/// rises past `hi`) and once in the bucket of `lo` (popped when the load
+/// falls below `lo`). A load change drains exactly the buckets of the
+/// values it passes, so an occupant whose certificate still holds is
+/// never visited, and filing, popping or withdrawing an interval is O(1).
+///
+/// Only parked users' current intervals are filed — a user's intervals
+/// are withdrawn when it is scheduled or re-files — so every live
+/// interval contains the current load and spans at most `2·SPAN_STEPS`:
+/// upper ends lie in `[L, L + 2·SPAN_STEPS]`, lower ends in
+/// `[L − 2·SPAN_STEPS, L]`, and each side is a ring of [`RING`] buckets
+/// indexed by value. The buckets are circular doubly linked lists
+/// through one node array: nodes `0..RING` head the upper buckets and
+/// `RING..2·RING` the lower ones, and interval slot `j ≥ RING` owns
+/// nodes `2j` (upper end) and `2j + 1` (lower end). A node that is not
+/// linked points to itself.
+#[derive(Debug, Clone)]
+struct ChannelIndex {
+    /// The load the rings are aligned to — the channel's current load.
+    at: u32,
+    /// `(user, next, prev)`.
+    nodes: Vec<(u32, u32, u32)>,
+    /// Withdrawn interval slots, reused before the node array grows.
+    free: Vec<u32>,
+}
+
+impl ChannelIndex {
+    fn new(load: u32) -> Self {
+        ChannelIndex {
+            at: load,
+            nodes: (0..2 * RING as u32).map(|i| (u32::MAX, i, i)).collect(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Link node `i` right after head `h`.
+    fn link(&mut self, h: u32, i: u32) {
+        let next = self.nodes[h as usize].1;
+        self.nodes[i as usize].1 = next;
+        self.nodes[i as usize].2 = h;
+        self.nodes[next as usize].2 = i;
+        self.nodes[h as usize].1 = i;
+    }
+
+    /// Unlink node `i` (a no-op when it is not linked).
+    fn unlink(&mut self, i: u32) {
+        let (_, next, prev) = self.nodes[i as usize];
+        self.nodes[prev as usize].1 = next;
+        self.nodes[next as usize].2 = prev;
+        self.nodes[i as usize].1 = i;
+        self.nodes[i as usize].2 = i;
+    }
+
+    /// File `user` under `[lo, hi]`, an interval around the current
+    /// load; returns its slot.
+    fn file(&mut self, user: u32, (lo, hi): (u32, u32)) -> u32 {
+        debug_assert!(lo <= self.at && self.at <= hi, "interval misses the load");
+        debug_assert!(hi - lo <= 2 * SPAN_STEPS, "interval wider than the ring");
+        let j = self.free.pop().unwrap_or_else(|| {
+            let j = (self.nodes.len() / 2) as u32;
+            self.nodes
+                .extend([(user, 2 * j, 2 * j), (user, 2 * j + 1, 2 * j + 1)]);
+            j
+        });
+        self.nodes[2 * j as usize].0 = user;
+        self.nodes[2 * j as usize + 1].0 = user;
+        self.link(hi % RING as u32, 2 * j);
+        self.link(RING as u32 + lo % RING as u32, 2 * j + 1);
+        j
+    }
+
+    /// Withdraw slot `j`'s interval (either end may already be popped).
+    fn withdraw(&mut self, j: u32) {
+        self.unlink(2 * j);
+        self.unlink(2 * j + 1);
+        self.free.push(j);
+    }
+
+    /// Pop every node of the bucket headed at `h` into `out` as
+    /// `(user, slot)`.
+    fn pop_bucket(&mut self, h: u32, out: &mut Vec<(u32, u32)>) {
+        loop {
+            let i = self.nodes[h as usize].1;
+            if i == h {
+                break;
+            }
+            self.unlink(i);
+            out.push((self.nodes[i as usize].0, i / 2));
+        }
+    }
+
+    /// Move to `load`, appending `(user, slot)` of every interval the
+    /// move leaves to `crossed`. The popped end is unlinked; the other
+    /// stays filed until the caller withdraws the slot.
+    fn move_to(&mut self, load: u32, crossed: &mut Vec<(u32, u32)>) {
+        while self.at < load {
+            self.pop_bucket(self.at % RING as u32, crossed);
+            self.at += 1;
+        }
+        while self.at > load {
+            self.pop_bucket(RING as u32 + self.at % RING as u32, crossed);
+            self.at -= 1;
+        }
+    }
+
+    /// The users of every filed interval, once each.
+    fn users(&self) -> Vec<u32> {
+        let mut out = Vec::new();
+        for h in 0..RING as u32 {
+            let mut i = self.nodes[h as usize].1;
+            while i != h {
+                out.push(self.nodes[i as usize].0);
+                i = self.nodes[i as usize].1;
+            }
+        }
+        out
+    }
+}
+
+/// The marginals of a user holding `t` radios on `c` against `o` foreign
+/// radios: its last radio's `κ = f(t) − f(t−1)` and one more radio's
+/// `μ = f(t+1) − f(t)`.
+fn own_marginals<G: ChannelGame + ?Sized>(game: &G, c: u32, o: u32, t: u32) -> (f64, f64) {
+    let cid = ChannelId(c as usize);
+    let f = game.channel_payoff(cid, o, t);
+    let below = if t > 1 {
+        game.channel_payoff(cid, o, t - 1)
+    } else {
+        0.0
+    };
+    (f - below, game.channel_payoff(cid, o, t + 1) - f)
+}
+
+/// An entering marginal with the relative float margin every threshold
+/// test in this module keeps: `μ` provably stays under `thr` iff
+/// `with_margin(μ) < thr`.
+fn with_margin(mu: f64) -> f64 {
+    mu + 1e-12 * mu.abs()
+}
+
+/// The exchange-bound park certificate of a concave-route user holding
+/// `row`, each entry's others-load read from `loads` with the user's own
+/// radios on `row_before` excluded (the convention of
+/// [`concave_park_threshold`]; the two rows differ only for a parallel
+/// mover certified at its post-commit loads from its pre-commit
+/// snapshot).
+///
+/// With concave per-channel payoffs and all `k` radios deployed, any
+/// deviation trades `m ≤ k` radios: each one added gains at most the
+/// largest *entering* marginal `E` — some channel's first-entry payoff
+/// `φ_c`, or `μ` on a channel the user already holds — and each one
+/// removed loses at least the smallest *kept* marginal `K` (the `κ` of
+/// the user's last radio on some channel), so
+/// `best − current ≤ k · max(0, E − K)`. Concavity also gives
+/// `current ≥ Σ t_c·κ_c ≥ k·K`. The certificate takes `K` at the current
+/// loads and `thr = K·(1 + τ/2)` (`τ` the relative [`improvement_eps`]
+/// tolerance): while every own `κ` stays at or above `K` and every own
+/// `μ` and `φ_max` stay under `thr`, the bound is at most `k·K·τ/2` —
+/// half the improvement epsilon at any utility those conditions allow,
+/// the other half absorbing rounding — so the user provably cannot move.
+/// `thr` is returned only when it clears `horizon` (the caller's
+/// `φ_max` test, pop margin included) and every own `μ`; then, per row
+/// entry, `spans` receives the load interval `[lo, hi]` around the
+/// current load over which `κ ≥ K` and `μ < thr` keep holding (at most
+/// [`SPAN_STEPS`] per side): on the lighter side the bound on deepening
+/// into the channel, on the heavier side the bound on the radio kept
+/// there. The `φ_max` condition is the temptation index's.
+///
+/// `None` (and `spans` untouched) when the row does not deploy exactly
+/// the user's budget, `K` is not positive, or a condition fails.
+pub(crate) fn exchange_cert<G: ChannelGame + ?Sized>(
+    game: &G,
+    user: UserId,
+    row_before: &[SparseEntry],
+    row: &[SparseEntry],
+    loads: &ChannelLoads,
+    horizon: f64,
+    spans: &mut Vec<(u32, u32)>,
+) -> Option<f64> {
+    if row.is_empty() || row.iter().map(|&(_, t)| t).sum::<u32>() != game.radios_of(user) {
+        return None;
+    }
+    let others = |c: u32| {
+        let own = match row_before.binary_search_by_key(&c, |&(cc, _)| cc) {
+            Ok(i) => row_before[i].1,
+            Err(_) => 0,
+        };
+        loads.load(ChannelId(c as usize)) - own
+    };
+    let deepen = row.len() > 1;
+    let mut kept = f64::INFINITY;
+    let mut enter = horizon;
+    for &(c, t) in row {
+        let (kappa, mu) = own_marginals(game, c, others(c), t);
+        kept = kept.min(kappa);
+        if deepen {
+            enter = enter.max(with_margin(mu));
+        }
+    }
+    let thr = kept + 0.5 * UTILITY_TOLERANCE * kept;
+    if !(kept > 0.0 && kept.is_finite() && enter < thr) {
+        return None;
+    }
+    let holds = |c: u32, o: u32, t: u32| {
+        let (kappa, mu) = own_marginals(game, c, o, t);
+        kappa >= kept && (!deepen || with_margin(mu) < thr)
+    };
+    for &(c, t) in row {
+        let o = others(c);
+        let up = (1..=SPAN_STEPS).take_while(|&s| holds(c, o + s, t)).count() as u32;
+        let down = (1..=SPAN_STEPS.min(o))
+            .take_while(|&s| holds(c, o - s, t))
+            .count() as u32;
+        spans.push((o + t - down, o + t + up));
+    }
+    Some(thr)
+}
+
 /// Exact event-driven best-response dynamics: a dirty-user worklist that
 /// only ever checks users a move could have tempted, while reproducing
 /// the full sweep's move sequence **bit for bit**.
@@ -933,61 +1209,98 @@ impl TemptIndex {
 /// environment changes. Two exhaustive cases:
 ///
 /// * `current` (or a *corrected* own-channel payoff column) changes only
-///   when the load of a channel `u` occupies changes — then `u` is a
-///   parked occupant of a touched channel and is woken through the
-///   **parked-occupant shelf**, the worklist's specialization of the
-///   [`ChannelOccupants`](crate::sparse::ChannelOccupants) channel→users reverse index: at park time a
-///   user files one `(user, stamp, park_load)` entry under each of its
-///   ≤ `k` channels, and a touch wakes the live entries whose recorded
-///   load differs from the new one (equal load means the channel is in
-///   exactly the state the certificate was computed against, so the
-///   entry provably cannot move and stays put). Scheduled occupants
-///   need no wake, so the shelf delivers the wake set a full occupant
-///   walk would — but maintenance is `O(k)` per park (append-only, lazy
-///   invalidation) instead of `O(occupancy)` per move, which is what
-///   keeps cold starts at `|N|/|C| ≫ 1` from drowning in walks. A woken
-///   occupant, in turn, is not condemned to a full re-check: wakes are
-///   often *transient* (the next taker in rank order restores the load
-///   before the woken rank comes up), so delivery re-validates the
-///   stored certificate in O(k) ([`ActiveSetDynamics::cert_intact`])
-///   and re-parks without an engine query when it is provably intact —
-///   the equilibrium-trickle oscillation (`±1` around a heavy
-///   channel's settled load) costs O(1) per parked occupant per move
-///   instead of a best-response evaluation each.
+///   when the load of a channel `u` occupies changes. Every park files,
+///   under each of `u`'s channels, the **load interval** its certificate
+///   holds over in the **threshold-ordered occupant index**
+///   ([`ChannelIndex`], the worklist's specialization of the
+///   [`ChannelOccupants`](crate::sparse::ChannelOccupants) channel→users
+///   reverse index), and a load change delivers exactly the occupants
+///   whose interval it leaves. Filing is `O(k)`, and an occupant whose
+///   interval still holds the load is never visited. The intervals per
+///   route:
+///
+///   **Separable-monotone route — the exchange bound.** With concave
+///   per-channel payoffs and all `k` radios deployed, a deviation trades
+///   `m ≤ k` radios. Each radio added gains at most the largest
+///   *entering* marginal `E`: some channel's first-entry payoff `φ_c`,
+///   or `μ = f(t+1) − f(t)` on a channel `u` already holds. Each radio
+///   removed loses at least the smallest *kept* marginal `K = min κ`,
+///   `κ = f(t) − f(t−1)` of `u`'s last radio on a channel. So
+///   `best − current ≤ k · max(0, E − K)`. Concavity also gives
+///   `current ≥ Σ t_c κ_c ≥ k·K`. The certificate ([`exchange_cert`])
+///   takes `K` at the park-time loads and the threshold
+///   `thr = K·(1 + τ/2)` (`τ` the relative tolerance of
+///   [`improvement_eps`]). While every own `κ` stays `≥ K` and every own
+///   `μ` and `φ_max` stay `< thr`, the bound is at most `k·K·τ/2`: half
+///   the epsilon at any utility those conditions allow, the other half
+///   absorbing rounding. No improving move exists, so a check would
+///   provably find nothing. On each own channel, `κ ≥ K` and `μ < thr`
+///   hold over a contiguous range of loads around the park load — the
+///   interval: `lo` the lightest load whose deepening marginal stays
+///   under `thr`, `hi` the heaviest whose kept marginal stays at or
+///   above `K`, scanned up to [`SPAN_STEPS`] per side. The temptation
+///   index below enforces `φ_max < thr`. A load change that leaves an
+///   interval schedules the user and withdraws its intervals; when its
+///   rank comes up, delivery re-derives the certificate at the then
+///   current loads in `O(k)` ([`ActiveSetDynamics::revalidate`]) and
+///   re-files it when it holds, so every crossing since the wake
+///   coalesces into one test, and only a failure pays the full check.
+///   At an exact equilibrium
+///   the front-line entry payoff equals the weakest kept marginal bit
+///   for bit, and the `τ/2` margin keeps the indifferent users parked.
+///   When the bound does not hold at park time (a row within `ε` of a
+///   different best response, or a horizon already above `thr`), the
+///   user files the exact-load certificate below instead.
+///
+///   **Exact-load certificates — the generic route, and the concave
+///   fallback.** The degenerate interval `[P, P]`, `P` the park-time
+///   load: the channel is then in exactly the state the certificate was
+///   computed against (a parked user's own radios on it cannot have
+///   moved), so the certificate's own-channel premise is intact
+///   verbatim. This is the exact park-load wake rule; the generic
+///   route's wake set is that rule's, bit for bit.
+///
+///   A woken occupant, in turn, is not condemned to a full re-check:
+///   wakes are often *transient* (the next taker in rank order restores
+///   the load before the woken rank comes up), so delivery first tests
+///   the filed certificate in O(k) ([`ActiveSetDynamics::cert_holds`])
+///   and re-files it without an engine query when it still holds; on
+///   the concave route it then tries the exchange bound at the
+///   delivery-time loads.
 /// * `best` rises only through *shared* columns of channels `u` does not
 ///   occupy. Re-activation for this case is a query against the **lazy
 ///   temptation index** ([`TemptIndex`]), with the per-user threshold
 ///   depending on the engine route:
 ///
 ///   **Separable-monotone route** (the lazy heap's regime — concave
-///   per-channel marginals, all radios deployed). A best response here is
-///   the greedy top-`k` of the marginal multiset, so an improvement must
-///   route at least one *entering marginal* of a changed channel into the
-///   top `k`, and by concavity entering marginals are bounded by the
-///   channel's **first-entry payoff** `φ_c = f(c, k_c, 1)`. Each such
-///   entry displaces a marginal of the parked best response, all of which
-///   are `≥ m*` (its weakest marginal), so with slack
-///   `g = current + ε − best` the user cannot move unless some channel
-///   *changed since its park* now has `k·(φ_c − m*) > g`. The parked user
-///   is therefore filed at threshold `m* + g/k`, tested against the
-///   global horizon `max_c φ_c` over the *current* loads. The crucial
-///   property making the test **lazy-safe** is that the certificate is
-///   *history-free*: a parked user's own channels cannot have changed
-///   (any own-channel load change wakes it through the shelf), so `m*`,
-///   its utility and `g` are still live, and at any later moment it can
-///   move iff some channel's current `φ_c` exceeds its threshold — the
-///   identical-rank round scan therefore delivers a tempted user exactly
-///   when its check would run, and a horizon spike that subsided before
-///   that rank (a vacated channel the next taker in rank order refills)
-///   provably wakes nobody. The eager heap popped every user under the
-///   spike — `O(|N|)` futile re-checks per move during a rebalancing
-///   trickle, the thundering herd that made large-population departures
-///   and rate shifts quadratic.
+///   per-channel marginals, all radios deployed). By concavity a
+///   channel's entering marginals are bounded by its **first-entry
+///   payoff** `φ_c = f(c, k_c, 1)`, so a parked user cannot move unless
+///   the global horizon `φ_max = max_c φ_c` over the *current* loads
+///   reaches its threshold: the exchange bound's `thr`, or — for an
+///   exact-load certificate — `m* + g/k` with `m*` the weakest marginal
+///   of its park-time best response and `g = current + ε − best` its
+///   slack (an improvement must route an entering marginal of a changed
+///   channel into the greedy top `k`, displacing a marginal `≥ m*`, so
+///   it needs some `k·(φ_c − m*) > g`). The crucial property making the
+///   test **lazy-safe** is that the certificate is *history-free*: a
+///   parked user's own channels sit inside their intervals (a load
+///   leaving one delivers it through the occupant index), so its
+///   own-channel premises are still live, and at any later moment it can
+///   move only if some channel's current `φ_c` exceeds its threshold —
+///   the identical-rank round scan therefore delivers a tempted user
+///   exactly when its check would run, and a horizon spike that subsided
+///   before that rank (a vacated channel the next taker in rank order
+///   refills) provably wakes nobody. The eager heap popped every user
+///   under the spike — `O(|N|)` futile re-checks per move during a
+///   rebalancing trickle, the thundering herd that made large-population
+///   departures and rate shifts quadratic.
 ///   At an exact equilibrium the front-line entry payoff equals the
-///   weakest kept marginal bit-for-bit and `g = ε`, so the `ε/k`
-///   margin keeps indifferent users parked — a move that merely restores
-///   balance wakes nobody beyond the occupants, which is what makes
-///   equilibrium maintenance `O(occupants)` instead of `O(|N|)`.
+///   weakest kept marginal bit-for-bit, and the threshold's margin keeps
+///   indifferent users parked — a move that merely restores balance
+///   wakes nobody beyond the occupants whose intervals it leaves, which
+///   is what makes equilibrium maintenance `O(occupants)` instead of
+///   `O(|N|)`.
 ///
 ///   **Generic (DP) route.** No concavity is assumed, so the engine falls
 ///   back to a union bound in payoff-delta space: a single column change
@@ -1025,18 +1338,15 @@ pub struct ActiveSetDynamics {
     /// Parked flag per user; the threshold lives in the temptation
     /// index.
     parked: Vec<bool>,
-    /// Park generation per user (stale shelf entries are skipped).
-    stamp: Vec<u32>,
-    /// The parked-occupant shelf: per channel, `(user, stamp,
-    /// park_load)` entries filed at park time for each of the user's
-    /// occupied channels, where `park_load` is the channel's load at the
-    /// moment of the park. Append-only with lazy stamp invalidation. A
-    /// touch wakes the live entries whose recorded load differs from
-    /// the new one (an entry at the identical load sits in exactly its
-    /// park-time state and provably cannot move); woken entries *stay
-    /// filed* so a delivery re-validation ([`Self::cert_intact`]) can
-    /// re-park the user under the same stamp without re-filing.
-    shelf: Vec<Vec<(u32, u32, u32)>>,
+    /// The threshold-ordered occupant index, one [`ChannelIndex`] per
+    /// channel: every park files, under each of the user's channels, the
+    /// load interval its certificate holds over, and a load change pops
+    /// only the entries whose interval it leaves.
+    occ: Vec<ChannelIndex>,
+    /// Per-channel payoff generation, bumped by
+    /// [`reprice_channel`](Self::reprice_channel): a filed certificate
+    /// records its channels' generations and is void once one moves.
+    price_gen: Vec<u32>,
     /// DP route: global temptation clock `T` — the cumulative sum of
     /// per-channel column improvements across all moves (monotone).
     clock: f64,
@@ -1082,21 +1392,19 @@ pub struct ActiveSetDynamics {
     /// Largest radio budget (depth of the `D_c` column maxima).
     k_max: u32,
     counters: DynCounters,
-    /// Park-time own-channel loads, `k_max`-strided per user in row
-    /// order (`park_loads[u·k_max + i]` pairs with `s.row(u)[i]`): the
-    /// state the user's certificate was computed against, read by the
-    /// O(k) delivery re-validation ([`Self::cert_intact`]).
-    park_loads: Vec<u32>,
+    /// The filed certificate's own-channel terms, `k_max`-strided per
+    /// user in row order (`cert[u·k_max + i]` pairs with `s.row(u)[i]`),
+    /// read by the O(k) delivery test ([`Self::cert_holds`]).
+    cert: Vec<OwnCert>,
     /// The threshold each user was last parked at (`+∞` before the
     /// first park). Survives the wake (the temptation-index slot is
     /// reset to `+∞` on wake) so a delivered user's certificate can be
-    /// re-validated and re-filed without recomputing `m*`.
+    /// re-validated and re-filed without recomputing it.
     last_thr: Vec<f64>,
-    /// Set when something other than an own-channel *load* change broke
-    /// the user's park certificate — its own row was replaced, or an
-    /// occupied channel was repriced — and cleared on every full park.
-    /// While set, delivery re-validation is disabled and the next
-    /// delivery pays the full check.
+    /// Set when the user's own row was replaced (or the certificate
+    /// stride changed) since its last park, and cleared on every park.
+    /// While set, the filed certificate describes nothing, and only the
+    /// full check the new row is owed can park the user.
     cert_stale: Vec<bool>,
     /// DP route: the column-log epoch each user's park certificate is
     /// anchored at (`log_base + col_log.len()` at filing time). Empty on
@@ -1118,12 +1426,48 @@ pub struct ActiveSetDynamics {
     scratch_old: Vec<SparseEntry>,
     scratch_touched: Vec<ChannelId>,
     scratch_old_loads: Vec<u32>,
+    /// Certificate intervals of the park being filed.
+    scratch_spans: Vec<(u32, u32)>,
+    /// Index entries a load change crossed.
+    scratch_crossed: Vec<(u32, u32)>,
     /// Refinement walk scratch: per distinct touched channel since the
     /// park, `(channel, first old_load, Σ logged deltas, any reprice)`.
     scratch_walk: Vec<(u32, u32, f64, bool)>,
     /// Refinement scratch: positive per-channel contributions, for the
     /// top-k selection.
     scratch_contrib: Vec<f64>,
+}
+
+/// One disjoint-tier commit of a parallel round: the mover, its new
+/// row, and its Phase-A park certificate (threshold, and the intervals
+/// when it is an [`exchange_cert`]).
+pub(crate) type ParCommit<'a> = (u32, &'a [SparseEntry], f64, Option<&'a [(u32, u32)]>);
+
+/// One own-channel term of a filed park certificate: the certificate
+/// holds while the channel's load stays in `[lo, hi]` and its payoff
+/// generation stays `gen`; `slot` is the interval's slot in the
+/// channel's occupant index while the user is parked
+/// ([`NO_SLOT`] otherwise).
+#[derive(Debug, Clone, Copy)]
+struct OwnCert {
+    lo: u32,
+    hi: u32,
+    gen: u32,
+    slot: u32,
+}
+
+/// [`OwnCert::slot`] of a term not filed in the occupant index.
+const NO_SLOT: u32 = u32::MAX;
+
+impl Default for OwnCert {
+    fn default() -> Self {
+        OwnCert {
+            lo: 0,
+            hi: 0,
+            gen: 0,
+            slot: NO_SLOT,
+        }
+    }
 }
 
 /// One generic-route column event (see
@@ -1161,14 +1505,17 @@ impl ActiveSetDynamics {
             Vec::new()
         };
         let phi_max = phi.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        let occ = ChannelId::all(n_channels)
+            .map(|c| ChannelIndex::new(loads.load(c)))
+            .collect();
         ActiveSetDynamics {
             s,
             loads,
             engine,
             concave,
             parked: vec![false; n],
-            stamp: vec![0; n],
-            shelf: vec![Vec::new(); n_channels],
+            occ,
+            price_gen: vec![0; n_channels],
             clock: 0.0,
             col_log: Vec::new(),
             log_base: 0,
@@ -1185,7 +1532,7 @@ impl ActiveSetDynamics {
                 activations: n as u64,
                 ..DynCounters::default()
             },
-            park_loads: vec![0; n * k_max as usize],
+            cert: vec![OwnCert::default(); n * k_max as usize],
             last_thr: vec![f64::INFINITY; n],
             cert_stale: vec![true; n],
             park_epoch: if concave { Vec::new() } else { vec![0; n] },
@@ -1194,6 +1541,8 @@ impl ActiveSetDynamics {
             scratch_old: Vec::new(),
             scratch_touched: Vec::new(),
             scratch_old_loads: Vec::new(),
+            scratch_spans: Vec::new(),
+            scratch_crossed: Vec::new(),
             scratch_walk: Vec::new(),
             scratch_contrib: Vec::new(),
         }
@@ -1269,7 +1618,7 @@ impl ActiveSetDynamics {
         // Under a custom rank permutation the lazy in-order temptation
         // scan does not apply (scan order is user id, not rank): drain
         // every currently-tempted user into this round's worklist up
-        // front instead.
+        // front instead, and again after every move (below).
         if perm.is_some() {
             self.drain_tempted(None);
         }
@@ -1319,8 +1668,7 @@ impl ActiveSetDynamics {
             };
             let (rank_u, u) = if take_tempted {
                 let t = tempted.unwrap();
-                self.tempt.set(t, f64::INFINITY);
-                self.parked[t] = false;
+                self.unpark(t);
                 self.counters.temptation_wakeups += 1;
                 self.counters.activations += 1;
                 (t as u32, t as u32)
@@ -1339,16 +1687,23 @@ impl ActiveSetDynamics {
                 // wake at rank ≤ r would route to the next epoch.
                 scan_from = rank_u as usize + 1;
             }
-            // A scheduled user whose park certificate survived the wake
+            // A scheduled user whose filed certificate survived the wake
             // that scheduled it (a transient excursion the next taker
-            // undid before this rank came up) is re-parked for O(k)
+            // undid before this rank came up) is re-filed for O(k)
             // instead of paying an engine query — the sweep's check here
             // would provably find nothing, so the trace is unchanged and
             // the delivery books as a skipped check. Tree deliveries
-            // can't qualify (their threshold is at or under the horizon,
-            // failing condition (c)), so only worklist pops are tested.
-            if !take_tempted && self.cert_intact(game, u as usize) {
-                self.repark_unchanged(u as usize);
+            // can't qualify (their threshold is at or under the horizon),
+            // so only worklist pops are tested. On the concave route a
+            // user whose filed certificate lapsed may still be provably
+            // settled at the current loads: the exchange bound
+            // ([`exchange_cert`]) decides that in O(k) and files a fresh
+            // certificate when it holds.
+            if !take_tempted && self.cert_holds(u as usize) {
+                self.refile(u as usize);
+                continue;
+            }
+            if self.concave && self.revalidate(game, u as usize) {
                 continue;
             }
             // Generic-route refinement: before paying the full DP query,
@@ -1385,6 +1740,12 @@ impl ActiveSetDynamics {
                 // The move shifted loads, so the scan horizon may have
                 // moved (in either direction).
                 h = self.pop_horizon();
+                if !lazy {
+                    // No rank-order scan to discover what the move
+                    // tempts: drain it now, ranks still ahead into this
+                    // epoch, the rest into the next.
+                    self.drain_tempted(Some((rank_u, perm)));
+                }
             } else {
                 self.park_user(game, u, &br, park_slack(before, after));
             }
@@ -1480,7 +1841,6 @@ impl ActiveSetDynamics {
             let k = game.radios_of(UserId(u));
             self.s.push_row(k)?;
             self.parked.push(false);
-            self.stamp.push(0);
             self.in_cur.push(false);
             self.in_pending.push(false);
             self.tempt.push();
@@ -1491,27 +1851,34 @@ impl ActiveSetDynamics {
                 self.park_gap.push(0.0);
             }
             if k > self.k_max {
+                // The filed certificates are `k_max`-strided: lay them
+                // out again at the deeper stride. Rare (the first
+                // arrival with a record budget).
+                let (old_k, new_k) = (self.k_max as usize, k as usize);
+                let mut cert = vec![OwnCert::default(); (u + 1) * new_k];
+                for v in 0..u {
+                    cert[v * new_k..v * new_k + old_k]
+                        .copy_from_slice(&self.cert[v * old_k..(v + 1) * old_k]);
+                }
+                self.cert = cert;
                 self.k_max = k;
-                // The park-load snapshots are `k_max`-strided; a deeper
-                // stride invalidates every recorded offset. Rare (the
-                // first arrival with a record budget), so re-stride by
-                // wholesale invalidation.
-                self.cert_stale.iter_mut().for_each(|s| *s = true);
                 if !self.concave {
                     // The DP cache's column depth is `k_max + 1`; a
                     // deeper budget needs a rebuild.
                     self.engine = BrEngine::new(game, &self.loads);
                 }
             }
+            self.cert
+                .resize((u + 1) * self.k_max as usize, OwnCert::default());
             self.wake(u as u32, None);
         }
-        self.park_loads.resize(new_n * self.k_max as usize, 0);
         Ok(())
     }
 
     /// Retire `user` from the population: clear its row through the full
-    /// wake machinery (shelf occupants of its channels are woken
-    /// eagerly; the vacated channels raise the temptation horizon, and
+    /// wake machinery (occupants of its channels whose certificate the
+    /// lighter load breaks are re-validated or woken eagerly; the
+    /// vacated channels raise the temptation horizon, and
     /// the next [`run`](Self::run)'s lazy scan delivers whoever it still
     /// tempts when their rank comes up — at scale a departure transiently
     /// tempts half the population, so an eager wake here would herd),
@@ -1524,18 +1891,21 @@ impl ActiveSetDynamics {
     pub fn retire_user<G: ChannelGame + ?Sized>(&mut self, game: &G, user: UserId) {
         debug_assert!(!self.in_cur[user.0], "retire outside a running round");
         self.apply_row_inner(game, user, &[], None);
-        // The drain above may have woken the retiree itself (it was an
-        // occupant of its own channels when parked): lazily unschedule,
-        // then file the terminal park — an empty row files no shelf
-        // entries, and `∞` never matches a horizon query.
+        // The row change above scheduled the retiree itself: lazily
+        // unschedule, then file the terminal park — an empty row files
+        // no index entries, and `∞` never matches a horizon query.
         self.in_pending[user.0] = false;
-        self.file_parked(user.0 as u32, f64::INFINITY);
+        self.file_parked(user.0 as u32, f64::INFINITY, None);
     }
 
     /// Re-price channel `c` after the game's payoff for it changed *in
-    /// place* (a churn rate-shift event): repair the engine column, wake
-    /// the channel's parked occupants (their utilities changed, in
-    /// either direction), and raise the temptation horizon — the
+    /// place* (a churn rate-shift event): repair the engine (a new
+    /// payoff epoch for the channel, so no entry keyed under the old
+    /// payoff survives), void every certificate filed on the channel
+    /// (its intervals were derived from the old payoff), wake the
+    /// channel's parked occupants (their utilities changed, in either
+    /// direction — each is re-validated in O(k) when its rank comes up),
+    /// and raise the temptation horizon — the
     /// channel's new first-entry payoff enters `φ` (concave route) or
     /// the clock advances by `max_t (f_new(t) − f_old(t))⁺` (generic
     /// route), where `old_payoff(t)` must return the channel's payoff at
@@ -1562,29 +1932,16 @@ impl ActiveSetDynamics {
         old_payoff: &dyn Fn(u32) -> f64,
     ) {
         self.quiet = false;
-        self.engine.repair(game, &self.loads, &[c]);
-        // Drain the shelf unconditionally — the load-keyed filter in
-        // wake_occupants would skip the channel because its *load* is
-        // unchanged, but the payoffs under that load are not, and a
-        // price change breaks occupant certificates in both directions.
-        let mut entries = std::mem::take(&mut self.shelf[c.0]);
-        for &(v, st, _) in &entries {
-            if self.stamp[v as usize] == st {
-                // A price change breaks the certificate in a way no
-                // load comparison can see: the recorded snapshot must
-                // not pass delivery re-validation. (Entries are cleared
-                // below, so a re-validated re-park — which relies on
-                // its shelf entries still being filed — must be
-                // impossible for these users.)
-                self.cert_stale[v as usize] = true;
-                if self.parked[v as usize] {
-                    self.counters.occupant_wakeups += 1;
-                    self.wake(v, None);
-                }
-            }
+        self.engine.reprice(game, &self.loads, c);
+        self.price_gen[c.0] = self.price_gen[c.0].wrapping_add(1);
+        // Wake every occupant filed here — the load did not move, but
+        // every interval filed here was derived from the old payoff, and
+        // only parked users have filed intervals. The bumped generation
+        // voids the certificates of scheduled occupants.
+        for v in self.occ[c.0].users() {
+            self.counters.occupant_wakeups += 1;
+            self.wake(v, None);
         }
-        entries.clear();
-        self.shelf[c.0] = entries;
         if self.concave {
             self.refresh_phi(game, &[c]);
         } else {
@@ -1636,15 +1993,33 @@ impl ActiveSetDynamics {
         old_loads.extend(touched.iter().map(|&c| self.loads.load(c)));
 
         self.quiet = false;
-        // The subject's row is about to change: its recorded park
-        // snapshot (if any) no longer describes its own channels, so the
-        // delivery re-validation must not trust it.
+        // The subject's row is about to change: its certificate (if any)
+        // no longer describes its own channels, so no re-validation may
+        // trust it, and its intervals leave the index while the row they
+        // were filed for is still in place.
         self.cert_stale[user.0] = true;
+        let was_parked = self.parked[user.0];
+        if was_parked {
+            self.withdraw(user.0);
+        }
         self.loads.replace_sparse_row(&old, new_row);
         self.s.set_row(user, new_row);
         self.engine.repair(game, &self.loads, &touched);
         self.refresh_phi(game, &touched);
         self.wake_occupants(game, &touched, &old_loads, route);
+        if was_parked {
+            // A parked subject is an occupant like any other: it is
+            // delivered when the change leaves one of its intervals.
+            let base = user.0 * self.k_max as usize;
+            let crossed = old.iter().enumerate().any(|(i, &(c, _))| {
+                let (oc, l) = (self.cert[base + i], self.loads.load(ChannelId(c as usize)));
+                l < oc.lo || l > oc.hi
+            });
+            if crossed {
+                self.counters.occupant_wakeups += 1;
+                self.wake(user.0 as u32, route);
+            }
+        }
 
         self.scratch_old = old;
         self.scratch_touched = touched;
@@ -1676,33 +2051,26 @@ impl ActiveSetDynamics {
         }
     }
 
-    /// The shelf-filter half of the wake machinery: wake the parked
-    /// occupants of every touched channel whose certificates the new
-    /// state invalidates, and (generic route) advance the temptation
-    /// clock. `old_loads[i]` is channel `touched[i]`'s load *before* the
-    /// change — the loads themselves must already be current. Shared by
-    /// the per-move path ([`apply_row_inner`]) and the parallel
-    /// bulk-commit path, so both wake exactly the same occupant set;
-    /// non-occupant temptation is covered by the `φ`/clock horizon,
-    /// tested lazily (the round scan, [`drain_tempted`]).
+    /// The occupant half of the wake machinery: deliver every parked
+    /// occupant of a touched channel whose certificate interval the new
+    /// load leaves, and (generic route) advance the temptation clock.
+    /// `old_loads[i]` is channel `touched[i]`'s load *before* the change
+    /// — the loads themselves must already be current. The per-move
+    /// path ([`apply_row_inner`]) calls it; the parallel bulk-commit path
+    /// runs its two halves ([`Self::wake_crossed`],
+    /// [`Self::advance_clocks`]) over the whole batch, so both wake the
+    /// same occupant set; non-occupant temptation is covered by the
+    /// `φ`/clock horizon, tested lazily (the round scan,
+    /// [`drain_tempted`]).
     ///
-    /// A live entry `(v, stamp, park_load)` is woken iff the channel's
-    /// load differs from `park_load` — when they are equal the channel
-    /// sits in **exactly** the state `v`'s certificate was computed
-    /// against (a parked user's own radios on it cannot have moved), so
-    /// the certificate's own-channel premise is intact verbatim and the
-    /// `φ`/clock horizon covers everything else. When they differ the
-    /// wake is mandatory in general: a heavier channel degrades `v`'s
-    /// current utility and the own kept marginals its `m*` is anchored
-    /// on; a lighter one raises the channel's own-entry marginals,
-    /// which the `φ` horizon (a *fresh-entrant* bound) does not cover.
-    ///
-    /// Woken entries **stay filed**: the wake may prove transient (the
-    /// next taker in rank order restores the load before `v`'s rank
-    /// comes up), in which case the O(k) delivery re-validation
-    /// ([`Self::cert_intact`]) re-parks `v` under its existing stamp
-    /// and the entry resumes meaning. Entries are dropped only when
-    /// their stamp goes stale (a full re-park re-files a fresh one).
+    /// An occupant whose interval still contains the new load is never
+    /// visited: its certificate holds verbatim. One the load pushed out
+    /// is scheduled, and re-validated in O(k) when its rank comes up
+    /// ([`Self::cert_holds`], then [`Self::revalidate`] on the concave
+    /// route): a user crossed again before then costs nothing more. The
+    /// generic route files exact-load certificates (the degenerate
+    /// interval `[P, P]`), so its wake set is that of an exact park-load
+    /// comparison, bit for bit.
     fn wake_occupants<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
@@ -1710,30 +2078,53 @@ impl ActiveSetDynamics {
         old_loads: &[u32],
         route: Option<(u32, Option<&[u32]>)>,
     ) {
-        for (i, &c) in touched.iter().enumerate() {
-            let new_l = self.loads.load(c);
-            if new_l == old_loads[i] {
-                continue; // kept channel with an unchanged count
-            }
-            // (i) Parked occupants. (A parked user's row cannot have
-            // changed since it filed the entry, so a live stamp implies
-            // it still occupies the channel.)
-            let mut entries = std::mem::take(&mut self.shelf[c.0]);
-            entries.retain(|&(v, st, _)| self.stamp[v as usize] == st);
-            for &(v, _, park_load) in &entries {
-                if self.parked[v as usize] && new_l != park_load {
-                    self.counters.occupant_wakeups += 1;
-                    self.wake(v, route);
+        self.wake_crossed(touched, route);
+        self.advance_clocks(game, touched, old_loads);
+    }
+
+    /// Schedule the parked occupants whose certificate interval the
+    /// current loads of `touched` leave. Every changed channel must be
+    /// listed: all are aligned with their new loads before anyone is
+    /// woken.
+    fn wake_crossed(&mut self, touched: &[ChannelId], route: Option<(u32, Option<&[u32]>)>) {
+        let mut crossed = std::mem::take(&mut self.scratch_crossed);
+        crossed.clear();
+        for &c in touched {
+            self.occ[c.0].move_to(self.loads.load(c), &mut crossed);
+        }
+        // Every filed interval is a parked user's current one, so each
+        // popped user is a crossing — once, however many of its
+        // channels the change crossed.
+        crossed.sort_unstable();
+        crossed.dedup_by_key(|&mut (v, _)| v);
+        for &(v, _) in &crossed {
+            debug_assert!(
+                self.parked[v as usize],
+                "filed interval of a scheduled user"
+            );
+            self.counters.occupant_wakeups += 1;
+            self.wake(v, route);
+        }
+        self.scratch_crossed = crossed;
+    }
+
+    /// The non-occupant half, per route: a changed channel can tempt a
+    /// non-occupant only up to its *current* first-entry payoff (concave
+    /// route — `refresh_phi` has already folded it into the horizon), or
+    /// up to the clock's cumulative column improvement (generic route,
+    /// advanced here channel by channel).
+    fn advance_clocks<G: ChannelGame + ?Sized>(
+        &mut self,
+        game: &G,
+        touched: &[ChannelId],
+        old_loads: &[u32],
+    ) {
+        if !self.concave {
+            for (i, &c) in touched.iter().enumerate() {
+                let new_l = self.loads.load(c);
+                if new_l != old_loads[i] {
+                    self.advance_clock(game, c, old_loads[i], new_l);
                 }
-            }
-            self.shelf[c.0] = entries;
-            // (ii) Everyone else, per route: a changed channel can tempt
-            // a non-occupant only up to its *current* first-entry payoff
-            // (concave route — `refresh_phi` has already folded it into
-            // the horizon), or up to the clock's cumulative column
-            // improvement (generic route).
-            if !self.concave {
-                self.advance_clock(game, c, old_loads[i], new_l);
             }
         }
     }
@@ -1816,16 +2207,35 @@ impl ActiveSetDynamics {
         }
     }
 
+    /// Take a parked user out of both indexes: withdraw its certificate
+    /// intervals and clear its temptation slot — a finite slot must imply
+    /// a parked user, or the lazy scan would re-deliver someone already
+    /// scheduled (and double-check it within one round).
+    fn unpark(&mut self, u: usize) {
+        self.parked[u] = false;
+        self.tempt.set(u, f64::INFINITY);
+        self.withdraw(u);
+    }
+
+    /// Withdraw `u`'s filed intervals from the occupant index. `u`'s row
+    /// must be the one they were filed for.
+    fn withdraw(&mut self, u: usize) {
+        let base = u * self.k_max as usize;
+        for (i, &(c, _)) in self.s.row(UserId(u)).iter().enumerate() {
+            let slot = std::mem::replace(&mut self.cert[base + i].slot, NO_SLOT);
+            if slot != NO_SLOT {
+                self.occ[c as usize].withdraw(slot);
+            }
+        }
+    }
+
     /// Transition `v` to scheduled (idempotent), routing into the current
     /// epoch when its rank is still ahead of the in-flight position.
     fn wake(&mut self, v: u32, route: Option<(u32, Option<&[u32]>)>) {
         let vi = v as usize;
-        self.parked[vi] = false;
-        // Keep the temptation index in lock-step with the park flag: a
-        // finite tree slot must imply a parked user, or the lazy scan
-        // would re-deliver someone already scheduled (and double-check
-        // it within one round).
-        self.tempt.set(vi, f64::INFINITY);
+        if self.parked[vi] {
+            self.unpark(vi);
+        }
         if self.in_cur[vi] || self.in_pending[vi] {
             return;
         }
@@ -1861,12 +2271,15 @@ impl ActiveSetDynamics {
         }
     }
 
-    /// Park `u` with the given slack: file it in the threshold heap
-    /// under a fresh stamp. `br` is the best-response row the check just
-    /// computed (equal to the live row for a freshly-applied mover) —
-    /// on the concave route its weakest marginal `m*` anchors the
-    /// watermark threshold `m* + slack/k`; on the generic route the
-    /// threshold is `clock + slack`.
+    /// Park `u` after a check. `br` is the best-response row the check
+    /// just computed (equal to the live row for a freshly-applied mover)
+    /// and `slack` its recorded slack. On the concave route the user
+    /// files the exchange-bound certificate of its live row
+    /// ([`exchange_cert`]) when that holds under the current horizon, and
+    /// otherwise the exact-load one: the weakest marginal `m*` of `br`
+    /// anchors the threshold `m* + slack/k`, valid only at the park-time
+    /// loads. On the generic route the threshold is `clock + slack`, also
+    /// at the exact park-time loads.
     fn park_user<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
@@ -1874,47 +2287,61 @@ impl ActiveSetDynamics {
         br: &[SparseEntry],
         slack: f64,
     ) {
-        let ui = u as usize;
-        let threshold = if self.concave {
-            let user = UserId(ui);
-            concave_park_threshold(game, user, self.s.row(user), br, &self.loads, slack)
-        } else {
-            self.clock + slack
-        };
-        self.file_parked(u, threshold);
+        if !self.concave {
+            self.file_parked(u, self.clock + slack, None);
+        } else if !self.exchange_park(game, u as usize) {
+            let user = UserId(u as usize);
+            let row = self.s.row(user);
+            let thr = concave_park_threshold(game, user, row, br, &self.loads, slack);
+            self.file_parked(u, thr, None);
+        }
+    }
+
+    /// Concave route: certify `u`'s live row at the current loads by the
+    /// exchange bound ([`exchange_cert`], against the current horizon)
+    /// and, when it holds, file that certificate. O(k) payoff calls plus
+    /// the filing.
+    fn exchange_park<G: ChannelGame + ?Sized>(&mut self, game: &G, u: usize) -> bool {
+        let user = UserId(u);
+        let horizon = self.pop_horizon();
+        let mut spans = std::mem::take(&mut self.scratch_spans);
+        spans.clear();
+        let row = self.s.row(user);
+        let thr = exchange_cert(game, user, row, row, &self.loads, horizon, &mut spans);
+        if let Some(thr) = thr {
+            self.file_parked(u as u32, thr, Some(&spans));
+        }
+        self.scratch_spans = spans;
+        thr.is_some()
     }
 
     /// File `u` in the park machinery under a fully-computed
-    /// `threshold`: fresh stamp, occupant shelves, temptation heap (with
-    /// the usual stale-entry compaction). Split from [`Self::park_user`]
-    /// so the parallel driver can file parks whose certificates Phase A
-    /// already computed against the round snapshot.
-    fn file_parked(&mut self, u: u32, threshold: f64) {
+    /// `threshold`, replacing any certificate it has filed: the
+    /// certificate's own-channel terms, its intervals in the occupant
+    /// index, its threshold in the temptation index. `spans[i]` is the
+    /// load interval
+    /// of row entry `i`; `None` files the exact current load. Split from
+    /// [`Self::park_user`] so the parallel driver can file parks whose
+    /// certificates Phase A already computed against the round snapshot.
+    fn file_parked(&mut self, u: u32, threshold: f64, spans: Option<&[(u32, u32)]>) {
         let ui = u as usize;
         debug_assert!(
             !self.in_cur[ui] && !self.in_pending[ui],
             "park a scheduled user"
         );
-        self.parked[ui] = true;
-        self.stamp[ui] = self.stamp[ui].wrapping_add(1);
-        let stamp = self.stamp[ui];
-        // File the user on its channels' shelves with the load each
-        // certificate was computed against: a later touch of any of them
-        // wakes the entries the new load actually invalidates, and the
-        // recorded loads double as the delivery re-validation snapshot.
-        // O(k) per park.
-        for i in 0..self.s.row(UserId(ui)).len() {
-            let c = self.s.row(UserId(ui))[i].0 as usize;
-            let park_load = self.loads.load(ChannelId(c));
-            self.park_loads[ui * self.k_max as usize + i] = park_load;
-            let list = &mut self.shelf[c];
-            list.push((u, stamp, park_load));
-            // Compact when stale entries pile up (valid entries are
-            // bounded by the channel's parked occupancy).
-            if list.len() > 2 * park_load as usize + 64 {
-                let stamps = &self.stamp;
-                list.retain(|&(v, st, _)| stamps[v as usize] == st);
-            }
+        self.withdraw(ui);
+        let base = ui * self.k_max as usize;
+        let row = self.s.row(UserId(ui));
+        debug_assert!(spans.is_none_or(|sp| sp.len() == row.len()));
+        for (i, &(c, _)) in row.iter().enumerate() {
+            let load = self.loads.load(ChannelId(c as usize));
+            let (lo, hi) = spans.map_or((load, load), |sp| sp[i]);
+            self.cert[base + i] = OwnCert {
+                lo,
+                hi,
+                gen: self.price_gen[c as usize],
+                slot: NO_SLOT,
+            };
         }
         self.last_thr[ui] = threshold;
         self.cert_stale[ui] = false;
@@ -1933,90 +2360,81 @@ impl ActiveSetDynamics {
             self.park_epoch[ui] = self.log_epoch();
             self.park_gap[ui] = threshold - self.clock;
         }
-        self.tempt.set(ui, threshold);
+        self.index_parked(ui);
     }
 
-    /// O(k) delivery re-validation: is the park certificate `u` was last
-    /// filed under provably intact against the **current** state?
-    ///
-    /// True iff (a) nothing but own-channel loads could have broken it
-    /// (`cert_stale` is clear — the row is unchanged and no occupied
-    /// channel was repriced since the park), (b) every own channel sits
-    /// at or *below* its park-time load — at the identical load the
-    /// channel is bit-for-bit in its park state (an excursion that rose
-    /// and subsided leaves the same state as one that never happened);
-    /// below it, `current` and the own kept marginals only rose, which
-    /// strengthens the certificate, provided the one temptation a
-    /// lighter own channel adds is ruled out: *deepening into it*. That
-    /// entering marginal is exactly `μ = f(c, o, t+1) − f(c, o, t)`
-    /// (own count `t`, `o = load − t` others; deeper additions are
-    /// smaller by concavity), so `μ` under the threshold closes the
-    /// gap — concave route only, and only when the user has another
-    /// channel to pull a radio from. And (c) the threshold still clears
-    /// the horizon (`φ_max`/clock with the pop margin — the same test
-    /// the lazy scan applies, covering temptation through every
-    /// *other* channel). Under (a)–(c) the park-time displacement
-    /// inequality certifies "no improving deviation" at the current
-    /// state, so a full check would provably find nothing: the woken
-    /// user can be re-parked in place.
-    ///
-    /// This is what makes an equilibrium trickle cost O(1) per parked
-    /// occupant per move instead of a full engine query. A move in the
-    /// trickle's swap chain displaces one channel up and one down; the
-    /// up side is healed by the next taker in rank order (so deliveries
-    /// behind it see the park-time load again — case (b) equality), and
-    /// the down side parks its whole occupancy one step light until the
-    /// chain closes — case (b) `μ`-bound, which at an equilibrium sits
-    /// below `m*` because one step of load cannot lift a deeper
-    /// marginal above the kept ones.
-    fn cert_intact<G: ChannelGame + ?Sized>(&self, game: &G, u: usize) -> bool {
-        if self.cert_stale[u] || self.last_thr[u] <= self.pop_horizon() {
+    /// Mark `u` parked and file its certificate — its intervals in the
+    /// occupant index (O(k)), its threshold in the temptation index.
+    /// `u`'s intervals must not be filed already.
+    fn index_parked(&mut self, u: usize) {
+        self.parked[u] = true;
+        let base = u * self.k_max as usize;
+        for (i, &(c, _)) in self.s.row(UserId(u)).iter().enumerate() {
+            let oc = &mut self.cert[base + i];
+            debug_assert_eq!(oc.slot, NO_SLOT, "interval filed twice");
+            oc.slot = self.occ[c as usize].file(u as u32, (oc.lo, oc.hi));
+        }
+        self.tempt.set(u, self.last_thr[u]);
+    }
+
+    /// Whether `u`'s filed certificate still describes it: its row is the
+    /// one it was filed for, every own channel keeps its payoff
+    /// generation, and every own load sits inside its interval. O(k).
+    fn cert_covers(&self, u: usize) -> bool {
+        if self.cert_stale[u] {
             return false;
         }
-        let row = self.s.row(UserId(u));
         let base = u * self.k_max as usize;
-        let thr = self.last_thr[u];
-        for (i, &(c, t)) in row.iter().enumerate() {
-            let l = self.loads.load(ChannelId(c as usize));
-            let park = self.park_loads[base + i];
-            if l == park {
-                continue;
-            }
-            if l > park || !self.concave {
-                // Heavier than the certificate's state (utility and the
-                // kept marginals degraded — only a full check can
-                // decide), or no marginal structure to reason with.
-                return false;
-            }
-            // Lighter than park: utility and the kept marginals on `c`
-            // only rose, which strengthens the certificate. The one
-            // temptation a lighter own channel adds is deepening into
-            // it — impossible without a spare radio on another channel.
-            if row.len() < 2 {
-                continue;
-            }
-            let o = l - t;
-            let mu = game.channel_payoff(ChannelId(c as usize), o, t + 1)
-                - game.channel_payoff(ChannelId(c as usize), o, t);
-            if mu + 1e-12 * mu.abs() >= thr {
-                return false;
-            }
-        }
-        true
+        self.s
+            .row(UserId(u))
+            .iter()
+            .enumerate()
+            .all(|(i, &(c, _))| {
+                let oc = self.cert[base + i];
+                let l = self.loads.load(ChannelId(c as usize));
+                oc.gen == self.price_gen[c as usize] && oc.lo <= l && l <= oc.hi
+            })
     }
 
-    /// Re-park a delivered user whose certificate [`Self::cert_intact`]
-    /// just proved intact: same stamp (its shelf entries are still
-    /// filed — woken entries are kept, see [`Self::wake_occupants`]),
-    /// same threshold, one temptation-index store. O(log n).
-    fn repark_unchanged(&mut self, u: usize) {
+    /// O(k) delivery test: does the certificate `u` was last filed under
+    /// still hold at the **current** state — it covers the live row and
+    /// loads ([`Self::cert_covers`]) and its threshold clears the horizon
+    /// (`φ_max`/clock with the pop margin, the test the lazy scan
+    /// applies)? Then a full check would provably find nothing and the
+    /// user is re-filed in place ([`Self::refile`]).
+    ///
+    /// This is what makes a transient wake cheap: an excursion that the
+    /// next taker in rank order undid before the woken rank came up
+    /// leaves every own load back inside its interval.
+    fn cert_holds(&self, u: usize) -> bool {
+        self.last_thr[u] > self.pop_horizon() && self.cert_covers(u)
+    }
+
+    /// Re-park a delivered user whose filed certificate still holds: the
+    /// same threshold and intervals, filed afresh (scheduling withdrew
+    /// them).
+    fn refile(&mut self, u: usize) {
         debug_assert!(
             !self.in_cur[u] && !self.in_pending[u],
             "re-park a scheduled user"
         );
         self.counters.revalidated += 1;
-        self.parked[u] = true;
-        self.tempt.set(u, self.last_thr[u]);
+        self.index_parked(u);
+    }
+
+    /// Concave route, at delivery: certify `u` afresh at the current loads
+    /// and file the new certificate when it holds
+    /// ([`Self::exchange_park`]), booked as a re-validation; `false`
+    /// leaves `u` as it was. A user
+    /// whose row was replaced since its last park (an arrival, an
+    /// external [`apply_row`](Self::apply_row)) is owed the full check
+    /// its new row was scheduled for, and is never re-validated.
+    fn revalidate<G: ChannelGame + ?Sized>(&mut self, game: &G, u: usize) -> bool {
+        if self.cert_stale[u] || !self.exchange_park(game, u) {
+            return false;
+        }
+        self.counters.revalidated += 1;
+        true
     }
 
     /// Generic-route per-channel refinement of the cumulative wake
@@ -2036,11 +2454,12 @@ impl ActiveSetDynamics {
     ///   changed, so park-time columns are unrecoverable and only the
     ///   coarse per-step charge is sound.
     ///
-    /// Own channels are excluded: `cert_stale` is clear and every own
-    /// load is verified equal to its park value below, so the
-    /// others-load on own channels — hence the own columns and the
-    /// user's utility — are unchanged (own-channel reprices drain the
-    /// shelf and set `cert_stale`, which blocks this path). If the
+    /// Own channels are excluded: the filed certificate still covers
+    /// the user ([`Self::cert_covers`] — same row, no own-channel
+    /// reprice, every own load at its park value, the generic route's
+    /// interval being the exact park load), so the others-load on own
+    /// channels — hence the own columns and the user's utility — are
+    /// unchanged. If the
     /// top-`k_u` foreign contributions sum strictly below the user's
     /// remaining park gap, no deviation can close its shortfall: the
     /// check is provably futile and the user re-parks in place under
@@ -2058,7 +2477,7 @@ impl ActiveSetDynamics {
     fn refined_intact_repark<G: ChannelGame + ?Sized>(&mut self, game: &G, u: usize) -> bool {
         const WALK_CAP: usize = 128;
         debug_assert!(!self.concave);
-        if self.cert_stale[u] {
+        if !self.cert_covers(u) {
             return false;
         }
         let epoch = self.park_epoch[u];
@@ -2070,15 +2489,6 @@ impl ActiveSetDynamics {
             return false; // long window: the walk would cost more than the check
         }
         let gap = self.park_gap[u];
-        // Own loads must sit exactly at their park values, else the own
-        // columns moved and only a full check can price that.
-        let row = self.s.row(UserId(u));
-        let base = u * self.k_max as usize;
-        for (i, &(c, _)) in row.iter().enumerate() {
-            if self.loads.load(ChannelId(c as usize)) != self.park_loads[base + i] {
-                return false;
-            }
-        }
         // Group the window per channel: (chan, park-time load, delta
         // sum, repriced). Every load change is logged — including
         // zero-rise ones — so the first event's `old_load` is exactly
@@ -2142,19 +2552,13 @@ impl ActiveSetDynamics {
         if new_thr <= self.pop_horizon() {
             return false; // would pop right back: run the real check
         }
-        // Re-park in place: same stamp (shelf entries are still filed
-        // and `park_loads` verified exact), rebased gap and epoch.
-        debug_assert!(
-            !self.in_cur[u] && !self.in_pending[u],
-            "refined re-park of a scheduled user"
-        );
-        self.counters.revalidated += 1;
+        // Re-park in place: the same intervals (verified above), a
+        // rebased threshold, gap and epoch.
         self.counters.refined_reparks += 1;
-        self.parked[u] = true;
         self.last_thr[u] = new_thr;
         self.park_gap[u] = new_gap;
         self.park_epoch[u] = self.log_epoch();
-        self.tempt.set(u, new_thr);
+        self.refile(u);
         true
     }
 
@@ -2172,8 +2576,8 @@ impl ActiveSetDynamics {
     // the commit path must reuse the exact wake machinery above, so the
     // round protocol is expressed through these crate-level hooks. The
     // single-writer discipline the fields assume (one mutator per round:
-    // `DynCounters` is a plain struct, the shelf and `pending` are
-    // unsynchronized Vecs) is preserved by construction — Phase A only
+    // `DynCounters` is a plain struct, the occupant index and `pending`
+    // are unsynchronized) is preserved by construction — Phase A only
     // ever *reads* the snapshot through [`par_view`](Self::par_view), and
     // every hook that mutates runs on the driver thread, between
     // parallel sections.
@@ -2183,6 +2587,12 @@ impl ActiveSetDynamics {
     /// responses against the round snapshot.
     pub(crate) fn par_view(&self) -> (&SparseStrategies, &ChannelLoads, &BrEngine) {
         (&self.s, &self.loads, &self.engine)
+    }
+
+    /// The temptation horizon Phase A certifies against (the snapshot's
+    /// `φ_max` with its pop margin; see [`Self::park_user`]).
+    pub(crate) fn par_horizon(&self) -> f64 {
+        self.pop_horizon()
     }
 
     /// Drain the pending epoch into `batch`, sorted by ascending user id
@@ -2225,17 +2635,18 @@ impl ActiveSetDynamics {
     /// Pass-1 park with a certificate Phase A precomputed against the
     /// round snapshot (valid because pass 1 runs before any commit
     /// mutates the loads): on the concave route `cert` is the complete
-    /// threshold (`m* + slack/k`, via [`concave_park_threshold`]); on
-    /// the generic route it is the raw slack, anchored to the driver's
-    /// temptation clock here. Keeps the serial commit phase free of
-    /// per-user payoff evaluations.
-    pub(crate) fn par_park_precomputed(&mut self, u: u32, cert: f64) {
+    /// threshold and `spans` its intervals — an [`exchange_cert`], or
+    /// `None` for the exact-load fallback `m* + slack/k` via
+    /// [`concave_park_threshold`]; on the generic route `cert` is the raw
+    /// slack, anchored to the driver's temptation clock here. Keeps the
+    /// serial commit phase free of per-user payoff evaluations.
+    pub(crate) fn par_park_precomputed(&mut self, u: u32, cert: f64, spans: Option<&[(u32, u32)]>) {
         let threshold = if self.concave {
             cert
         } else {
             self.clock + cert
         };
-        self.file_parked(u, threshold);
+        self.file_parked(u, threshold, spans);
     }
 
     /// Re-schedule a drained batch member into the next epoch without a
@@ -2291,11 +2702,12 @@ impl ActiveSetDynamics {
     /// Commit a batch of **channel-disjoint** moves in one pass: the load
     /// deltas of all rows are folded and applied as a single sorted,
     /// cache-blocked sweep ([`ChannelLoads::apply_sparse_deltas`]), then
-    /// the CSR row swaps and engine repairs, then — in the given
-    /// (ascending-id) order — every commit's shelf drain, every mover's
-    /// park under its Phase-A certificate (`cert`, the third tuple
-    /// element), and finally one temptation pop under the batch's merged
-    /// horizon. Because the touched channel sets are pairwise disjoint —
+    /// the CSR row swaps and engine repairs, then the occupant wakes of
+    /// every commit's channels, the clock advances and — in the given
+    /// (ascending-id) order — every mover's park under its Phase-A
+    /// certificate (`cert` and its intervals, the last two tuple
+    /// elements, as in [`Self::par_park_precomputed`]). Because the
+    /// touched channel sets are pairwise disjoint —
     /// debug-asserted under `paranoid-checks` — the committed rows are
     /// still *exact* best responses at commit time and each mover's
     /// precomputed certificate (snapshot loads, own move excluded) is
@@ -2304,7 +2716,7 @@ impl ActiveSetDynamics {
     ///
     /// The drains-then-parks-then-pop order is the soundness key for
     /// parking movers instead of re-scheduling them: a mover is never
-    /// woken by its *own* commit's shelf drain (it is not parked yet
+    /// woken by its *own* commit's occupant wakes (it is not parked yet
     /// while drains run, exactly like the sequential per-move path), but
     /// its filed certificate *is* checked against every commit's
     /// temptation horizon — so a mover another commit's vacated channel
@@ -2316,7 +2728,7 @@ impl ActiveSetDynamics {
     pub(crate) fn par_commit_batch<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
-        commits: &[(u32, &[SparseEntry], f64)],
+        commits: &[ParCommit<'_>],
     ) {
         if commits.is_empty() {
             return;
@@ -2328,7 +2740,7 @@ impl ActiveSetDynamics {
         let mut touched_sets: Vec<Vec<ChannelId>> = Vec::with_capacity(commits.len());
         let mut old_load_sets: Vec<Vec<u32>> = Vec::with_capacity(commits.len());
         let mut deltas: Vec<(u32, i64)> = Vec::new();
-        for &(u, new_row, _) in commits {
+        for &(u, new_row, _, _) in commits {
             let old = self.s.row(UserId(u as usize));
             let mut touched = Vec::new();
             touched_channels_into(old, new_row, &mut touched);
@@ -2357,35 +2769,37 @@ impl ActiveSetDynamics {
         self.loads.apply_sparse_deltas(&deltas);
         // Row swaps + engine repairs: every touched channel already
         // carries its final load, so repair order is irrelevant.
-        for (i, &(u, new_row, _)) in commits.iter().enumerate() {
+        for (i, &(u, new_row, _, _)) in commits.iter().enumerate() {
             self.s.set_row(UserId(u as usize), new_row);
             self.engine.repair(game, &self.loads, &touched_sets[i]);
             self.counters.moves += 1;
             self.counters.committed += 1;
             self.refresh_phi(game, &touched_sets[i]);
         }
-        // Shelf drains in id order, recording each commit's own clock
-        // advance (generic route).
+        // Occupant wakes over every commit's channels at once (all loads
+        // are final), then the clock advances in id order, recording
+        // each commit's own advance (generic route).
+        self.wake_crossed(&touched_sets.concat(), None);
         let clock_start = self.clock;
         let mut own_clock_d: Vec<f64> = Vec::with_capacity(commits.len());
         for i in 0..commits.len() {
             let before = self.clock;
-            self.wake_occupants(game, &touched_sets[i], &old_load_sets[i], None);
+            self.advance_clocks(game, &touched_sets[i], &old_load_sets[i]);
             own_clock_d.push(self.clock - before);
         }
         // File every mover's park (its row is already the new one, so
-        // the shelf entries land on its post-move channels). Tempted
+        // the index entries land on its post-move channels). Tempted
         // non-movers are *not* scheduled here — the next round's batch
         // drain ([`par_take_batch`](Self::par_take_batch)) delivers
         // whoever the settled post-batch horizon still tempts, checking
         // every filed certificate exactly as the eager pop did.
-        for (i, &(u, _, cert)) in commits.iter().enumerate() {
+        for (i, &(u, _, cert, spans)) in commits.iter().enumerate() {
             let threshold = if self.concave {
                 cert
             } else {
                 clock_start + own_clock_d[i] + cert
             };
-            self.file_parked(u, threshold);
+            self.file_parked(u, threshold, spans);
         }
     }
 
@@ -2807,6 +3221,81 @@ mod tests {
             before.checks + 1,
             "only the applied user is re-checked"
         );
+    }
+
+    /// The occupant index must actually skip wakes: on a balanced
+    /// heap-route equilibrium a departure lightens two channels by one
+    /// radio, which keeps every occupant's load inside its certificate
+    /// interval (a lighter channel only raises the kept marginals, and
+    /// one step of relief cannot lift a deepening marginal over the
+    /// weakest kept one) — so no occupant may be woken. The generic
+    /// route's exact-load rule wakes them all, and both re-converge
+    /// exactly as the sweep does.
+    #[test]
+    fn occupant_index_skips_loads_inside_certificates() {
+        use crate::churn::ChurnGame;
+        let uniform = ChurnGame::uniform(400, 2, 8, 1.0);
+        for game in [uniform.clone(), uniform.force_generic_route()] {
+            let start = SparseStrategies::random_uniform(400, 2, 8, 3);
+            let (settled, conv, _, _) = sweep_dynamics_traced(&game, start, 200);
+            assert!(conv);
+            // A fresh engine certifies every user against the settled
+            // state in one move-free round.
+            let mut d = ActiveSetDynamics::new(&game, settled);
+            assert_eq!(d.run(&game, 200, None), (true, 1));
+            for u in [0usize, 57, 123, 301] {
+                let (mut g, mut e) = (game.clone(), d.clone());
+                let before = e.counters().occupant_wakeups;
+                g.retire(UserId(u));
+                e.retire_user(&g, UserId(u));
+                let woken = e.counters().occupant_wakeups - before;
+                if d.is_heap() {
+                    assert_eq!(woken, 0, "departure of {u} woke occupants");
+                } else {
+                    assert!(woken > 0, "the exact-load rule wakes the occupants");
+                }
+                let (swept, sconv, srounds, strace) =
+                    sweep_dynamics_traced(&g, e.state().clone(), 200);
+                let mut trace = Vec::new();
+                assert_eq!(e.run(&g, 200, Some(&mut trace)), (sconv, srounds));
+                assert_eq!(trace, strace);
+                assert_eq!(e.state(), &swept);
+            }
+        }
+    }
+
+    /// A rate cut must not leave the heap engine answering from the
+    /// channel's pre-cut key: the load is unchanged, so only the payoff
+    /// epoch can tell the old entry from the fresh one.
+    #[test]
+    fn heap_engine_drops_keys_of_a_repriced_channel() {
+        use crate::churn::ChurnGame;
+        let mut game = ChurnGame::uniform(3, 1, 3, 1.0);
+        let s = SparseStrategies::random_uniform(3, 1, 3, 1);
+        let loads = ChannelLoads::of_sparse(&s);
+        let mut engine = HeapEngine::new(&game, &loads);
+        // Cut the rate of the channel the heap currently ranks first.
+        let top = (0..3)
+            .map(ChannelId)
+            .max_by(|&a, &b| {
+                let (fa, fb) = (
+                    game.channel_payoff(a, loads.load(a), 1),
+                    game.channel_payoff(b, loads.load(b), 1),
+                );
+                fa.total_cmp(&fb).then(b.0.cmp(&a.0))
+            })
+            .unwrap();
+        game.set_rate(top, 0.1);
+        engine.reprice(&game, &loads, top);
+        let mut fresh = HeapEngine::new(&game, &loads);
+        for u in UserId::all(3) {
+            let got = engine.best_response(&game, s.row(u), &loads, u);
+            assert_eq!(
+                got,
+                fresh.best_response(&game, s.row(u), &loads, u),
+                "user {u}"
+            );
+        }
     }
 
     #[test]

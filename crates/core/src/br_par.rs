@@ -30,11 +30,12 @@
 //! deviation against the snapshot) are parked first — the snapshot is
 //! still live, so their recorded slacks mean exactly what a sequential
 //! check would have recorded; every Phase-A worker precomputes a park
-//! certificate (the complete concave threshold, or the generic slack)
-//! against that same snapshot — for non-candidates from their live
-//! slack, for candidates the zero-slack mover certificate their commit
-//! will be parked under — so filing each park is pure bookkeeping: no
-//! payoff evaluation survives into the serial phase. Candidates are
+//! certificate (the complete concave threshold with its occupant-index
+//! load intervals, or the generic slack) against that same snapshot —
+//! for non-candidates from their live row, for candidates the mover
+//! certificate their commit will be parked under — so filing each park
+//! is pure bookkeeping: no payoff evaluation survives into the serial
+//! filing. Candidates are
 //! then classified by a per-round touched-channel set:
 //!
 //! * **Channel-disjoint candidates** — moves whose old ∪ new channels
@@ -82,14 +83,15 @@
 //! certificate against each mover's own clock advance, since a user's
 //! own placement never tempts itself). Tier-2 movers park under their
 //! live recompute. In both tiers the park is filed *after* the commit's
-//! own shelf drains, so a mover is never woken by its own move, yet
+//! own occupant wakes, so a mover is never woken by its own move, yet
 //! every temptation-horizon pop checks it. Deferred candidates are
 //! parked the same way — their live query just proved they cannot
 //! improve now, the strongest certificate the sequential dynamics ever
 //! record. Wakes ride the exact machinery of the sequential engine
-//! (occupant shelves, temptation heap), driven per commit in id order,
-//! and reactivate parked users — movers, deferred, or otherwise —
-//! whenever a later commit touches their channels.
+//! (occupant index, temptation index), driven over each batch's commits
+//! and then per tier-2 commit in id order, and reactivate parked users —
+//! movers, deferred, or otherwise — whenever a later commit breaks their
+//! certificates.
 //!
 //! # Determinism contract
 //!
@@ -116,8 +118,8 @@
 
 use crate::br_dp::{park_slack, ChannelGame};
 use crate::br_fast::{
-    concave_park_threshold, kernel_best_response_into, utility_sparse, ActiveSetDynamics, BrEngine,
-    DpScratch, DynCounters, KernelScratch, MarginalTable,
+    concave_park_threshold, exchange_cert, kernel_best_response_into, utility_sparse,
+    ActiveSetDynamics, BrEngine, DpScratch, DynCounters, KernelScratch, MarginalTable, ParCommit,
 };
 use crate::error::Error;
 use crate::game::{improvement_eps, improves};
@@ -138,18 +140,21 @@ enum RouteScratch {
 }
 
 /// One claimed chunk's Phase-A output: per-user `(before, after, row
-/// length, park certificate)` metadata plus the concatenated
-/// best-response rows, keyed by the chunk's batch start index. The park
-/// certificate is the complete concave threshold on the heap route and
-/// the raw slack on the generic route — for non-candidates from their
-/// live slack, for candidates the zero-slack mover certificate their
-/// disjoint-tier commit parks under — precomputed here so Phase-B
-/// parking on the driver thread is pure bookkeeping.
+/// length, park certificate, interval count)` metadata plus the
+/// concatenated best-response rows and certificate intervals, keyed by
+/// the chunk's batch start index. The park certificate is the complete
+/// concave threshold on the heap route — an exchange-bound certificate
+/// with one interval per row entry, or the exact-load fallback with
+/// none — and the raw slack on the generic route; for non-candidates it
+/// certifies the live row, for candidates the row their disjoint-tier
+/// commit parks under (the mover's zero-slack certificate). Precomputed
+/// here so Phase-B parking on the driver thread is pure bookkeeping.
 #[derive(Debug)]
 struct ChunkOut {
     start: usize,
-    metas: Vec<(f64, f64, u32, f64)>,
+    metas: Vec<(f64, f64, u32, f64, u32)>,
     rows: Vec<SparseEntry>,
+    spans: Vec<(u32, u32)>,
 }
 
 /// Per-worker Phase-A state: route scratch plus the chunks it produced.
@@ -314,6 +319,7 @@ impl ParallelDynamics {
         let t = Instant::now();
         let mut table = std::mem::take(&mut self.table);
         let heap_route = self.inner.is_heap();
+        let horizon = self.inner.par_horizon();
         let mut chunks: Vec<ChunkOut> = {
             let (s, loads, engine) = self.inner.par_view();
             if heap_route {
@@ -343,6 +349,7 @@ impl ParallelDynamics {
                         start: range.start,
                         metas: Vec::with_capacity(range.len()),
                         rows: Vec::new(),
+                        spans: Vec::new(),
                     };
                     for &u in &batch[range] {
                         let user = UserId(u as usize);
@@ -372,24 +379,30 @@ impl ParallelDynamics {
                         // channel the mover touches at its snapshot load
                         // (others' load on c is `load(c) − own old count`
                         // either way).
-                        let slack = if improves(before, after) {
+                        let candidate = improves(before, after);
+                        let slack = if candidate {
                             improvement_eps(after, after)
                         } else {
                             park_slack(before, after)
                         };
-                        let cert = if heap_route {
-                            concave_park_threshold(
-                                game,
-                                user,
-                                row,
-                                &out.rows[rstart..],
-                                loads,
-                                slack,
-                            )
-                        } else {
+                        let br = &out.rows[rstart..];
+                        let sstart = out.spans.len();
+                        let cert = if !heap_route {
                             slack
+                        } else {
+                            // Others-loads exclude the snapshot row, so a
+                            // candidate is certified at its post-commit
+                            // loads (the disjoint tier leaves its channels
+                            // at snapshot load ± its own move).
+                            let parked_row = if candidate { br } else { row };
+                            let spans = &mut out.spans;
+                            exchange_cert(game, user, row, parked_row, loads, horizon, spans)
+                                .unwrap_or_else(|| {
+                                    concave_park_threshold(game, user, row, br, loads, slack)
+                                })
                         };
-                        out.metas.push((before, after, len, cert));
+                        let n_spans = (out.spans.len() - sstart) as u32;
+                        out.metas.push((before, after, len, cert, n_spans));
                     }
                     w.chunks.push(out);
                 },
@@ -407,34 +420,36 @@ impl ParallelDynamics {
         // Pass 1 — park every non-candidate first: no load has changed
         // yet, so their slack certificates are computed against exactly
         // the state their best responses saw.
-        let mut candidates: Vec<(u32, &[SparseEntry], f64)> = Vec::new();
+        let mut candidates: Vec<ParCommit<'_>> = Vec::new();
         for ch in &chunks {
-            let mut off = 0usize;
-            for (j, &(before, after, len, cert)) in ch.metas.iter().enumerate() {
+            let (mut off, mut soff) = (0usize, 0usize);
+            for (j, &(before, after, len, cert, n_spans)) in ch.metas.iter().enumerate() {
                 let u = batch[ch.start + j];
                 let row = &ch.rows[off..off + len as usize];
                 off += len as usize;
+                let spans = (n_spans > 0).then(|| &ch.spans[soff..soff + n_spans as usize]);
+                soff += n_spans as usize;
                 if improves(before, after) {
-                    candidates.push((u, row, cert));
+                    candidates.push((u, row, cert, spans));
                 } else {
-                    self.inner.par_park_precomputed(u, cert);
+                    self.inner.par_park_precomputed(u, cert, spans);
                 }
             }
         }
         // Pass 2 — classify candidates: disjoint tier commits in bulk,
         // conflicting tier revalidates against live loads.
-        let mut tier1: Vec<(u32, &[SparseEntry], f64)> = Vec::new();
-        let mut tier2: Vec<(u32, &[SparseEntry], f64)> = Vec::new();
+        let mut tier1: Vec<ParCommit<'_>> = Vec::new();
+        let mut tier2: Vec<ParCommit<'_>> = Vec::new();
         {
             let (s, _, _) = self.inner.par_view();
-            for &(u, br, cert) in &candidates {
+            for &(u, br, cert, spans) in &candidates {
                 let old = s.row(UserId(u as usize));
                 let conflict = old
                     .iter()
                     .chain(br.iter())
                     .any(|&(c, _)| self.touched_mark[c as usize]);
                 if conflict {
-                    tier2.push((u, br, cert));
+                    tier2.push((u, br, cert, spans));
                 } else {
                     for &(c, _) in old.iter().chain(br.iter()) {
                         if !self.touched_mark[c as usize] {
@@ -442,7 +457,7 @@ impl ParallelDynamics {
                             self.marked.push(c);
                         }
                     }
-                    tier1.push((u, br, cert));
+                    tier1.push((u, br, cert, spans));
                 }
             }
         }
@@ -475,7 +490,7 @@ impl ParallelDynamics {
         let mut live = Vec::new();
         let mut idx = 0usize;
         while idx < tier2.len() && consec_fail < cutoff {
-            let (u, _, _) = tier2[idx];
+            let (u, ..) = tier2[idx];
             idx += 1;
             let (before, after) = self.inner.par_live_best_response(game, u, &mut live);
             if improves(before, after) {
@@ -494,7 +509,7 @@ impl ParallelDynamics {
                 consec_fail += 1;
             }
         }
-        for &(u, _, _) in &tier2[idx..] {
+        for &(u, ..) in &tier2[idx..] {
             self.inner.par_schedule(u);
             self.inner.counters_mut().deferred += 1;
         }

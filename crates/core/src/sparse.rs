@@ -399,7 +399,7 @@ pub fn touched_channels_into(old: &[SparseEntry], new: &[SparseEntry], out: &mut
 ///
 /// # Single-writer discipline
 ///
-/// This structure (like the per-channel shelf in
+/// This structure (like the per-channel occupant index in
 /// [`crate::br_fast::ActiveSetDynamics`]) is **not** safe for concurrent
 /// mutation: `replace_row`'s swap-remove reorders a channel's list, so two
 /// writers touching the same channel would race. The deterministic

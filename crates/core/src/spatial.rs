@@ -1996,7 +1996,7 @@ impl SpatialDynamics {
     /// Rate-shift path: channel `c`'s payoff changed wholesale, so every
     /// user's best response is suspect — schedule everyone and re-anchor
     /// the potential (its ladders are payoff sums). Coarser than the
-    /// single-domain driver's occupant-shelf reprice, but exact.
+    /// single-domain driver's occupant-index reprice, but exact.
     pub fn reprice_channel<G: ChannelGame>(&mut self, game: &SpatialGame<G>, _c: ChannelId) {
         for u in 0..self.s.n_users() as u32 {
             self.schedule(u);

@@ -569,3 +569,198 @@ proptest! {
         })?;
     }
 }
+
+// ---------------------------------------------------------------------------
+// Move-for-move: every re-convergence equals the reference sweep
+// ---------------------------------------------------------------------------
+
+use mrca_core::br_fast::sweep_dynamics_traced;
+use mrca_core::enumerate::user_strategy_space;
+
+/// Apply one event to the sequential engine `d` and the game, exactly as
+/// [`check_churn_replay`] does.
+fn apply_event(game: &mut ChurnGame, d: &mut ActiveSetDynamics, ev: &Event) {
+    let live = |game: &ChurnGame| -> Vec<usize> {
+        (0..game.n_users())
+            .filter(|&u| game.is_live(UserId(u)))
+            .collect()
+    };
+    match ev {
+        Event::Arrive { budget } => {
+            game.push_user(*budget);
+            d.grow_users(game).unwrap();
+        }
+        Event::Depart { pick } => {
+            let live = live(game);
+            if let Some(&u) = live.get(pick % live.len().max(1)) {
+                game.retire(UserId(u));
+                d.retire_user(game, UserId(u));
+            }
+        }
+        Event::BudgetChange { pick, budget } => {
+            let live = live(game);
+            if let Some(&u) = live.get(pick % live.len().max(1)) {
+                game.retire(UserId(u));
+                d.retire_user(game, UserId(u));
+                game.push_user(*budget);
+                d.grow_users(game).unwrap();
+            }
+        }
+        Event::RateShift { pick, factor } => {
+            let c = ChannelId(pick % game.n_channels());
+            let load = d.loads().load(c);
+            let old = game.set_rate(c, game.rate(c) * factor);
+            let f = move |t: u32| ChurnGame::payoff_at_rate(load, t, old);
+            d.reprice_channel(game, c, &f);
+        }
+    }
+}
+
+/// Replay `events` through the sequential engine and, after the initial
+/// settle and after every event, pin its re-convergence — move trace,
+/// converged flag, round count and state — to the reference sweep run
+/// from the same state with a fresh engine. Convergence itself is not
+/// asserted: with mixed budgets a population may have no pure
+/// equilibrium, and then both must hit the round cap identically.
+fn check_churn_against_sweep(
+    mut game: ChurnGame,
+    start: SparseStrategies,
+    events: &[Event],
+) -> Result<(), TestCaseError> {
+    let mut d = ActiveSetDynamics::new(&game, start);
+    for i in 0..=events.len() {
+        if i > 0 {
+            apply_event(&mut game, &mut d, &events[i - 1]);
+        }
+        let from = d.state().clone();
+        let mut trace = Vec::new();
+        let (conv, rounds) = d.run(&game, MAX_ROUNDS, Some(&mut trace));
+        let (swept, sconv, srounds, strace) = sweep_dynamics_traced(&game, from, MAX_ROUNDS);
+        let at = if i == 0 {
+            "initial settle".to_string()
+        } else {
+            format!("event {} ({:?})", i - 1, events[i - 1])
+        };
+        prop_assert_eq!(conv, sconv, "{}: converged flag", at);
+        prop_assert_eq!(rounds, srounds, "{}: rounds", at);
+        prop_assert_eq!(&trace, &strace, "{}: move trace", at);
+        prop_assert!(d.state() == &swept, "{}: state", at);
+    }
+    Ok(())
+}
+
+/// A seeded event stream over the full rate-factor range `[0.4, 3]`
+/// with mixed budgets (`1..=3`).
+fn seeded_events(seed: u64, len: usize) -> Vec<Event> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let pick = rng.gen_range(0..1_000_000usize);
+            let budget = rng.gen_range(1..=3u32);
+            match rng.gen_range(0..4u32) {
+                0 => Event::Arrive { budget },
+                1 => Event::Depart { pick },
+                2 => Event::BudgetChange { pick, budget },
+                _ => Event::RateShift {
+                    pick,
+                    factor: rng.gen_range(0.4..3.0),
+                },
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The proptest streams of [`churn_replay_matches_from_scratch`],
+    /// pinned move for move to the sweep on both sequential routes.
+    #[test]
+    fn churn_replay_matches_sweep(
+        n in 4usize..12,
+        k in 1u32..=3,
+        c in 2usize..=5,
+        seed in 0u64..1_000,
+        events in prop::collection::vec(event_strategy(), 1..10),
+    ) {
+        let game = ChurnGame::uniform(n, k, c, 1.0);
+        let start = SparseStrategies::random_uniform(n, k, c, seed);
+        check_churn_against_sweep(game.clone(), start.clone(), &events)?;
+        check_churn_against_sweep(game.force_generic_route(), start, &events)?;
+    }
+}
+
+/// A seeded grid of longer streams: rate cuts and raises anywhere in
+/// `[0.4, 3]`, repeated shifts on few channels, mixed budgets, both
+/// routes — each re-convergence pinned to the sweep. Rate shifts must
+/// invalidate the heap engine's keys under an unchanged load; a stale
+/// first-entry key once surfaced here as a diverging move sequence.
+#[test]
+fn seeded_churn_streams_match_sweep() {
+    for n in [4usize, 8, 16] {
+        for k in 1u32..=3 {
+            for c in [2usize, 3, 5] {
+                for seed in 0..6u64 {
+                    let game = ChurnGame::uniform(n, k, c, 1.0);
+                    let start = SparseStrategies::random_uniform(n, k, c, seed);
+                    let events = seeded_events(seed ^ (n as u64) << 8 ^ (k as u64) << 16, 24);
+                    for g in [game.clone(), game.force_generic_route()] {
+                        let heap = g.payoff_is_separable_monotone();
+                        check_churn_against_sweep(g, start.clone(), &events).unwrap_or_else(|e| {
+                            panic!("n={n} k={k} c={c} seed={seed} heap={heap}: {e}")
+                        });
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Mixed budgets can leave a population with no pure Nash equilibrium:
+/// budgets 3 and 1 on two equal constant-rate channels. Whichever
+/// channel the single radio picks, the 3-radio user's best response
+/// stacks two radios on it, which sends the single radio to the other
+/// channel. Exhaustive enumeration finds no equilibrium, and round-robin
+/// best responses cycle with period 2 on both routes until the round
+/// cap.
+#[test]
+fn mixed_budgets_can_have_no_pure_equilibrium() {
+    let game = ChurnGame::new(vec![3, 1], vec![1.0, 1.0]);
+    let mut profiles = 0;
+    for a in user_strategy_space(2, 3) {
+        for b in user_strategy_space(2, 1) {
+            let mut s = SparseStrategies::try_with_budgets(&[3, 1], 2).unwrap();
+            let row = |v: &mrca_core::StrategyVector| -> Vec<(u32, u32)> {
+                (0..2u32)
+                    .map(|c| (c, v.counts()[c as usize]))
+                    .filter(|&(_, t)| t > 0)
+                    .collect()
+            };
+            s.set_row(UserId(0), &row(&a));
+            s.set_row(UserId(1), &row(&b));
+            assert!(
+                !is_nash_sparse(&game, &s),
+                "{a:?} / {b:?} is an equilibrium"
+            );
+            profiles += 1;
+        }
+    }
+    assert!(profiles > 0);
+    for g in [game.clone(), game.force_generic_route()] {
+        let start = SparseStrategies::random_uniform(2, 1, 2, 0);
+        let mut s = SparseStrategies::try_with_budgets(&[3, 1], 2).unwrap();
+        s.set_row(UserId(1), start.row(UserId(1)));
+        let mut d = ActiveSetDynamics::new(&g, s);
+        let mut states = Vec::new();
+        for _ in 0..6 {
+            assert!(d.round(&g, None, None), "a round without a move");
+            states.push(d.state().clone());
+        }
+        assert!(
+            states[2..] == states[..4],
+            "best responses cycle with period 2"
+        );
+        assert_ne!(states[0], states[1]);
+        assert_eq!(d.run(&g, 40, None), (false, 40), "run hits its round cap");
+    }
+}

@@ -503,3 +503,148 @@ proptest! {
         prop_assert_eq!(&sparse.to_dense(), &dense);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Permuted rounds: the active set under a per-round rank permutation
+// ---------------------------------------------------------------------------
+
+use mrca_core::game::improves;
+use mrca_core::sparse::touched_channels_into;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// `rounds` per-round rank tables (`rank[u]` = position of user `u` in
+/// that round's activation order), each a fresh shuffle drawn from
+/// `seed` — the schedule `BestResponseDriver::run_sparse` feeds
+/// `ActiveSetDynamics::round` under `Schedule::RandomPermutation`.
+fn rank_tables(n: usize, rounds: usize, seed: u64) -> Vec<Vec<u32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    (0..rounds)
+        .map(|_| {
+            order.shuffle(&mut rng);
+            let mut rank = vec![0u32; n];
+            for (i, &u) in order.iter().enumerate() {
+                rank[u] = i as u32;
+            }
+            rank
+        })
+        .collect()
+}
+
+type PermOutcome = (
+    SparseStrategies,
+    bool,
+    usize,
+    Vec<(UserId, mrca_core::StrategyVector)>,
+);
+
+/// The reference sweep under the same schedule: round `r` checks every
+/// user in ascending `ranks[r]` order against a fresh engine, exactly as
+/// [`br_fast::sweep_dynamics_traced`] does in id order.
+fn permuted_sweep<G: ChannelGame>(
+    game: &G,
+    mut s: SparseStrategies,
+    ranks: &[Vec<u32>],
+) -> PermOutcome {
+    let mut loads = ChannelLoads::of_sparse(&s);
+    let mut engine = BrEngine::new(game, &loads);
+    let mut trace = Vec::new();
+    let mut touched = Vec::new();
+    for (r, rank) in ranks.iter().enumerate() {
+        let mut order: Vec<usize> = (0..rank.len()).collect();
+        order.sort_unstable_by_key(|&u| rank[u]);
+        let mut moved = false;
+        for u in order.into_iter().map(UserId) {
+            let before = br_fast::utility_sparse(game, &s, &loads, u);
+            let (br, after) = engine.best_response(game, s.row(u), &loads, u);
+            if improves(before, after) {
+                let old = s.row(u).to_vec();
+                loads.replace_sparse_row(&old, &br);
+                touched_channels_into(&old, &br, &mut touched);
+                s.set_row(u, &br);
+                engine.repair(game, &loads, &touched);
+                let mut counts = vec![0u32; game.n_channels()];
+                for &(c, t) in &br {
+                    counts[c as usize] = t;
+                }
+                trace.push((u, mrca_core::StrategyVector::from_counts(counts)));
+                moved = true;
+            }
+        }
+        if !moved {
+            return (s, true, r + 1, trace);
+        }
+    }
+    let rounds = ranks.len();
+    (s, false, rounds, trace)
+}
+
+/// The active-set worklist under per-round permutations must equal the
+/// permuted sweep move for move — including temptations a mid-round move
+/// raises for users ranked later in the same round.
+fn check_permuted_active_set_equals_sweep<G: ChannelGame>(
+    game: &G,
+    sp: SparseStrategies,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let ranks = rank_tables(game.n_users(), 200, seed ^ 0xabc);
+    let (swept, sconv, srounds, strace) = permuted_sweep(game, sp.clone(), &ranks);
+    let mut d = br_fast::ActiveSetDynamics::new(game, sp);
+    let mut trace = Vec::new();
+    let mut rounds = ranks.len();
+    let mut conv = false;
+    for (r, rank) in ranks.iter().enumerate() {
+        if !d.round(game, Some(rank), Some(&mut trace)) {
+            (conv, rounds) = (true, r + 1);
+            break;
+        }
+    }
+    prop_assert_eq!(conv, sconv, "converged");
+    prop_assert_eq!(rounds, srounds, "rounds");
+    prop_assert_eq!(&trace, &strace, "move trace");
+    prop_assert_eq!(&d.state().to_dense(), &swept.to_dense(), "final state");
+    Ok(())
+}
+
+proptest! {
+    /// Per-round permutations: active-set == permuted sweep, on both
+    /// engine routes (the mixed rate strategy), homogeneous budgets.
+    #[test]
+    fn permuted_active_set_equals_sweep(instance in homogeneous_instance(), seed in 0u64..1_000) {
+        let (game, m) = instance;
+        check_permuted_active_set_equals_sweep(&game, SparseStrategies::from_matrix(&game, &m), seed)?;
+    }
+
+    /// Same pin for heterogeneous budgets.
+    #[test]
+    fn hetero_permuted_active_set_equals_sweep(instance in hetero_instance(), seed in 0u64..1_000) {
+        let (game, m) = instance;
+        check_permuted_active_set_equals_sweep(&game, SparseStrategies::from_matrix(&game, &m), seed)?;
+    }
+}
+
+/// A seeded grid of constant-rate instances under per-round
+/// permutations. A move that raises the temptation horizon mid-round
+/// must schedule the non-occupants it tempts whose rank is still ahead;
+/// a round that drained temptations only at its start once missed them
+/// here.
+#[test]
+fn seeded_permuted_rounds_match_sweep() {
+    for n in [10usize, 20, 40] {
+        for k in 1u32..=3 {
+            for c in [3usize, 4, 6, 8] {
+                for seed in 0..40u64 {
+                    let game = mrca_core::ChannelAllocationGame::with_constant_rate(
+                        GameConfig::new(n, k, c).unwrap(),
+                        1.0,
+                    );
+                    let sp = SparseStrategies::random_uniform(n, k, c, seed);
+                    check_permuted_active_set_equals_sweep(&game, sp, seed)
+                        .unwrap_or_else(|e| panic!("n={n} k={k} c={c} seed={seed}: {e}"));
+                }
+            }
+        }
+    }
+}

@@ -17,7 +17,7 @@
 //!   everything, counters included.
 //!
 //! Check/skip/activation counters are *not* pinned across engines: the
-//! wake machineries are different by design (occupant shelf + horizons
+//! wake machineries are different by design (occupant index + horizons
 //! vs. graph neighborhoods) and only the move sequence is contractual.
 
 mod common;

@@ -12,8 +12,12 @@
 //! The default shape is the acceptance workload: a standing **10⁶-user**
 //! equilibrium absorbing 2 000 events. `--smoke` is the CI gate — 10⁵
 //! users, 200 events, a drift check every 50. Either shape prints a
-//! `churn:` summary line the CI job asserts on (`events > 0`,
-//! `drift_failures == 0`); only the full shape writes the tracked
+//! `churn:` key=value summary line the CI job asserts on (`events > 0`,
+//! `drift_failures == 0`, and the engine's best-response `checks` over
+//! the stream under a bound — a seeded single-threaded count, so it is
+//! deterministic and cannot flake on a slow runner; the line also
+//! carries `occupant_wakeups`, `revalidated` and `moves`); only the
+//! full shape writes the tracked
 //! `results/BENCH_churn.json`, so a smoke run leaves the committed
 //! report alone. The bin itself also asserts both, so a drift failure
 //! is a nonzero exit, not just a number in a file.
@@ -104,10 +108,18 @@ fn main() {
         write_result("BENCH_churn.json", &report.to_json());
     }
 
-    // The CI-parseable gate line (churn-smoke greps this).
+    // The CI-parseable gate line (churn-smoke parses its key=value
+    // fields).
     println!(
-        "churn: events={} drift_failures={} events_per_sec={:.1}",
-        report.events_processed, report.drift_failures, report.events_per_sec
+        "churn: events={} drift_failures={} events_per_sec={:.1} checks={} \
+         occupant_wakeups={} revalidated={} moves={}",
+        report.events_processed,
+        report.drift_failures,
+        report.events_per_sec,
+        report.checks,
+        report.occupant_wakeups,
+        report.revalidated,
+        report.total_moves
     );
     assert!(
         report.events_processed > 0,

@@ -14,6 +14,9 @@
 //!
 //! * per-event re-convergence latency — moves and wall time, reported as
 //!   p50 / p99 / max over the stream;
+//! * the engine's work over the stream — best-response checks, occupant
+//!   wakeups and O(k) certificate re-validations — which, unlike wall
+//!   time, is a deterministic function of the seeded stream;
 //! * sustained throughput (events per second of replay wall time);
 //! * equilibrium drift — periodic full `O(|N|)` Nash scans plus a load
 //!   cache recomputation; any failure is counted, and the smoke gate
@@ -29,7 +32,7 @@
 //! bench reuses the same driver and report plumbing at a smaller
 //! standing population.
 
-use mrca_core::br_fast::{is_nash_sparse, ActiveSetDynamics};
+use mrca_core::br_fast::{is_nash_sparse, ActiveSetDynamics, DynCounters};
 use mrca_core::churn::ChurnGame;
 use mrca_core::sparse::SparseStrategies;
 use mrca_core::{ChannelId, ChannelLoads, ParallelDynamics, UserId};
@@ -128,11 +131,15 @@ impl Engine {
         }
     }
 
-    fn moves(&self) -> u64 {
+    fn counters(&self) -> DynCounters {
         match self {
-            Engine::Seq(d) => d.counters().moves,
-            Engine::Par(d) => d.counters().moves,
+            Engine::Seq(d) => d.counters(),
+            Engine::Par(d) => d.counters(),
         }
+    }
+
+    fn moves(&self) -> u64 {
+        self.counters().moves
     }
 
     fn run(&mut self, game: &ChurnGame, max_rounds: usize) -> (bool, usize) {
@@ -174,6 +181,14 @@ pub struct ChurnReport {
     pub events_per_sec: f64,
     /// Total moves across the whole stream.
     pub total_moves: u64,
+    /// Engine best-response checks across the stream (after the settle).
+    pub checks: u64,
+    /// Occupant wakeups across the stream: parked users a load change
+    /// pushed out of their certificate interval, or a reprice drained.
+    pub occupant_wakeups: u64,
+    /// O(k) certificate re-validations across the stream: parks
+    /// re-established without a best-response check.
+    pub revalidated: u64,
     /// Full drift checks run (Nash scan + load recompute).
     pub drift_checks: usize,
     /// Drift checks that failed — the smoke gate requires `0`.
@@ -323,6 +338,7 @@ impl ChurnDriver {
         let mut drift_checks = 0usize;
         let mut drift_failures = 0usize;
         let mut replay_wall = Duration::ZERO;
+        let settled = self.engine.counters();
 
         for i in 0..cfg.events {
             let kind = self.next_kind();
@@ -377,6 +393,7 @@ impl ChurnDriver {
         if self.drifted() {
             drift_failures += 1;
         }
+        let work = self.engine.counters();
 
         let mut sorted_moves = moves_per_event.clone();
         sorted_moves.sort_unstable();
@@ -401,6 +418,9 @@ impl ChurnDriver {
             max_us: sorted_wall.last().copied().unwrap_or(0.0),
             events_per_sec,
             total_moves: moves_per_event.iter().sum(),
+            checks: work.checks - settled.checks,
+            occupant_wakeups: work.occupant_wakeups - settled.occupant_wakeups,
+            revalidated: work.revalidated - settled.revalidated,
             drift_checks,
             drift_failures,
             settle_ms: self.settle_ms,
@@ -439,6 +459,7 @@ impl ChurnReport {
              \"p50_moves\": {}, \"p99_moves\": {}, \"max_moves\": {}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \
              \"events_per_sec\": {:.1}, \"total_moves\": {}, \
+             \"checks\": {}, \"occupant_wakeups\": {}, \"revalidated\": {}, \
              \"drift_checks\": {}, \"drift_failures\": {}, \
              \"settle_ms\": {:.1}, \"settle_rounds\": {}, \
              \"population_end\": {}, \"live_end\": {}}}\n",
@@ -460,6 +481,9 @@ impl ChurnReport {
             self.max_us,
             self.events_per_sec,
             self.total_moves,
+            self.checks,
+            self.occupant_wakeups,
+            self.revalidated,
             self.drift_checks,
             self.drift_failures,
             self.settle_ms,
@@ -478,6 +502,7 @@ impl ChurnReport {
              \x20 re-convergence moves: p50 {}  p99 {}  max {}\n\
              \x20 re-convergence wall : p50 {:.0} µs  p99 {:.0} µs  max {:.0} µs\n\
              \x20 throughput          : {:.1} events/s (total {} moves)\n\
+             \x20 engine work         : {} checks, {} occupant wakeups, {} re-validations\n\
              \x20 drift checks        : {} run, {} failed",
             self.cfg.initial_users,
             self.live_end,
@@ -497,6 +522,9 @@ impl ChurnReport {
             self.max_us,
             self.events_per_sec,
             self.total_moves,
+            self.checks,
+            self.occupant_wakeups,
+            self.revalidated,
             self.drift_checks,
             self.drift_failures,
         )
@@ -527,6 +555,15 @@ mod tests {
         assert!(report.events_per_sec > 0.0);
         let json = report.to_json();
         assert!(json.contains("\"drift_failures\": 0"), "{json}");
+        assert!(
+            json.contains(&format!("\"checks\": {}", report.checks)),
+            "{json}"
+        );
+        assert!(
+            report.checks > 0 && report.total_moves > 0,
+            "{}",
+            report.summary()
+        );
     }
 
     #[test]
