@@ -29,7 +29,6 @@ fn small_cfg() -> ChurnConfig {
         rate: 1.0,
         events: 100,
         seed: 2026,
-        threads: 1,
         // A rate shift on a heavy channel rebalances through a trickle of
         // rank-serialized swap chains — thousands of cheap rounds, same as
         // the smoke shape. The cap only catches genuine stalls.

@@ -273,9 +273,9 @@ pub(crate) fn solve_knapsack<F: Fn(usize, usize) -> f64>(
     (counts, value)
 }
 
-/// Reusable buffers of the knapsack DP — the per-thread scratch the
-/// parallel Phase A hands each worker so the hot loop stays
-/// allocation-free. The `choice` table is flattened to `c·(k+1)+r`.
+/// Reusable buffers of the knapsack DP — the scratch the spatial
+/// driver keeps across queries so its hot loop stays allocation-free.
+/// The `choice` table is flattened to `c·(k+1)+r`.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct KnapsackScratch {
     dp: Vec<f64>,

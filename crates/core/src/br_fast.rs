@@ -62,7 +62,8 @@
 //! unchanged on this route, and `fast_path_equiv` pins active-set ≡ sweep
 //! on randomized instances of all three game variants. Convergence cost
 //! becomes output-sensitive: proportional to moves and wake-ups, not
-//! `rounds × |N|`.
+//! `rounds × |N|`. Rounds run on the calling thread, one best response
+//! at a time.
 //!
 //! # Tie-breaking (pinned)
 //!
@@ -400,12 +401,10 @@ impl HeapEngine {
 /// load snapshot — exactly the key a fresh [`HeapEngine`] global entry
 /// would carry, laid out as one contiguous `f64` row instead of a heap.
 ///
-/// Built (or [`rebuild`](Self::rebuild)-reused) once per parallel round
-/// from the Phase-A snapshot and then shared read-only by every worker:
-/// each best response starts from a straight `memcpy` of this row and
-/// scans it linearly, so the per-query cost is data-parallel arithmetic
-/// over a flat array rather than the heap's pointer-chasing pops — the
-/// trade the `dynamics_par_vs_seq` bench measures.
+/// The spatial driver ([`crate::spatial`]) rebuilds it per query from
+/// the querying user's neighborhood row — a per-user load vector no
+/// shared heap could key — and each best response starts from a
+/// straight `memcpy` of this row and scans it linearly.
 #[derive(Debug, Default, Clone)]
 pub struct MarginalTable {
     first: Vec<f64>,
@@ -446,7 +445,7 @@ struct KernelSel {
     f_taken: f64,
 }
 
-/// Per-worker scratch of the branch-free kernel: the live marginal row
+/// Per-query scratch of the branch-free kernel: the live marginal row
 /// (a copy of the shared [`MarginalTable`] with own-channel corrections)
 /// plus the ≤ `k` selected-channel states.
 #[derive(Debug, Default, Clone)]
@@ -470,7 +469,7 @@ pub struct KernelScratch {
 /// *and* the value, bit for bit — matches [`HeapEngine::best_response`]
 /// against the same loads: both take the `k` largest elements of the
 /// identical marginal multiset with the identical tie rule. The
-/// `par_equiv` suite pins this differentially.
+/// `fast_path_equiv` suite pins this differentially.
 ///
 /// # Panics
 ///
@@ -625,46 +624,20 @@ impl DpCache {
         loads: &ChannelLoads,
         user: UserId,
     ) -> (Vec<SparseEntry>, f64) {
-        let mut scratch = DpScratch::default();
-        let mut out = Vec::new();
-        let value = self.best_response_with(game, row, loads, user, &mut scratch, &mut out);
-        (out, value)
-    }
-
-    /// [`best_response`](Self::best_response) on caller-owned buffers:
-    /// the corrected own-channel columns, the knapsack tables and the
-    /// traceback all live in `scratch`, and the sparse result is
-    /// *appended* to `out`. This is the form the parallel Phase A runs —
-    /// the cache itself is only read (`&self`), so scoped workers share
-    /// one [`DpCache`] and each brings its own [`DpScratch`], keeping
-    /// the per-user hot loop allocation-free.
-    pub(crate) fn best_response_with<G: ChannelGame + ?Sized>(
-        &self,
-        game: &G,
-        row: &[SparseEntry],
-        loads: &ChannelLoads,
-        user: UserId,
-        scratch: &mut DpScratch,
-        out: &mut Vec<SparseEntry>,
-    ) -> f64 {
         let k = game.radios_of(user) as usize;
         debug_assert!(k < self.stride, "budget exceeds cached column depth");
         // Corrected columns for the user's own channels, sorted by channel
         // (the row is sorted); flattened at stride k+1.
-        scratch.own_chans.clear();
-        scratch.own_cols.clear();
-        scratch.own_cols.resize(row.len() * (k + 1), 0.0);
+        let own_chans: Vec<u32> = row.iter().map(|&(c, _)| c).collect();
+        let mut own_cols = vec![0.0; row.len() * (k + 1)];
         for (i, &(c, own)) in row.iter().enumerate() {
             let cid = ChannelId(c as usize);
             let others = loads.load(cid) - own;
-            scratch.own_chans.push(c);
             for t in 1..=k {
-                scratch.own_cols[i * (k + 1) + t] = game.channel_payoff(cid, others, t as u32);
+                own_cols[i * (k + 1) + t] = game.channel_payoff(cid, others, t as u32);
             }
         }
-        let own_chans = &scratch.own_chans;
-        let own_cols = &scratch.own_cols;
-        let value = br_dp::solve_knapsack_scratch(
+        let (counts, value) = br_dp::solve_knapsack(
             self.n_channels,
             k,
             game.may_idle_radios(),
@@ -672,29 +645,14 @@ impl DpCache {
                 Ok(i) => own_cols[i * (k + 1) + t],
                 Err(_) => self.f[c * self.stride + t],
             },
-            &mut scratch.knap,
-            &mut scratch.counts,
         );
-        out.extend(
-            scratch
-                .counts
-                .iter()
-                .enumerate()
-                .filter_map(|(c, &t)| (t > 0).then_some((c as u32, t))),
-        );
-        value
+        let out = counts
+            .iter()
+            .enumerate()
+            .filter_map(|(c, &t)| (t > 0).then_some((c as u32, t)))
+            .collect();
+        (out, value)
     }
-}
-
-/// Per-thread scratch buffers of [`DpCache::best_response_with`]: the
-/// corrected own-channel columns plus the knapsack DP tables. One per
-/// Phase-A worker; reused across every user the worker processes.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct DpScratch {
-    own_chans: Vec<u32>,
-    own_cols: Vec<f64>,
-    knap: br_dp::KnapsackScratch,
-    counts: Vec<u32>,
 }
 
 /// Engine dispatch: the heap when the game declares a separable-monotone
@@ -848,17 +806,12 @@ pub struct DynCounters {
     /// `revalidated`; booked under `skipped_checks` like every
     /// re-validation.
     pub refined_reparks: u64,
-    /// Moves committed by the two-phase parallel rounds
-    /// ([`crate::br_par`]) — a subset of `moves`; zero on the sequential
-    /// route.
+    /// Always zero: every dynamics driver applies one move at a time, so
+    /// no move is a batch commit. The field stays because `perfbench`
+    /// names every field of this struct.
     pub committed: u64,
-    /// Parallel-round candidates whose snapshot-computed improvement a
-    /// conflicting commit absorbed: the driver's live best-response
-    /// recomputation found no remaining gain, so they were parked under
-    /// the live slack. (Each conflicting candidate costs one extra live
-    /// engine query on the driver thread; `checks` books one query per
-    /// worklist slot, so the tier-2 requeries ride on `committed` +
-    /// `deferred` instead of double-counting into `checks`.)
+    /// Always zero: no dynamics driver defers a candidate move. The
+    /// field stays because `perfbench` names every field of this struct.
     pub deferred: u64,
 }
 
@@ -1110,10 +1063,7 @@ fn with_margin(mu: f64) -> f64 {
 
 /// The exchange-bound park certificate of a concave-route user holding
 /// `row`, each entry's others-load read from `loads` with the user's own
-/// radios on `row_before` excluded (the convention of
-/// [`concave_park_threshold`]; the two rows differ only for a parallel
-/// mover certified at its post-commit loads from its pre-commit
-/// snapshot).
+/// radios excluded.
 ///
 /// With concave per-channel payoffs and all `k` radios deployed, any
 /// deviation trades `m ≤ k` radios: each one added gains at most the
@@ -1138,10 +1088,9 @@ fn with_margin(mu: f64) -> f64 {
 ///
 /// `None` (and `spans` untouched) when the row does not deploy exactly
 /// the user's budget, `K` is not positive, or a condition fails.
-pub(crate) fn exchange_cert<G: ChannelGame + ?Sized>(
+fn exchange_cert<G: ChannelGame + ?Sized>(
     game: &G,
     user: UserId,
-    row_before: &[SparseEntry],
     row: &[SparseEntry],
     loads: &ChannelLoads,
     horizon: f64,
@@ -1150,18 +1099,12 @@ pub(crate) fn exchange_cert<G: ChannelGame + ?Sized>(
     if row.is_empty() || row.iter().map(|&(_, t)| t).sum::<u32>() != game.radios_of(user) {
         return None;
     }
-    let others = |c: u32| {
-        let own = match row_before.binary_search_by_key(&c, |&(cc, _)| cc) {
-            Ok(i) => row_before[i].1,
-            Err(_) => 0,
-        };
-        loads.load(ChannelId(c as usize)) - own
-    };
+    let others = |c: u32, t: u32| loads.load(ChannelId(c as usize)) - t;
     let deepen = row.len() > 1;
     let mut kept = f64::INFINITY;
     let mut enter = horizon;
     for &(c, t) in row {
-        let (kappa, mu) = own_marginals(game, c, others(c), t);
+        let (kappa, mu) = own_marginals(game, c, others(c, t), t);
         kept = kept.min(kappa);
         if deepen {
             enter = enter.max(with_margin(mu));
@@ -1176,7 +1119,7 @@ pub(crate) fn exchange_cert<G: ChannelGame + ?Sized>(
         kappa >= kept && (!deepen || with_margin(mu) < thr)
     };
     for &(c, t) in row {
-        let o = others(c);
+        let o = others(c, t);
         let up = (1..=SPAN_STEPS).take_while(|&s| holds(c, o + s, t)).count() as u32;
         let down = (1..=SPAN_STEPS.min(o))
             .take_while(|&s| holds(c, o - s, t))
@@ -1413,10 +1356,8 @@ pub struct ActiveSetDynamics {
     /// DP route: `threshold − clock` at filing time — the slack the
     /// coarse clock must climb before the coarse wake fires, and the
     /// budget the refined walk's top-k column rises are tested against.
-    /// May be negative for parallel-batch movers (their threshold is
-    /// anchored below the post-batch clock); a non-positive gap simply
-    /// fails the refinement into the full check. Empty on the concave
-    /// route.
+    /// A non-positive gap simply fails the refinement into the full
+    /// check. Empty on the concave route.
     park_gap: Vec<f64>,
     /// Whether generic-route deliveries run the per-channel column-delta
     /// refinement before paying a full engine query. On by default;
@@ -1437,11 +1378,6 @@ pub struct ActiveSetDynamics {
     /// top-k selection.
     scratch_contrib: Vec<f64>,
 }
-
-/// One disjoint-tier commit of a parallel round: the mover, its new
-/// row, and its Phase-A park certificate (threshold, and the intervals
-/// when it is an [`exchange_cert`]).
-pub(crate) type ParCommit<'a> = (u32, &'a [SparseEntry], f64, Option<&'a [(u32, u32)]>);
 
 /// One own-channel term of a filed park certificate: the certificate
 /// holds while the channel's load stays in `[lo, hi]` and its payoff
@@ -1833,10 +1769,21 @@ impl ActiveSetDynamics {
     /// the cache. Call between rounds (like
     /// [`apply_row`](Self::apply_row)); the game must already report the
     /// grown population.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when the game reports fewer users than
+    /// the engine holds (departures retire users, they never shrink the
+    /// population); the engine is left unchanged.
     pub fn grow_users<G: ChannelGame + ?Sized>(&mut self, game: &G) -> Result<(), Error> {
         let old_n = self.s.n_users();
         let new_n = game.n_users();
-        debug_assert!(new_n >= old_n, "population only grows in place");
+        if new_n < old_n {
+            return Err(Error::config(format!(
+                "the game reports {new_n} users but the engine holds {old_n}: \
+                 the population only grows in place"
+            )));
+        }
         for u in old_n..new_n {
             let k = game.radios_of(UserId(u));
             self.s.push_row(k)?;
@@ -2051,17 +1998,19 @@ impl ActiveSetDynamics {
         }
     }
 
-    /// The occupant half of the wake machinery: deliver every parked
-    /// occupant of a touched channel whose certificate interval the new
-    /// load leaves, and (generic route) advance the temptation clock.
-    /// `old_loads[i]` is channel `touched[i]`'s load *before* the change
-    /// — the loads themselves must already be current. The per-move
-    /// path ([`apply_row_inner`]) calls it; the parallel bulk-commit path
-    /// runs its two halves ([`Self::wake_crossed`],
-    /// [`Self::advance_clocks`]) over the whole batch, so both wake the
-    /// same occupant set; non-occupant temptation is covered by the
-    /// `φ`/clock horizon, tested lazily (the round scan,
-    /// [`drain_tempted`]).
+    /// Deliver every parked occupant of a touched channel whose
+    /// certificate interval the new load leaves, and (generic route)
+    /// advance the temptation clock. `old_loads[i]` is channel
+    /// `touched[i]`'s load *before* the change — the loads themselves
+    /// must already be current, and every changed channel must be listed:
+    /// all are aligned with their new loads before anyone is woken.
+    /// Non-occupant temptation is covered by the `φ`/clock horizon,
+    /// tested lazily (the round scan, [`drain_tempted`]): a changed
+    /// channel can tempt a non-occupant only up to its *current*
+    /// first-entry payoff (concave route — `refresh_phi` has already
+    /// folded it into the horizon), or up to the clock's cumulative
+    /// column improvement (generic route, advanced here channel by
+    /// channel).
     ///
     /// An occupant whose interval still contains the new load is never
     /// visited: its certificate holds verbatim. One the load pushed out
@@ -2078,15 +2027,6 @@ impl ActiveSetDynamics {
         old_loads: &[u32],
         route: Option<(u32, Option<&[u32]>)>,
     ) {
-        self.wake_crossed(touched, route);
-        self.advance_clocks(game, touched, old_loads);
-    }
-
-    /// Schedule the parked occupants whose certificate interval the
-    /// current loads of `touched` leave. Every changed channel must be
-    /// listed: all are aligned with their new loads before anyone is
-    /// woken.
-    fn wake_crossed(&mut self, touched: &[ChannelId], route: Option<(u32, Option<&[u32]>)>) {
         let mut crossed = std::mem::take(&mut self.scratch_crossed);
         crossed.clear();
         for &c in touched {
@@ -2106,19 +2046,6 @@ impl ActiveSetDynamics {
             self.wake(v, route);
         }
         self.scratch_crossed = crossed;
-    }
-
-    /// The non-occupant half, per route: a changed channel can tempt a
-    /// non-occupant only up to its *current* first-entry payoff (concave
-    /// route — `refresh_phi` has already folded it into the horizon), or
-    /// up to the clock's cumulative column improvement (generic route,
-    /// advanced here channel by channel).
-    fn advance_clocks<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        touched: &[ChannelId],
-        old_loads: &[u32],
-    ) {
         if !self.concave {
             for (i, &c) in touched.iter().enumerate() {
                 let new_l = self.loads.load(c);
@@ -2182,8 +2109,7 @@ impl ActiveSetDynamics {
     /// perturbations ([`apply_row`](Self::apply_row) — the protocol
     /// reads settledness off the `parked` flags, so deferring the wake
     /// would hide a live temptation), custom-permutation rounds (scan
-    /// order is rank, the index is keyed by id), and the parallel
-    /// round's batch drain. The pop margin baked into
+    /// order is rank, the index is keyed by id). The pop margin baked into
     /// [`pop_horizon`](Self::pop_horizon) is *purely* relative — no
     /// absolute floor — so at any payoff scale it sits ~1000× under the
     /// `ε_u/k` park margin (the mover slack is `UTILITY_TOLERANCE·|u|`,
@@ -2307,7 +2233,7 @@ impl ActiveSetDynamics {
         let mut spans = std::mem::take(&mut self.scratch_spans);
         spans.clear();
         let row = self.s.row(user);
-        let thr = exchange_cert(game, user, row, row, &self.loads, horizon, &mut spans);
+        let thr = exchange_cert(game, user, row, &self.loads, horizon, &mut spans);
         if let Some(thr) = thr {
             self.file_parked(u as u32, thr, Some(&spans));
         }
@@ -2319,10 +2245,8 @@ impl ActiveSetDynamics {
     /// `threshold`, replacing any certificate it has filed: the
     /// certificate's own-channel terms, its intervals in the occupant
     /// index, its threshold in the temptation index. `spans[i]` is the
-    /// load interval
-    /// of row entry `i`; `None` files the exact current load. Split from
-    /// [`Self::park_user`] so the parallel driver can file parks whose
-    /// certificates Phase A already computed against the round snapshot.
+    /// load interval of row entry `i`; `None` files the exact current
+    /// load.
     fn file_parked(&mut self, u: u32, threshold: f64, spans: Option<&[(u32, u32)]>) {
         let ui = u as usize;
         debug_assert!(
@@ -2349,14 +2273,8 @@ impl ActiveSetDynamics {
             // Anchor the refinement certificate: the walk at delivery
             // covers exactly the events filed after this epoch, and the
             // gap is the clock headroom the threshold encodes *at filing
-            // time*. This single anchoring point is what keeps every
-            // park path sound, including the parallel ones: pass-1 parks
-            // file before commits mutate the clock (gap = the Phase-A
-            // cert), and batch movers file after all drains with a
-            // threshold anchored below the post-batch clock (gap =
-            // cert − Σ other commits' advances, possibly ≤ 0 → the
-            // refinement declines and the delivery pays the full check,
-            // exactly as the coarse clock would).
+            // time* — the single anchoring point every park path goes
+            // through.
             self.park_epoch[ui] = self.log_epoch();
             self.park_gap[ui] = threshold - self.clock;
         }
@@ -2467,9 +2385,8 @@ impl ActiveSetDynamics {
     /// subadditive across consecutive windows
     /// (`D_c(park→τ₂) ≤ D_c(park→τ₁) + D_c(τ₁→τ₂)` termwise for any
     /// fixed `t`). Any doubt — stale certificate, log compacted past
-    /// the epoch, over-long walk, own-load drift, negative gap (a
-    /// parallel mover's threshold discounts sibling deltas), or a
-    /// rebased threshold at or under the pop horizon — declines into
+    /// the epoch, over-long walk, own-load drift, a non-positive gap, or
+    /// a rebased threshold at or under the pop horizon — declines into
     /// the full engine check.
     ///
     /// Trace-safe: only checks the sweep oracle would find improving
@@ -2545,7 +2462,7 @@ impl ActiveSetDynamics {
             Some(std::cmp::Ordering::Less)
         );
         if !provably_below {
-            return false; // also catches NaN and negative par-mover gaps
+            return false; // also catches NaN and non-positive gaps
         }
         let new_gap = gap - topk;
         let new_thr = self.clock + new_gap;
@@ -2568,255 +2485,6 @@ impl ActiveSetDynamics {
     /// compare against the coarse cumulative clock, move-for-move.
     pub fn set_refined(&mut self, refined: bool) {
         self.refined = refined;
-    }
-
-    // ---- two-phase parallel round hooks (crate::br_par) -------------
-    //
-    // The parallel driver cannot reach the private worklist fields, and
-    // the commit path must reuse the exact wake machinery above, so the
-    // round protocol is expressed through these crate-level hooks. The
-    // single-writer discipline the fields assume (one mutator per round:
-    // `DynCounters` is a plain struct, the occupant index and `pending`
-    // are unsynchronized) is preserved by construction — Phase A only
-    // ever *reads* the snapshot through [`par_view`](Self::par_view), and
-    // every hook that mutates runs on the driver thread, between
-    // parallel sections.
-
-    /// Shared read-only view for Phase A: `(strategies, loads, engine)`
-    /// borrowed simultaneously so scoped workers can compute best
-    /// responses against the round snapshot.
-    pub(crate) fn par_view(&self) -> (&SparseStrategies, &ChannelLoads, &BrEngine) {
-        (&self.s, &self.loads, &self.engine)
-    }
-
-    /// The temptation horizon Phase A certifies against (the snapshot's
-    /// `φ_max` with its pop margin; see [`Self::park_user`]).
-    pub(crate) fn par_horizon(&self) -> f64 {
-        self.pop_horizon()
-    }
-
-    /// Drain the pending epoch into `batch`, sorted by ascending user id
-    /// (the canonical Phase-B order) with lazily-unscheduled duplicates
-    /// dropped. Every drained user is unscheduled; the caller must park
-    /// or re-schedule each one before the round ends.
-    pub(crate) fn par_take_batch(&mut self, batch: &mut Vec<u32>) {
-        debug_assert!(self.cur.is_empty(), "no sequential round in flight");
-        // Deliver the previous round's lazily-deferred temptations: the
-        // sequential round discovers them mid-scan, but the parallel
-        // round checks batch members concurrently, so everyone the
-        // *current* (post-commit, subsided) horizon still tempts joins
-        // this batch up front. Spikes that subsided within the previous
-        // round's commits wake nobody.
-        self.drain_tempted(None);
-        batch.clear();
-        for i in 0..self.pending.len() {
-            let v = self.pending[i];
-            if self.in_pending[v as usize] {
-                self.in_pending[v as usize] = false;
-                batch.push(v);
-            }
-        }
-        self.pending.clear();
-        batch.sort_unstable();
-    }
-
-    /// Park a drained batch member that cannot improve ([`park_user`]
-    /// made reachable for the parallel driver).
-    pub(crate) fn par_park<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        u: u32,
-        br: &[SparseEntry],
-        slack: f64,
-    ) {
-        self.park_user(game, u, br, slack);
-    }
-
-    /// Pass-1 park with a certificate Phase A precomputed against the
-    /// round snapshot (valid because pass 1 runs before any commit
-    /// mutates the loads): on the concave route `cert` is the complete
-    /// threshold and `spans` its intervals — an [`exchange_cert`], or
-    /// `None` for the exact-load fallback `m* + slack/k` via
-    /// [`concave_park_threshold`]; on the generic route `cert` is the raw
-    /// slack, anchored to the driver's temptation clock here. Keeps the
-    /// serial commit phase free of per-user payoff evaluations.
-    pub(crate) fn par_park_precomputed(&mut self, u: u32, cert: f64, spans: Option<&[(u32, u32)]>) {
-        let threshold = if self.concave {
-            cert
-        } else {
-            self.clock + cert
-        };
-        self.file_parked(u, threshold, spans);
-    }
-
-    /// Re-schedule a drained batch member into the next epoch without a
-    /// park certificate (conflicting candidates the round's live-query
-    /// budget cut off before probing — they carry no valid certificate,
-    /// see the module docs of [`crate::br_par`]).
-    pub(crate) fn par_schedule(&mut self, u: u32) {
-        self.wake(u, None);
-    }
-
-    /// Commit one conflicting candidate's row after live revalidation —
-    /// the full per-move path: loads, CSR row, engine repair, wakes, and
-    /// the mover parked at its live best response (`after` is the live
-    /// best-response value the caller just computed), exactly as the
-    /// sequential round parks its movers. Re-scheduling it instead would
-    /// burn a guaranteed no-op re-check next round.
-    pub(crate) fn par_commit_one<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        u: u32,
-        new_row: &[SparseEntry],
-        after: f64,
-    ) {
-        self.apply_row_inner(game, UserId(u as usize), new_row, None);
-        self.counters.moves += 1;
-        self.counters.committed += 1;
-        self.park_user(game, u, new_row, improvement_eps(after, after));
-    }
-
-    /// Recompute a conflicting candidate's best response against the
-    /// **live** loads (tier 2 of the parallel round): returns
-    /// `(current_utility, best_value)` and fills `out` with the argmax
-    /// row. Runs on the driver thread — the engine is `&mut` here, so
-    /// the heap route's lazy repairs work exactly as in the sequential
-    /// dynamics, and the result is a pure function of the live state
-    /// (hence of the committed prefix, hence thread-count-invariant).
-    pub(crate) fn par_live_best_response<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        u: u32,
-        out: &mut Vec<SparseEntry>,
-    ) -> (f64, f64) {
-        let user = UserId(u as usize);
-        let before = utility_sparse(game, &self.s, &self.loads, user);
-        let (br, after) = self
-            .engine
-            .best_response(game, self.s.row(user), &self.loads, user);
-        out.clear();
-        out.extend_from_slice(&br);
-        (before, after)
-    }
-
-    /// Commit a batch of **channel-disjoint** moves in one pass: the load
-    /// deltas of all rows are folded and applied as a single sorted,
-    /// cache-blocked sweep ([`ChannelLoads::apply_sparse_deltas`]), then
-    /// the CSR row swaps and engine repairs, then the occupant wakes of
-    /// every commit's channels, the clock advances and — in the given
-    /// (ascending-id) order — every mover's park under its Phase-A
-    /// certificate (`cert` and its intervals, the last two tuple
-    /// elements, as in [`Self::par_park_precomputed`]). Because the
-    /// touched channel sets are pairwise disjoint —
-    /// debug-asserted under `paranoid-checks` — the committed rows are
-    /// still *exact* best responses at commit time and each mover's
-    /// precomputed certificate (snapshot loads, own move excluded) is
-    /// bit-identical to what [`park_user`](Self::park_user) would compute
-    /// live.
-    ///
-    /// The drains-then-parks-then-pop order is the soundness key for
-    /// parking movers instead of re-scheduling them: a mover is never
-    /// woken by its *own* commit's occupant wakes (it is not parked yet
-    /// while drains run, exactly like the sequential per-move path), but
-    /// its filed certificate *is* checked against every commit's
-    /// temptation horizon — so a mover another commit's vacated channel
-    /// now tempts is woken precisely as the sequential dynamics would
-    /// wake it. On the generic route each mover anchors at the pre-batch
-    /// clock plus its **own** commit's advance: its own column changes
-    /// cannot tempt it (best responses optimize over others' loads), but
-    /// the other commits' advances must count against its slack.
-    pub(crate) fn par_commit_batch<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        commits: &[ParCommit<'_>],
-    ) {
-        if commits.is_empty() {
-            return;
-        }
-        self.quiet = false;
-        // Capture per-commit old rows, touched sets and pre-batch loads
-        // (the wake rules need the load each channel had before the
-        // batch), and fold every row swap into one delta list.
-        let mut touched_sets: Vec<Vec<ChannelId>> = Vec::with_capacity(commits.len());
-        let mut old_load_sets: Vec<Vec<u32>> = Vec::with_capacity(commits.len());
-        let mut deltas: Vec<(u32, i64)> = Vec::new();
-        for &(u, new_row, _, _) in commits {
-            let old = self.s.row(UserId(u as usize));
-            let mut touched = Vec::new();
-            touched_channels_into(old, new_row, &mut touched);
-            let olds: Vec<u32> = touched.iter().map(|&c| self.loads.load(c)).collect();
-            for &(c, k) in old {
-                deltas.push((c, -i64::from(k)));
-            }
-            for &(c, k) in new_row {
-                deltas.push((c, i64::from(k)));
-            }
-            touched_sets.push(touched);
-            old_load_sets.push(olds);
-        }
-        #[cfg(feature = "paranoid-checks")]
-        {
-            // The disjointness contract the batch's exactness rests on:
-            // no two commits may touch the same channel.
-            let mut all: Vec<ChannelId> = touched_sets.iter().flatten().copied().collect();
-            all.sort_unstable();
-            debug_assert!(
-                all.windows(2).all(|w| w[0] != w[1]),
-                "Phase-B batch commits must touch pairwise-disjoint channels"
-            );
-        }
-        deltas.sort_unstable_by_key(|d| d.0);
-        self.loads.apply_sparse_deltas(&deltas);
-        // Row swaps + engine repairs: every touched channel already
-        // carries its final load, so repair order is irrelevant.
-        for (i, &(u, new_row, _, _)) in commits.iter().enumerate() {
-            self.s.set_row(UserId(u as usize), new_row);
-            self.engine.repair(game, &self.loads, &touched_sets[i]);
-            self.counters.moves += 1;
-            self.counters.committed += 1;
-            self.refresh_phi(game, &touched_sets[i]);
-        }
-        // Occupant wakes over every commit's channels at once (all loads
-        // are final), then the clock advances in id order, recording
-        // each commit's own advance (generic route).
-        self.wake_crossed(&touched_sets.concat(), None);
-        let clock_start = self.clock;
-        let mut own_clock_d: Vec<f64> = Vec::with_capacity(commits.len());
-        for i in 0..commits.len() {
-            let before = self.clock;
-            self.advance_clocks(game, &touched_sets[i], &old_load_sets[i]);
-            own_clock_d.push(self.clock - before);
-        }
-        // File every mover's park (its row is already the new one, so
-        // the index entries land on its post-move channels). Tempted
-        // non-movers are *not* scheduled here — the next round's batch
-        // drain ([`par_take_batch`](Self::par_take_batch)) delivers
-        // whoever the settled post-batch horizon still tempts, checking
-        // every filed certificate exactly as the eager pop did.
-        for (i, &(u, _, cert, spans)) in commits.iter().enumerate() {
-            let threshold = if self.concave {
-                cert
-            } else {
-                clock_start + own_clock_d[i] + cert
-            };
-            self.file_parked(u, threshold, spans);
-        }
-    }
-
-    /// Mutable counter access for the parallel driver (round accounting
-    /// and deferral counts live there).
-    pub(crate) fn counters_mut(&mut self) -> &mut DynCounters {
-        &mut self.counters
-    }
-
-    /// Mark the engine quiet after a commit-free parallel round: every
-    /// batch member (scheduled or drained off the temptation index) was
-    /// checked against a state the round did not change, so the next
-    /// batch drain has nothing to deliver until a mutation clears the
-    /// flag — the parallel mirror of the sequential round's moveless
-    /// exit.
-    pub(crate) fn par_mark_quiet(&mut self) {
-        self.quiet = true;
     }
 }
 
@@ -2841,11 +2509,10 @@ pub fn best_response_dynamics_sparse<G: ChannelGame + ?Sized>(
 /// The concave-route park threshold: the weakest marginal `m*` of the
 /// best response `br` (each entry's gain over its next-lower tuning,
 /// computed against `loads` with the user's own radios on `row`
-/// excluded) plus the per-radio slack margin `slack / k`. A pure
-/// function of snapshot data — [`ActiveSetDynamics`] computes it at park
-/// time, and the parallel driver's Phase A workers precompute it for
-/// pass-1 parks, whose loads the commit phase has not yet touched.
-pub(crate) fn concave_park_threshold<G: ChannelGame + ?Sized>(
+/// excluded) plus the per-radio slack margin `slack / k` — the
+/// exact-load certificate [`ActiveSetDynamics`] files at park time when
+/// the exchange bound does not hold.
+fn concave_park_threshold<G: ChannelGame + ?Sized>(
     game: &G,
     user: UserId,
     row: &[SparseEntry],
@@ -3262,6 +2929,26 @@ mod tests {
                 assert_eq!(e.state(), &swept);
             }
         }
+    }
+
+    /// A game with fewer users than the engine is a caller error: the
+    /// typed error comes back before anything changes.
+    #[test]
+    fn grow_users_rejects_a_shrunk_game() {
+        use crate::churn::ChurnGame;
+        let game = ChurnGame::uniform(6, 2, 4, 1.0);
+        let mut d = ActiveSetDynamics::new(&game, SparseStrategies::random_uniform(6, 2, 4, 5));
+        assert!(d.run(&game, 200, None).0);
+        let (state, loads, counters) = (d.state().clone(), d.loads().clone(), d.counters());
+        let err = d.grow_users(&ChurnGame::uniform(5, 2, 4, 1.0));
+        assert!(matches!(err, Err(Error::InvalidConfig { .. })), "{err:?}");
+        assert_eq!(d.state(), &state);
+        assert_eq!(d.loads(), &loads);
+        assert_eq!(d.counters(), counters);
+        assert!(UserId::all(6).all(|u| d.is_settled(u)));
+        // Still settled against its own game: the next run checks nobody.
+        assert_eq!(d.run(&game, 200, None), (true, 1));
+        assert_eq!(d.counters().checks, counters.checks);
     }
 
     /// A rate cut must not leave the heap engine answering from the

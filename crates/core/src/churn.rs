@@ -27,10 +27,9 @@
 //! repair and the wake bookkeeping — lives in
 //! [`ActiveSetDynamics::grow_users`](crate::br_fast::ActiveSetDynamics::grow_users),
 //! [`retire_user`](crate::br_fast::ActiveSetDynamics::retire_user) and
-//! [`reprice_channel`](crate::br_fast::ActiveSetDynamics::reprice_channel)
-//! (with [`ParallelDynamics`](crate::br_par::ParallelDynamics)
-//! delegates); the `ChurnDriver` in `mrca-experiments` pairs the two and
-//! measures per-event re-convergence.
+//! [`reprice_channel`](crate::br_fast::ActiveSetDynamics::reprice_channel);
+//! the `ChurnDriver` in `mrca-experiments` pairs the two and measures
+//! per-event re-convergence.
 
 use crate::br_dp::ChannelGame;
 use crate::rate_model::RateShape;

@@ -38,9 +38,8 @@ pub fn improvement_eps(before: f64, best: f64) -> f64 {
 
 /// The strict-improvement predicate every gain/park decision routes
 /// through: `best` improves on `before` iff it clears
-/// [`improvement_eps`]. Centralized so the sequential dynamics, the
-/// parallel driver and the Nash checkers cannot disagree on what counts
-/// as a move.
+/// [`improvement_eps`]. Centralized so the dynamics drivers and the
+/// Nash checkers cannot disagree on what counts as a move.
 #[inline]
 pub fn improves(before: f64, best: f64) -> bool {
     best > before + improvement_eps(before, best)

@@ -24,11 +24,11 @@
 //!   ([`sparse`]) and the `O(k log |C|)` lazy-heap / incremental-DP best
 //!   responses with sparse dynamics and Nash checks ([`br_fast`]),
 //!   pinned to the oracle DP by the `fast_path_equiv` and
-//!   `convergence_trace` differential suites;
-//! * deterministic two-phase parallel dynamics — snapshot/commit rounds
-//!   over scoped worker threads ([`par`]) whose result is independent of
-//!   the thread count, pinned to the sequential dynamics by the
-//!   `par_equiv` suite: [`br_par`];
+//!   `convergence_trace` differential suites; every dynamics driver is
+//!   sequential, one best response at a time, as in the paper;
+//! * the workspace's one threading primitive — scoped workers claiming
+//!   index chunks, which the scenario-sweep runner spreads cells over:
+//!   [`par`];
 //! * the spatial interference engine — per-neighborhood load games on
 //!   sparse conflict graphs, with the clique recovering the paper's
 //!   single collision domain bit-identically, a measured Rosenthal-style
@@ -76,7 +76,6 @@ pub mod algorithm;
 pub mod analysis;
 pub mod br_dp;
 pub mod br_fast;
-pub mod br_par;
 pub mod churn;
 pub mod config;
 pub mod display;
@@ -100,7 +99,6 @@ pub mod utility_models;
 
 pub use br_dp::ChannelGame;
 pub use br_fast::BrEngine;
-pub use br_par::ParallelDynamics;
 pub use churn::ChurnGame;
 pub use config::GameConfig;
 pub use error::Error;
@@ -108,9 +106,7 @@ pub use game::ChannelAllocationGame;
 pub use loads::ChannelLoads;
 pub use rate_model::{ConstantRate, MeasuredRate, RateModel, RateShape};
 pub use sparse::SparseStrategies;
-pub use spatial::{
-    ConflictGraph, GeoIndex, NbrIndex, SpatialDynamics, SpatialGame, SpatialParallelDynamics,
-};
+pub use spatial::{ConflictGraph, GeoIndex, NbrIndex, SpatialDynamics, SpatialGame};
 pub use strategy::{StrategyMatrix, StrategyVector};
 pub use types::{ChannelId, UserId};
 
@@ -122,9 +118,6 @@ pub mod prelude {
     pub use crate::br_fast::{
         best_response_dynamics_sparse, best_response_dynamics_sparse_counted, is_nash_sparse,
         nash_check_sparse, ActiveSetDynamics, BrEngine, DynCounters,
-    };
-    pub use crate::br_par::{
-        best_response_dynamics_parallel, best_response_dynamics_parallel_counted, ParallelDynamics,
     };
     pub use crate::config::GameConfig;
     pub use crate::display::render_allocation;
@@ -144,7 +137,7 @@ pub mod prelude {
     pub use crate::sparse::SparseStrategies;
     pub use crate::spatial::{
         is_nash_spatial, nash_check_spatial, spatial_dynamics, ConflictGraph, GeoIndex, NbrIndex,
-        SpatialDynamics, SpatialGame, SpatialParallelDynamics,
+        SpatialDynamics, SpatialGame,
     };
     pub use crate::strategy::{StrategyMatrix, StrategyVector};
     pub use crate::types::{ChannelId, UserId};

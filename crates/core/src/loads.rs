@@ -203,44 +203,6 @@ impl ChannelLoads {
         }
     }
 
-    /// Apply a whole batch of per-channel radio-count deltas in one
-    /// ascending-channel pass — the commit-side bulk update of the
-    /// two-phase parallel dynamics ([`crate::br_par`]).
-    ///
-    /// `deltas` must be sorted by channel (runs of the same channel are
-    /// folded before touching memory), so the load vector is walked once,
-    /// front to back, in cache order — one blocked sweep instead of the
-    /// scattered `O(k)` pokes that per-move
-    /// [`replace_sparse_row`](Self::replace_sparse_row) calls would make
-    /// when a round commits many moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a channel is out of range or a folded delta would drive
-    /// its load negative (a commit claimed radios that were never there),
-    /// and debug-asserts the sort precondition.
-    pub fn apply_sparse_deltas(&mut self, deltas: &[(u32, i64)]) {
-        debug_assert!(
-            deltas.windows(2).all(|w| w[0].0 <= w[1].0),
-            "apply_sparse_deltas: deltas must be sorted by channel"
-        );
-        let mut i = 0;
-        while i < deltas.len() {
-            let c = deltas[i].0 as usize;
-            let mut d = 0i64;
-            while i < deltas.len() && deltas[i].0 as usize == c {
-                d += deltas[i].1;
-                i += 1;
-            }
-            let l = i64::from(self.loads[c]) + d;
-            assert!(
-                (0..=i64::from(u32::MAX)).contains(&l),
-                "apply_sparse_deltas: delta {d} drives channel {c} out of range"
-            );
-            self.loads[c] = l as u32;
-        }
-    }
-
     /// `max_c k_c − min_c k_c` (Proposition 1: `≤ 1` at every NE).
     pub fn max_delta(&self) -> u32 {
         let max = self.loads.iter().max().expect("at least one channel");
@@ -333,30 +295,6 @@ mod tests {
         s.set_user_strategy(UserId(1), &new);
         loads.replace_row(&old, &new);
         assert!(loads.is_consistent_with(&s));
-    }
-
-    #[test]
-    fn apply_sparse_deltas_matches_per_row_replaces() {
-        // Two "commits" folded into one sorted delta batch must land on
-        // the same loads as applying the row swaps one at a time.
-        let mut blocked = ChannelLoads::from_vec(vec![3, 5, 2, 4]);
-        let mut serial = blocked.clone();
-        serial.replace_sparse_row(&[(0, 2), (1, 1)], &[(2, 3)]);
-        serial.replace_sparse_row(&[(3, 1)], &[(1, 1)]);
-        let mut deltas = vec![(0u32, -2i64), (1, -1), (2, 3), (3, -1), (1, 1)];
-        deltas.sort_unstable_by_key(|d| d.0);
-        blocked.apply_sparse_deltas(&deltas);
-        assert_eq!(blocked, serial);
-        // Empty batch is a no-op.
-        blocked.apply_sparse_deltas(&[]);
-        assert_eq!(blocked, serial);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn apply_sparse_deltas_rejects_negative_loads() {
-        let mut loads = ChannelLoads::from_vec(vec![1, 1]);
-        loads.apply_sparse_deltas(&[(0, -2)]);
     }
 
     #[test]

@@ -1,23 +1,21 @@
 //! The workspace's one threading idiom: scoped worker threads pulling
 //! index chunks off a shared atomic queue.
 //!
-//! Before this module the pattern lived (twice) in
-//! `mrca_experiments::suite` — `parallel_map` and `parallel_map_streamed`
-//! each spawned `available_parallelism()` scoped threads looping over an
-//! `AtomicUsize` index — and the parallel dynamics of [`crate::br_par`]
-//! needed it a third time, in `core`, which must not depend on the
-//! experiments crate. The chunk-claiming primitive ([`ChunkQueue`]) and
-//! the spawn/join wrapper ([`scoped_chunks`]) are hoisted here; the suite
-//! routes through them, so there is exactly one threading idiom in the
-//! workspace. The offline build has no rayon; `std::thread::scope` covers
-//! the embarrassingly-parallel shapes every caller needs.
+//! Its caller is the scenario-sweep runner in `mrca_experiments::suite`:
+//! `parallel_map` and `parallel_map_streamed` spread independent sweep
+//! cells over the cores through the chunk-claiming primitive
+//! ([`ChunkQueue`]) and the spawn/join wrapper ([`scoped_chunks`]). The
+//! primitive lives in `core` so that any crate of the workspace can
+//! share it without depending on the experiments crate. The offline
+//! build has no rayon; `std::thread::scope` covers the
+//! embarrassingly-parallel shapes the sweeps need. The dynamics drivers
+//! themselves are sequential: one best response at a time.
 //!
 //! Determinism note: workers claim chunks in a nondeterministic order,
-//! so *callers* must make their results order-independent — every caller
-//! in this workspace keys results by item index (the suite sorts or
-//! re-sequences by index; the parallel dynamics place results by batch
-//! position), which makes the output a pure function of the input
-//! regardless of thread count or scheduling.
+//! so *callers* must make their results order-independent — the suite
+//! keys results by item index (it sorts or re-sequences by index), which
+//! makes the output a pure function of the input regardless of thread
+//! count or scheduling.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

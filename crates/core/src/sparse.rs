@@ -402,13 +402,8 @@ pub fn touched_channels_into(old: &[SparseEntry], new: &[SparseEntry], out: &mut
 /// This structure (like the per-channel occupant index in
 /// [`crate::br_fast::ActiveSetDynamics`]) is **not** safe for concurrent
 /// mutation: `replace_row`'s swap-remove reorders a channel's list, so two
-/// writers touching the same channel would race. The deterministic
-/// parallel dynamics ([`crate::br_par`]) respect this by construction —
-/// worker threads only *read* a snapshot during phase A, and every
-/// mutation happens on the single driver thread during phase B, in
-/// canonical order. The bulk commit additionally debug-asserts (under
-/// `paranoid-checks`) that its moves touch pairwise-disjoint channel
-/// sets, so the per-move repair order provably cannot matter.
+/// writers touching the same channel would race. Every dynamics driver
+/// in this workspace is sequential, so one thread owns each index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelOccupants {
     lists: Vec<Vec<u32>>,

@@ -12,7 +12,7 @@
 //! so only graph neighbors interfere. The clique graph recovers the
 //! paper's game exactly — `spatial_equiv` pins `SpatialGame(clique)`
 //! **bit-identical** (states, move sequences, rounds) to the
-//! single-domain engine on both best-response routes and both drivers.
+//! single-domain engine on both best-response routes.
 //!
 //! # How the engine generalizes
 //!
@@ -26,15 +26,12 @@
 //! reduction a bit-level differential test rather than an approximate
 //! one.
 //!
-//! The drivers change only in their *wake rule*: a move by `u` changes
+//! The driver changes only in its *wake rule*: a move by `u` changes
 //! `ℓ_v(c)` exactly for `v ∈ N(u)` on the touched channels, so
 //! [`SpatialDynamics`] wakes graph neighbors instead of channel
-//! occupants, and [`SpatialParallelDynamics`] generalizes the parallel
-//! driver's channel-disjoint bulk commit to (channel × neighborhood)-
-//! disjoint: two candidate moves commute unless they touch a common
-//! channel *and* the movers are graph neighbors.
+//! occupants.
 //!
-//! Both drivers keep every closed-neighborhood row exact in one
+//! The driver keeps every closed-neighborhood row exact in one
 //! [`NbrIndex`]. Its rows are either dense (flat `N·|C|` cells) or CSR
 //! (sorted nonzero cells), picked once at build by size — CSR exactly
 //! when its arena is smaller — so the index is never larger than the
@@ -56,8 +53,8 @@
 //!   run with zero decreases was potential-monotone.
 //! * [`CycleDetector`] — a fingerprint (state + worklist) of every
 //!   round boundary; a revisited fingerprint under a deterministic
-//!   driver proves an infinite best-response loop, which the drivers
-//!   report explicitly instead of timing out silently. The fingerprint
+//!   driver proves an infinite best-response loop, which the driver
+//!   reports explicitly instead of timing out silently. The fingerprint
 //!   is a Zobrist-style incremental hash — a wrapping sum of per-user
 //!   row keys, an XOR of per-user keys over the scheduled set, and
 //!   `|N|` — so a round boundary costs `O(1)`, a row write `O(k)` and a
@@ -73,7 +70,6 @@ use crate::error::Error;
 use crate::game::improves;
 use crate::game::NashCheck;
 use crate::loads::ChannelLoads;
-use crate::par;
 use crate::rate_model::RateShape;
 use crate::sparse::{SparseEntry, SparseStrategies};
 use crate::strategy::StrategyVector;
@@ -1241,10 +1237,9 @@ impl Csr {
 // Best responses over a neighborhood view
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch for spatial best-response queries: the user's
-/// neighborhood row materialized as a [`ChannelLoads`] view plus the
-/// route-specific kernel buffers. One per driver (sequential) or per
-/// Phase-A worker (parallel).
+/// Scratch for spatial best-response queries: the user's neighborhood
+/// row materialized as a [`ChannelLoads`] view plus the route-specific
+/// kernel buffers. One per driver or Nash scan, reused across queries.
 #[derive(Debug, Default)]
 pub struct SpatialScratch {
     view: ChannelLoads,
@@ -1812,13 +1807,6 @@ impl SpatialDynamics {
         (before, after)
     }
 
-    /// Stage an externally computed best-response row for
-    /// [`commit`](Self::commit) (the parallel Phase-B path).
-    fn set_br_row(&mut self, br: &[SparseEntry]) {
-        self.br_row.clear();
-        self.br_row.extend_from_slice(br);
-    }
-
     /// Round-boundary fingerprint of the strategy arena plus the
     /// scheduled set (the complete mutable driver state between rounds),
     /// read in `O(1)` from the detector's maintained terms.
@@ -1854,13 +1842,11 @@ impl SpatialDynamics {
     }
 
     /// Commit `user → br` (already known improving): write the row, wake
-    /// the graph neighbors, and push the trace entry. `rank == u32::MAX`
-    /// sends every wake to the next epoch (the parallel Phase-B path).
+    /// the graph neighbors, and push the trace entry.
     fn commit<G: ChannelGame>(
         &mut self,
         game: &SpatialGame<G>,
         user: u32,
-        rank: u32,
         trace: Option<&mut Vec<(UserId, StrategyVector)>>,
     ) {
         let uid = UserId(user as usize);
@@ -1869,11 +1855,7 @@ impl SpatialDynamics {
         self.write_row(game, user, &br);
         self.potential.note_move(phi_before);
         for &v in game.graph().neighbors(user) {
-            if rank == u32::MAX {
-                self.schedule(v);
-            } else {
-                self.wake(v, rank);
-            }
+            self.wake(v, user);
         }
         self.counters.moves += 1;
         if let Some(t) = trace {
@@ -1914,7 +1896,7 @@ impl SpatialDynamics {
             checks += 1;
             let (before, after) = self.live_query(game, u);
             if improves(before, after) {
-                self.commit(game, u, u, trace.as_deref_mut());
+                self.commit(game, u, trace.as_deref_mut());
                 moves += 1;
             }
         }
@@ -1957,15 +1939,30 @@ impl SpatialDynamics {
     /// scheduled; no existing neighborhood row changes, so only the
     /// arrivals' own rows enter the potential. Amortized `O(|C|)` plus
     /// the arrivals' neighborhoods, independent of `|N|`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when the game reports fewer users than
+    /// the driver holds (departures retire users, they never shrink the
+    /// population), or when the graph's vertex count differs from the
+    /// game's user count (push the arrivals' vertices first); the driver
+    /// is left unchanged.
     pub fn grow_users<G: ChannelGame>(&mut self, game: &SpatialGame<G>) -> Result<(), Error> {
         let old_n = self.s.n_users();
         let new_n = game.n_users();
-        debug_assert!(new_n >= old_n, "population only grows in place");
-        assert_eq!(
-            game.graph().n_vertices(),
-            new_n,
-            "push arrival vertices before grow_users"
-        );
+        if new_n < old_n {
+            return Err(Error::config(format!(
+                "the game reports {new_n} users but the driver holds {old_n}: \
+                 the population only grows in place"
+            )));
+        }
+        let vertices = game.graph().n_vertices();
+        if vertices != new_n {
+            return Err(Error::config(format!(
+                "the conflict graph has {vertices} vertices for {new_n} users: \
+                 push the arrivals' vertices before grow_users"
+            )));
+        }
         for u in old_n..new_n {
             let uid = self.s.push_row(game.radios_of(UserId(u)))?;
             self.cycles.push_row(u as u32, self.s.row(uid));
@@ -2017,322 +2014,6 @@ pub fn spatial_dynamics<G: ChannelGame>(
     let (converged, rounds) = d.run(game, max_rounds, None);
     let cycle = d.cycle_detected();
     (d.into_state(), converged, rounds, cycle)
-}
-
-// ---------------------------------------------------------------------------
-// Parallel driver
-// ---------------------------------------------------------------------------
-
-/// Per-chunk Phase-A output of the parallel driver: `(before, after,
-/// row length)` per user plus the concatenated best-response rows,
-/// keyed by batch start index (the same shape as the single-domain
-/// parallel driver's chunks).
-#[derive(Debug)]
-struct SpatialChunk {
-    start: usize,
-    metas: Vec<(f64, f64, u32)>,
-    rows: Vec<SparseEntry>,
-}
-
-/// Per-worker Phase-A state.
-#[derive(Debug)]
-struct SpatialWorker {
-    scratch: SpatialScratch,
-    br_row: Vec<SparseEntry>,
-    chunks: Vec<SpatialChunk>,
-}
-
-/// Deterministic two-phase parallel dynamics over a [`SpatialGame`] —
-/// the single-domain snapshot/commit protocol of
-/// [`crate::br_par::ParallelDynamics`] with its channel-disjoint bulk
-/// commit generalized to **(channel × neighborhood)-disjoint**:
-///
-/// * **Phase A (parallel, read-only).** The drained pending epoch is
-///   the batch, sorted ascending; scoped workers compute each user's
-///   current utility and exact best response against the frozen
-///   snapshot, reading the user's *neighborhood* row through the same
-///   kernels as the sequential driver.
-/// * **Phase B (sequential, canonical order).** Candidates (improving
-///   against the snapshot) are classified in ascending id order: a
-///   candidate conflicts iff some channel it touches (old ∪ new) was
-///   already claimed this round *by a graph neighbor* — non-neighbors
-///   sharing a channel do not interact, so their moves commute and
-///   commit in the same bulk tier. Conflicting candidates are
-///   revalidated against the live loads under the single-domain
-///   driver's dry-wave cutoff (`max(2|C|, 64)` consecutive failures),
-///   committing or deferring exactly as it does; cut-off candidates are
-///   re-scheduled into the next round.
-///
-/// On a clique every claimant is a neighbor, so the conflict rule, tier
-/// splits, commit order, and `committed`/`deferred` books reduce
-/// bit-identically to the single-domain parallel driver — `spatial_equiv`
-/// pins that, and pins thread-count invariance of states *and* counters.
-#[derive(Debug)]
-pub struct SpatialParallelDynamics {
-    inner: SpatialDynamics,
-    threads: usize,
-    batch: Vec<u32>,
-    /// Per-channel tier-1 claimant lists this round, plus the clear
-    /// list. A claim blocks only candidates adjacent to the claimant.
-    claimed: Vec<Vec<u32>>,
-    claimed_channels: Vec<u32>,
-}
-
-impl SpatialParallelDynamics {
-    /// Build the driver over `s` (on [`NbrIndex::sparse_of`]) with
-    /// `threads` Phase-A workers (`0` = [`par::available_threads`]);
-    /// every user starts scheduled.
-    pub fn new<G: ChannelGame>(game: &SpatialGame<G>, s: SparseStrategies, threads: usize) -> Self {
-        let inner = SpatialDynamics::new(game, s);
-        Self::over(inner, threads)
-    }
-
-    /// The parallel twin of [`SpatialDynamics::with_index`].
-    #[doc(hidden)]
-    pub fn with_index<G: ChannelGame>(
-        game: &SpatialGame<G>,
-        s: SparseStrategies,
-        nbr: NbrIndex,
-        threads: usize,
-    ) -> Self {
-        Self::over(SpatialDynamics::with_index(game, s, nbr), threads)
-    }
-
-    fn over(inner: SpatialDynamics, threads: usize) -> Self {
-        let n_channels = inner.s.n_channels();
-        SpatialParallelDynamics {
-            inner,
-            threads: if threads == 0 {
-                par::available_threads()
-            } else {
-                threads
-            },
-            batch: Vec::new(),
-            claimed: vec![Vec::new(); n_channels],
-            claimed_channels: Vec::new(),
-        }
-    }
-
-    /// The current strategy state.
-    pub fn state(&self) -> &SparseStrategies {
-        self.inner.state()
-    }
-
-    /// Consume the driver, returning the strategy state.
-    pub fn into_state(self) -> SparseStrategies {
-        self.inner.into_state()
-    }
-
-    /// The maintained per-neighborhood load index.
-    pub fn neighborhood_loads(&self) -> &NbrIndex {
-        self.inner.neighborhood_loads()
-    }
-
-    /// Work counters accumulated so far.
-    pub fn counters(&self) -> DynCounters {
-        self.inner.counters()
-    }
-
-    /// The maintained potential instrument.
-    pub fn potential(&self) -> &PotentialTracker {
-        self.inner.potential()
-    }
-
-    /// Whether the last [`run`](Self::run) aborted on a detected cycle.
-    pub fn cycle_detected(&self) -> bool {
-        self.inner.cycle_detected()
-    }
-
-    /// The Phase-A worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Delegate of [`SpatialDynamics::grow_users`].
-    pub fn grow_users<G: ChannelGame>(&mut self, game: &SpatialGame<G>) -> Result<(), Error> {
-        self.inner.grow_users(game)
-    }
-
-    /// Delegate of [`SpatialDynamics::retire_user`].
-    pub fn retire_user<G: ChannelGame>(&mut self, game: &SpatialGame<G>, user: UserId) {
-        self.inner.retire_user(game, user);
-    }
-
-    /// Delegate of [`SpatialDynamics::reprice_channel`].
-    pub fn reprice_channel<G: ChannelGame>(&mut self, game: &SpatialGame<G>, c: ChannelId) {
-        self.inner.reprice_channel(game, c);
-    }
-
-    /// One two-phase round; returns whether any move committed.
-    pub fn round<G: ChannelGame + Sync>(&mut self, game: &SpatialGame<G>) -> bool {
-        let n = self.inner.s.n_users();
-        debug_assert_eq!(game.n_users(), n, "grow before running");
-        // Drain the pending epoch into the sorted batch.
-        self.batch.clear();
-        let mut pending = std::mem::take(&mut self.inner.pending);
-        for &u in &pending {
-            if self.inner.in_pending[u as usize] {
-                self.inner.set_pending(u, false);
-                self.batch.push(u);
-            }
-        }
-        pending.clear();
-        self.inner.pending = pending;
-        self.batch.sort_unstable();
-        self.inner.counters.checks += self.batch.len() as u64;
-        self.inner.counters.skipped_checks += (n - self.batch.len()) as u64;
-        if self.batch.is_empty() {
-            return false;
-        }
-
-        // ---- Phase A: parallel best responses against the snapshot.
-        let heap_route = self.inner.heap_route;
-        let mut chunks: Vec<SpatialChunk> = {
-            let s = &self.inner.s;
-            let nbr = &self.inner.nbr;
-            let batch = &self.batch;
-            let chunk = batch.len().div_ceil(self.threads.max(1) * 8).clamp(1, 8192);
-            let workers = par::scoped_chunks(
-                batch.len(),
-                self.threads,
-                chunk,
-                |_| SpatialWorker {
-                    scratch: SpatialScratch::default(),
-                    br_row: Vec::new(),
-                    chunks: Vec::new(),
-                },
-                |w, range| {
-                    let mut out = SpatialChunk {
-                        start: range.start,
-                        metas: Vec::with_capacity(range.len()),
-                        rows: Vec::new(),
-                    };
-                    for &u in &batch[range] {
-                        let user = UserId(u as usize);
-                        let before = spatial_utility(game, s, nbr, user);
-                        let after = spatial_best_response_into(
-                            game,
-                            s.row(user),
-                            nbr,
-                            u as usize,
-                            game.radios_of(user),
-                            heap_route,
-                            &mut w.scratch,
-                            &mut w.br_row,
-                        );
-                        out.rows.extend_from_slice(&w.br_row);
-                        out.metas.push((before, after, w.br_row.len() as u32));
-                    }
-                    w.chunks.push(out);
-                },
-            );
-            workers.into_iter().flat_map(|w| w.chunks).collect()
-        };
-        // Chunk production order is scheduling-dependent; batch order is
-        // not. Re-sequence before Phase B reads anything.
-        chunks.sort_unstable_by_key(|c| c.start);
-
-        // ---- Phase B: sequential classify/commit in ascending id order.
-        let mut candidates: Vec<(u32, &[SparseEntry])> = Vec::new();
-        for ch in &chunks {
-            let mut off = 0usize;
-            for (j, &(before, after, len)) in ch.metas.iter().enumerate() {
-                let u = self.batch[ch.start + j];
-                let row = &ch.rows[off..off + len as usize];
-                off += len as usize;
-                if improves(before, after) {
-                    candidates.push((u, row));
-                }
-                // Non-candidates simply stay unscheduled: their
-                // neighborhood rows are unchanged since this check.
-            }
-        }
-        let mut tier1: Vec<(u32, &[SparseEntry])> = Vec::new();
-        let mut tier2: Vec<(u32, &[SparseEntry])> = Vec::new();
-        {
-            let s = &self.inner.s;
-            let graph = game.graph();
-            for &(u, br) in &candidates {
-                let old = s.row(UserId(u as usize));
-                let conflict = old.iter().chain(br.iter()).any(|&(c, _)| {
-                    self.claimed[c as usize]
-                        .iter()
-                        .any(|&v| graph.contains_edge(u, v))
-                });
-                if conflict {
-                    tier2.push((u, br));
-                } else {
-                    for &(c, _) in old.iter().chain(br.iter()) {
-                        if self.claimed[c as usize].is_empty() {
-                            self.claimed_channels.push(c);
-                        }
-                        self.claimed[c as usize].push(u);
-                    }
-                    tier1.push((u, br));
-                }
-            }
-        }
-        let mut committed = 0u64;
-        // Tier 1: (channel × neighborhood)-disjoint moves commute — each
-        // commit leaves every cell a later tier-1 mover reads at its
-        // snapshot value, so committing them in id order is the bulk
-        // commit.
-        for &(u, br) in &tier1 {
-            self.inner.set_br_row(br);
-            self.inner.commit(game, u, u32::MAX, None);
-            committed += 1;
-        }
-        // Tier 2: live revalidation in id order under the dry-wave
-        // cutoff, exactly the single-domain driver's rule.
-        let cutoff = (2 * game.n_channels()).max(64);
-        let mut consec_fail = 0usize;
-        let mut idx = 0usize;
-        while idx < tier2.len() && consec_fail < cutoff {
-            let (u, _) = tier2[idx];
-            idx += 1;
-            let (before, after) = self.inner.live_query(game, u);
-            if improves(before, after) {
-                self.inner.commit(game, u, u32::MAX, None);
-                committed += 1;
-                consec_fail = 0;
-            } else {
-                // Deferred: the live query proves the user cannot
-                // improve now; a later neighbor commit re-wakes it.
-                self.inner.counters.deferred += 1;
-                consec_fail += 1;
-            }
-        }
-        for &(u, _) in &tier2[idx..] {
-            self.inner.schedule(u);
-            self.inner.counters.deferred += 1;
-        }
-        for c in self.claimed_channels.drain(..) {
-            self.claimed[c as usize].clear();
-        }
-        self.inner.counters.committed += committed;
-        committed > 0
-    }
-
-    /// Run rounds until a commit-free round, a detected cycle, or
-    /// `max_rounds` — the same contract as [`SpatialDynamics::run`].
-    pub fn run<G: ChannelGame + Sync>(
-        &mut self,
-        game: &SpatialGame<G>,
-        max_rounds: usize,
-    ) -> (bool, usize) {
-        self.inner.cycles.clear();
-        self.inner.cycle_detected = false;
-        for round in 1..=max_rounds {
-            if self.inner.cycles.observe(self.inner.fingerprint()) {
-                self.inner.cycle_detected = true;
-                return (false, round);
-            }
-            if !self.round(game) {
-                return (true, round);
-            }
-        }
-        (false, max_rounds)
-    }
 }
 
 #[cfg(test)]
@@ -2662,27 +2343,6 @@ mod tests {
         assert!(is_nash_spatial(&game, &s));
     }
 
-    #[test]
-    fn parallel_matches_sequential_state() {
-        let (graph, _) = ConflictGraph::random_geometric(24, 6.0, 2.0, 5);
-        let game = SpatialGame::new(ChurnGame::uniform(24, 2, 3, 1.0), graph);
-        let start = SparseStrategies::random_uniform(24, 2, 3, 9);
-
-        let mut seq = SpatialDynamics::new(&game, start.clone());
-        let (sc, _) = seq.run(&game, 200, None);
-        assert!(sc);
-
-        for threads in [1, 2, 4] {
-            let mut par = SpatialParallelDynamics::new(&game, start.clone(), threads);
-            let (pc, _) = par.run(&game, 200);
-            assert!(pc, "threads {threads}");
-            assert!(is_nash_spatial(&game, par.state()), "threads {threads}");
-            assert!(par
-                .neighborhood_loads()
-                .agrees_with(game.graph(), par.state()));
-        }
-    }
-
     /// Rows of [`path_driver`]'s users 0–3.
     const PATH_ROWS: [&[SparseEntry]; 4] = [&[(0, 2)], &[(0, 1), (1, 1)], &[(2, 2)], &[(1, 2)]];
 
@@ -2703,17 +2363,15 @@ mod tests {
     fn fingerprint_is_path_independent() {
         let (game, mut d) = path_driver();
         let (a, b) = (PATH_ROWS[1], PATH_ROWS[2]);
-        // Every user starts scheduled, so the commits below schedule
-        // nobody new: only user 1's row differs between the boundaries.
+        // Every user starts scheduled and a row write schedules nobody:
+        // only user 1's row differs between the boundaries.
         let fp_a = d.fingerprint();
         assert!(!d.cycles.observe(fp_a));
-        d.set_br_row(b);
-        d.commit(&game, 1, u32::MAX, None);
+        d.write_row(&game, 1, b);
         let fp_b = d.fingerprint();
         assert_ne!(fp_b, fp_a);
         assert!(!d.cycles.observe(fp_b));
-        d.set_br_row(a);
-        d.commit(&game, 1, u32::MAX, None);
+        d.write_row(&game, 1, a);
         assert_eq!(d.fingerprint(), fp_a, "A → B → A must restore the value");
         assert!(
             d.cycles.observe(fp_a),
@@ -2735,13 +2393,11 @@ mod tests {
 
         // Keys are positional: users 0 and 3 trading rows is a new state.
         for (u, row) in [(0, PATH_ROWS[3]), (3, PATH_ROWS[0])] {
-            d.set_br_row(row);
-            d.commit(&game, u, u32::MAX, None);
+            d.write_row(&game, u, row);
         }
         assert_ne!(d.fingerprint(), fp, "swapped rows");
         for (u, row) in [(0, PATH_ROWS[0]), (3, PATH_ROWS[3])] {
-            d.set_br_row(row);
-            d.commit(&game, u, u32::MAX, None);
+            d.write_row(&game, u, row);
         }
         assert_eq!(d.fingerprint(), fp);
 
@@ -2752,6 +2408,53 @@ mod tests {
         d.grow_users(&game).unwrap();
         d.set_pending(4, false);
         assert_ne!(d.fingerprint(), fp, "one extra empty row");
+    }
+
+    /// The driver's books, for the unchanged-after-error checks below.
+    type Books = (SparseStrategies, DynCounters, u64, u64, Vec<Vec<u32>>);
+
+    fn books(d: &SpatialDynamics) -> Books {
+        (
+            d.state().clone(),
+            d.counters(),
+            d.potential().phi().to_bits(),
+            d.fingerprint(),
+            (0..d.state().n_users())
+                .map(|u| d.neighborhood_loads().dense_row(u))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn grow_users_rejects_a_shrunk_game() {
+        let (game, mut d) = path_driver();
+        let before = books(&d);
+        let shrunk = SpatialGame::new(
+            ChurnGame::uniform(3, 2, 3, 1.0),
+            ConflictGraph::from_edges(3, &[(0, 1), (1, 2)]),
+        );
+        let err = d.grow_users(&shrunk);
+        assert!(matches!(err, Err(Error::InvalidConfig { .. })), "{err:?}");
+        assert_eq!(books(&d), before);
+        assert!(
+            d.run(&game, 50, None).0,
+            "the driver still runs its own game"
+        );
+    }
+
+    #[test]
+    fn grow_users_rejects_arrivals_without_vertices() {
+        let (mut game, mut d) = path_driver();
+        let before = books(&d);
+        game.inner_mut().push_user(2);
+        let err = d.grow_users(&game);
+        assert!(matches!(err, Err(Error::InvalidConfig { .. })), "{err:?}");
+        assert_eq!(books(&d), before);
+        // Pushing the arrival's vertex makes the same call succeed.
+        game.graph_mut().push_vertex(&[3]);
+        d.grow_users(&game).unwrap();
+        assert_eq!(d.state().n_users(), 5);
+        assert!(d.run(&game, 50, None).0);
     }
 
     /// The paranoid oracle recomputes the fingerprint at every round

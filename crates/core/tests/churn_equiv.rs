@@ -17,14 +17,13 @@
 //! * the maintained load cache and occupant index agree with ones
 //!   recomputed from the final strategies.
 //!
-//! Every sequence runs through the sequential engine on both routes
-//! (heap and forced-DP) and the parallel engine, so the event paths of
-//! all three drivers are covered.
+//! Every sequence runs through the engine on both routes (heap and
+//! forced-DP), so the event paths of both are covered.
 
 use mrca_core::br_fast::{is_nash_sparse, ActiveSetDynamics};
 use mrca_core::churn::ChurnGame;
 use mrca_core::sparse::{ChannelOccupants, SparseStrategies};
-use mrca_core::{ChannelGame, ChannelId, ChannelLoads, ParallelDynamics, UserId};
+use mrca_core::{ChannelGame, ChannelId, ChannelLoads, UserId};
 use proptest::prelude::*;
 
 const MAX_ROUNDS: usize = 500;
@@ -53,74 +52,22 @@ fn event_strategy() -> impl Strategy<Value = Event> {
     })
 }
 
-/// The two drivers under one face, so the same replay covers both.
-enum Engine {
-    Seq(ActiveSetDynamics),
-    Par(ParallelDynamics),
-}
-
-impl Engine {
-    fn state(&self) -> &SparseStrategies {
-        match self {
-            Engine::Seq(d) => d.state(),
-            Engine::Par(d) => d.state(),
-        }
-    }
-
-    fn loads(&self) -> &ChannelLoads {
-        match self {
-            Engine::Seq(d) => d.loads(),
-            Engine::Par(d) => d.loads(),
-        }
-    }
-
-    fn run(&mut self, game: &ChurnGame) -> bool {
-        match self {
-            Engine::Seq(d) => d.run(game, MAX_ROUNDS, None).0,
-            Engine::Par(d) => d.run(game, MAX_ROUNDS).0,
-        }
-    }
-
-    fn grow_users(&mut self, game: &ChurnGame) {
-        match self {
-            Engine::Seq(d) => d.grow_users(game).unwrap(),
-            Engine::Par(d) => d.grow_users(game).unwrap(),
-        }
-    }
-
-    fn retire_user(&mut self, game: &ChurnGame, user: UserId) {
-        match self {
-            Engine::Seq(d) => d.retire_user(game, user),
-            Engine::Par(d) => d.retire_user(game, user),
-        }
-    }
-
-    fn reprice_channel(&mut self, game: &ChurnGame, c: ChannelId, load: u32, old_rate: f64) {
-        let f = move |t: u32| ChurnGame::payoff_at_rate(load, t, old_rate);
-        match self {
-            Engine::Seq(d) => d.reprice_channel(game, c, &f),
-            Engine::Par(d) => d.reprice_channel(game, c, &f),
-        }
-    }
-}
-
-/// Replay `events` against a settled equilibrium through `engine`,
-/// asserting the invariants in the module docs.
+/// Replay `events` against a settled equilibrium, asserting the
+/// invariants in the module docs.
 fn check_churn_replay(
     mut game: ChurnGame,
     start: SparseStrategies,
     events: &[Event],
-    make: impl Fn(&ChurnGame, SparseStrategies) -> Engine,
 ) -> Result<(), TestCaseError> {
-    let mut d = make(&game, start);
-    prop_assert!(d.run(&game), "initial convergence");
+    let mut d = ActiveSetDynamics::new(&game, start);
+    prop_assert!(d.run(&game, MAX_ROUNDS, None).0, "initial convergence");
     prop_assert!(is_nash_sparse(&game, d.state()));
 
     for (i, ev) in events.iter().enumerate() {
         match ev {
             Event::Arrive { budget } => {
                 game.push_user(*budget);
-                d.grow_users(&game);
+                d.grow_users(&game).unwrap();
             }
             Event::Depart { pick } => {
                 let live: Vec<usize> = (0..game.n_users())
@@ -147,16 +94,20 @@ fn check_churn_replay(
                 game.retire(u);
                 d.retire_user(&game, u);
                 game.push_user(*budget);
-                d.grow_users(&game);
+                d.grow_users(&game).unwrap();
             }
             Event::RateShift { pick, factor } => {
                 let c = ChannelId(pick % game.n_channels());
                 let load = d.loads().load(c);
                 let old = game.set_rate(c, game.rate(c) * factor);
-                d.reprice_channel(&game, c, load, old);
+                let f = move |t: u32| ChurnGame::payoff_at_rate(load, t, old);
+                d.reprice_channel(&game, c, &f);
             }
         }
-        prop_assert!(d.run(&game), "re-convergence after event {i} ({ev:?})");
+        prop_assert!(
+            d.run(&game, MAX_ROUNDS, None).0,
+            "re-convergence after event {i} ({ev:?})"
+        );
         prop_assert!(
             is_nash_sparse(&game, d.state()),
             "event {i} ({ev:?}): settled state is not Nash — a wake was missed"
@@ -207,18 +158,10 @@ proptest! {
         let game = ChurnGame::uniform(n, k, c, 1.0);
         let start = SparseStrategies::random_uniform(n, k, c, seed);
 
-        // Sequential engine, heap route.
-        check_churn_replay(game.clone(), start.clone(), &events, |g, s| {
-            Engine::Seq(ActiveSetDynamics::new(g, s))
-        })?;
-        // Sequential engine, forced generic (DP) route.
-        check_churn_replay(game.clone().force_generic_route(), start.clone(), &events, |g, s| {
-            Engine::Seq(ActiveSetDynamics::new(g, s))
-        })?;
-        // Parallel engine (heap route), 2 workers.
-        check_churn_replay(game, start, &events, |g, s| {
-            Engine::Par(ParallelDynamics::new(g, s, 2))
-        })?;
+        // Heap route.
+        check_churn_replay(game.clone(), start.clone(), &events)?;
+        // Forced generic (DP) route.
+        check_churn_replay(game.force_generic_route(), start, &events)?;
     }
 }
 
@@ -226,60 +169,18 @@ proptest! {
 // Spatial variant: churn on a conflict graph
 // ---------------------------------------------------------------------------
 
-use mrca_core::spatial::{
-    is_nash_spatial, ConflictGraph, SpatialDynamics, SpatialGame, SpatialParallelDynamics,
-};
+use mrca_core::spatial::{is_nash_spatial, ConflictGraph, SpatialDynamics, SpatialGame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The two spatial drivers under one face, mirroring [`Engine`].
-enum SpatialEngine {
-    Seq(SpatialDynamics),
-    Par(SpatialParallelDynamics),
+/// Run `d` to a fixed point or a detected cycle: `(converged, cycle)`.
+fn settle(d: &mut SpatialDynamics, game: &SpatialGame<ChurnGame>) -> (bool, bool) {
+    (d.run(game, MAX_ROUNDS, None).0, d.cycle_detected())
 }
 
-impl SpatialEngine {
-    fn state(&self) -> &SparseStrategies {
-        match self {
-            SpatialEngine::Seq(d) => d.state(),
-            SpatialEngine::Par(d) => d.state(),
-        }
-    }
-
-    fn run(&mut self, game: &SpatialGame<ChurnGame>) -> (bool, bool) {
-        match self {
-            SpatialEngine::Seq(d) => (d.run(game, MAX_ROUNDS, None).0, d.cycle_detected()),
-            SpatialEngine::Par(d) => (d.run(game, MAX_ROUNDS).0, d.cycle_detected()),
-        }
-    }
-
-    fn grow_users(&mut self, game: &SpatialGame<ChurnGame>) {
-        match self {
-            SpatialEngine::Seq(d) => d.grow_users(game).unwrap(),
-            SpatialEngine::Par(d) => d.grow_users(game).unwrap(),
-        }
-    }
-
-    fn retire_user(&mut self, game: &SpatialGame<ChurnGame>, user: UserId) {
-        match self {
-            SpatialEngine::Seq(d) => d.retire_user(game, user),
-            SpatialEngine::Par(d) => d.retire_user(game, user),
-        }
-    }
-
-    fn reprice_channel(&mut self, game: &SpatialGame<ChurnGame>, c: ChannelId) {
-        match self {
-            SpatialEngine::Seq(d) => d.reprice_channel(game, c),
-            SpatialEngine::Par(d) => d.reprice_channel(game, c),
-        }
-    }
-
-    fn index_agrees(&self, game: &SpatialGame<ChurnGame>) -> bool {
-        match self {
-            SpatialEngine::Seq(d) => d.neighborhood_loads().agrees_with(game.graph(), d.state()),
-            SpatialEngine::Par(d) => d.neighborhood_loads().agrees_with(game.graph(), d.state()),
-        }
-    }
+/// Whether `d`'s neighborhood index equals a rebuild from its state.
+fn index_agrees(d: &SpatialDynamics, game: &SpatialGame<ChurnGame>) -> bool {
+    d.neighborhood_loads().agrees_with(game.graph(), d.state())
 }
 
 /// An arrival joins the conflict graph with a seeded random subset of
@@ -291,7 +192,7 @@ fn arrival_neighbors(n_existing: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-/// Replay `events` on a spatial game through `engine`: after every
+/// Replay `events` on a spatial game: after every
 /// event the re-settled state is certified spatial-Nash, the
 /// neighborhood index never drifts from recomputation, and a fresh
 /// engine on the final population certifies the fixed point in one
@@ -301,10 +202,9 @@ fn check_spatial_churn_replay(
     start: SparseStrategies,
     events: &[Event],
     seed: u64,
-    make: impl Fn(&SpatialGame<ChurnGame>, SparseStrategies) -> SpatialEngine,
 ) -> Result<(), TestCaseError> {
-    let mut d = make(&game, start);
-    let (converged, cycle) = d.run(&game);
+    let mut d = SpatialDynamics::new(&game, start);
+    let (converged, cycle) = settle(&mut d, &game);
     prop_assert!(converged || cycle, "initial: silent timeout");
     if !converged {
         return Ok(()); // an initial cycle ends the scenario explicitly
@@ -318,7 +218,7 @@ fn check_spatial_churn_replay(
                 game.inner_mut().push_user(*budget);
                 let nbrs = arrival_neighbors(n, seed ^ (i as u64).wrapping_mul(0x9E37));
                 game.graph_mut().push_vertex(&nbrs);
-                d.grow_users(&game);
+                d.grow_users(&game).unwrap();
             }
             Event::Depart { pick } => {
                 let live: Vec<usize> = (0..game.n_users())
@@ -345,7 +245,7 @@ fn check_spatial_churn_replay(
                 game.inner_mut().push_user(*budget);
                 let nbrs = arrival_neighbors(n, seed ^ (i as u64).wrapping_mul(0x9E37));
                 game.graph_mut().push_vertex(&nbrs);
-                d.grow_users(&game);
+                d.grow_users(&game).unwrap();
             }
             Event::RateShift { pick, factor } => {
                 let c = ChannelId(pick % game.n_channels());
@@ -354,7 +254,7 @@ fn check_spatial_churn_replay(
                 d.reprice_channel(&game, c);
             }
         }
-        let (converged, cycle) = d.run(&game);
+        let (converged, cycle) = settle(&mut d, &game);
         prop_assert!(converged || cycle, "event {i} ({ev:?}): silent timeout");
         if !converged {
             return Ok(());
@@ -364,7 +264,7 @@ fn check_spatial_churn_replay(
             "event {i} ({ev:?}): settled state is not spatial-Nash — a wake was missed"
         );
         prop_assert!(
-            d.index_agrees(&game),
+            index_agrees(&d, &game),
             "event {i} ({ev:?}): neighborhood index drifted"
         );
     }
@@ -396,22 +296,14 @@ proptest! {
         let game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
         let start = SparseStrategies::random_uniform(n, k, c, seed);
 
-        // Sequential engine, heap route.
-        check_spatial_churn_replay(game.clone(), start.clone(), &events, seed, |g, s| {
-            SpatialEngine::Seq(SpatialDynamics::new(g, s))
-        })?;
-        // Sequential engine, forced generic (DP) route.
+        // Heap route.
+        check_spatial_churn_replay(game.clone(), start.clone(), &events, seed)?;
+        // Forced generic (DP) route.
         let dp = SpatialGame::new(
             game.inner().clone().force_generic_route(),
             game.graph().clone(),
         );
-        check_spatial_churn_replay(dp, start.clone(), &events, seed, |g, s| {
-            SpatialEngine::Seq(SpatialDynamics::new(g, s))
-        })?;
-        // Parallel engine (heap route), 2 workers.
-        check_spatial_churn_replay(game, start, &events, seed, |g, s| {
-            SpatialEngine::Par(SpatialParallelDynamics::new(g, s, 2))
-        })?;
+        check_spatial_churn_replay(dp, start, &events, seed)?;
     }
 }
 
@@ -443,10 +335,9 @@ fn check_spatial_churn_replay_geo(
     start: SparseStrategies,
     events: &[Event],
     seed: u64,
-    make: impl Fn(&SpatialGame<ChurnGame>, SparseStrategies) -> SpatialEngine,
 ) -> Result<(), TestCaseError> {
-    let mut d = make(&game, start);
-    let (converged, cycle) = d.run(&game);
+    let mut d = SpatialDynamics::new(&game, start);
+    let (converged, cycle) = settle(&mut d, &game);
     prop_assert!(converged || cycle, "initial: silent timeout");
     if !converged {
         return Ok(());
@@ -473,7 +364,7 @@ fn check_spatial_churn_replay_geo(
             Event::Arrive { budget } => {
                 game.inner_mut().push_user(*budget);
                 arrive(&mut game, &mut geo, i)?;
-                d.grow_users(&game);
+                d.grow_users(&game).unwrap();
             }
             Event::Depart { pick } => {
                 let live: Vec<usize> = (0..game.n_users())
@@ -498,7 +389,7 @@ fn check_spatial_churn_replay_geo(
                 d.retire_user(&game, u);
                 game.inner_mut().push_user(*budget);
                 arrive(&mut game, &mut geo, i)?;
-                d.grow_users(&game);
+                d.grow_users(&game).unwrap();
             }
             Event::RateShift { pick, factor } => {
                 let c = ChannelId(pick % game.n_channels());
@@ -507,7 +398,7 @@ fn check_spatial_churn_replay_geo(
                 d.reprice_channel(&game, c);
             }
         }
-        let (converged, cycle) = d.run(&game);
+        let (converged, cycle) = settle(&mut d, &game);
         prop_assert!(converged || cycle, "event {i} ({ev:?}): silent timeout");
         if !converged {
             return Ok(());
@@ -517,7 +408,7 @@ fn check_spatial_churn_replay_geo(
             "event {i} ({ev:?}): settled state is not spatial-Nash — a wake was missed"
         );
         prop_assert!(
-            d.index_agrees(&game),
+            index_agrees(&d, &game),
             "event {i} ({ev:?}): neighborhood index drifted"
         );
     }
@@ -550,23 +441,14 @@ proptest! {
         let game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
         let start = SparseStrategies::random_uniform(n, k, c, seed);
 
-        // Sequential engine, heap route.
-        check_spatial_churn_replay_geo(
-            game.clone(), geo.clone(), start.clone(), &events, seed,
-            |g, s| SpatialEngine::Seq(SpatialDynamics::new(g, s)),
-        )?;
-        // Sequential engine, forced generic (DP) route.
+        // Heap route.
+        check_spatial_churn_replay_geo(game.clone(), geo.clone(), start.clone(), &events, seed)?;
+        // Forced generic (DP) route.
         let dp = SpatialGame::new(
             game.inner().clone().force_generic_route(),
             game.graph().clone(),
         );
-        check_spatial_churn_replay_geo(dp, geo.clone(), start.clone(), &events, seed, |g, s| {
-            SpatialEngine::Seq(SpatialDynamics::new(g, s))
-        })?;
-        // Parallel engine (heap route), 2 workers.
-        check_spatial_churn_replay_geo(game, geo, start, &events, seed, |g, s| {
-            SpatialEngine::Par(SpatialParallelDynamics::new(g, s, 2))
-        })?;
+        check_spatial_churn_replay_geo(dp, geo, start, &events, seed)?;
     }
 }
 

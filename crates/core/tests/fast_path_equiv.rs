@@ -7,7 +7,9 @@
 //! property additionally drives random move sequences through the
 //! incremental repair logic and pins every intermediate state against
 //! freshly-built engines, so the `O(log |C|)` repairs can never drift
-//! from the oracle.
+//! from the oracle. A last pair of properties pins the branch-free
+//! marginal kernel the spatial driver runs against the lazy heap, bit
+//! for bit.
 //!
 //! Runs under the default case count per property; the nightly deep-fuzz
 //! CI job raises `PROPTEST_CASES` ~10x.
@@ -646,5 +648,99 @@ fn seeded_permuted_rounds_match_sweep() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The branch-free marginal kernel vs the lazy heap
+// ---------------------------------------------------------------------------
+
+use mrca_core::br_fast::{KernelScratch, MarginalTable};
+
+/// The branch-free kernel vs the lazy heap, bit for bit: same marginal
+/// multiset, same tie rule, same ascending-channel value association —
+/// so identical allocation and identical value on every query. The
+/// spatial driver answers every heap-route query through this kernel.
+fn check_kernel_matches_heap<G: ChannelGame>(
+    game: &G,
+    m: &StrategyMatrix,
+) -> Result<(), TestCaseError> {
+    if !game.payoff_is_separable_monotone() || game.may_idle_radios() {
+        return Ok(()); // DP route: the kernel's precondition fails
+    }
+    let sp = SparseStrategies::from_matrix(game, m);
+    let loads = ChannelLoads::of_sparse(&sp);
+    let mut engine = BrEngine::new(game, &loads);
+    prop_assert!(engine.is_heap(), "engine routing");
+    let table = MarginalTable::build(game, &loads);
+    let mut scratch = KernelScratch::default();
+    for u in UserId::all(game.n_users()) {
+        let row = sp.row(u);
+        let (hb, hv) = engine.best_response(game, row, &loads, u);
+        let mut kb = Vec::new();
+        let kv = br_fast::kernel_best_response_into(
+            game,
+            row,
+            &loads,
+            game.radios_of(u),
+            &table,
+            &mut scratch,
+            &mut kb,
+        );
+        prop_assert_eq!(&kb, &hb, "kernel argmax, user {}", u);
+        prop_assert_eq!(kv.to_bits(), hv.to_bits(), "kernel value, user {}", u);
+    }
+    Ok(())
+}
+
+/// Small configurations with at least two users, biased toward many
+/// users per channel.
+fn crowded_config_strategy() -> impl Strategy<Value = GameConfig> {
+    (2usize..=6, 1u32..=3, 1usize..=4).prop_filter_map("k <= |C|", |(n, k, c)| {
+        GameConfig::new(n, k, c.max(k as usize)).ok()
+    })
+}
+
+/// Concave-rate homogeneous instances (heap/kernel route).
+fn constant_instance() -> impl Strategy<Value = (mrca_core::ChannelAllocationGame, StrategyMatrix)>
+{
+    (crowded_config_strategy(), concave_rate_strategy()).prop_flat_map(|(cfg, rate)| {
+        let game = mrca_core::ChannelAllocationGame::new(cfg, rate);
+        matrix_for_budgets(vec![cfg.radios_per_user(); cfg.n_users()], cfg.n_channels())
+            .prop_map(move |m| (game.clone(), m))
+    })
+}
+
+/// Concave-rate heterogeneous-budget instances (heap/kernel route).
+fn concave_hetero_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
+    (2usize..=6, 1usize..=4, concave_rate_strategy())
+        .prop_flat_map(|(n, c, rate)| {
+            (
+                proptest::collection::vec(1u32..=c as u32, n),
+                Just(c),
+                Just(rate),
+            )
+        })
+        .prop_flat_map(|(budgets, c, rate)| {
+            let game = HeteroGame::new(HeteroConfig::new(budgets.clone(), c).unwrap(), rate);
+            matrix_for_budgets(budgets, c).prop_map(move |m| (game.clone(), m))
+        })
+}
+
+proptest! {
+    /// The branch-free kernel is bit-identical to the lazy heap on every
+    /// query of every heap-eligible instance.
+    #[test]
+    fn kernel_is_bit_identical_to_heap(instance in constant_instance()) {
+        let (game, m) = instance;
+        check_kernel_matches_heap(&game, &m)?;
+    }
+
+    /// Same kernel pin under heterogeneous budgets (per-user `k` hits
+    /// differently-sized selections against one shared table).
+    #[test]
+    fn kernel_matches_heap_hetero(instance in concave_hetero_instance()) {
+        let (game, m) = instance;
+        check_kernel_matches_heap(&game, &m)?;
     }
 }

@@ -14,7 +14,7 @@ mod common;
 use mrca_core::churn::ChurnGame;
 use mrca_core::spatial::{
     is_nash_spatial, ConflictGraph, GeoIndex, NbrIndex, PotentialTracker, SpatialDynamics,
-    SpatialGame, SpatialParallelDynamics,
+    SpatialGame,
 };
 use mrca_core::{SparseStrategies, UserId};
 use proptest::prelude::*;
@@ -23,53 +23,14 @@ use rand::{Rng, SeedableRng};
 
 const MAX_ROUNDS: usize = 2_000;
 
-/// Either spatial driver, behind the calls the arrival stream needs.
-enum Driver {
-    Seq(SpatialDynamics),
-    Par(SpatialParallelDynamics),
-}
-
-impl Driver {
-    /// `threads == 0` selects the sequential driver.
-    fn new(game: &SpatialGame<ChurnGame>, start: SparseStrategies, threads: usize) -> Self {
-        if threads == 0 {
-            Driver::Seq(SpatialDynamics::new(game, start))
-        } else {
-            Driver::Par(SpatialParallelDynamics::new(game, start, threads))
-        }
-    }
-
-    /// `(converged, cycle_detected)`.
-    fn run(&mut self, game: &SpatialGame<ChurnGame>) -> (bool, bool) {
-        match self {
-            Driver::Seq(d) => (d.run(game, MAX_ROUNDS, None).0, d.cycle_detected()),
-            Driver::Par(d) => (d.run(game, MAX_ROUNDS).0, d.cycle_detected()),
-        }
-    }
-
-    fn grow_users(&mut self, game: &SpatialGame<ChurnGame>) {
-        match self {
-            Driver::Seq(d) => d.grow_users(game).expect("arena growth"),
-            Driver::Par(d) => d.grow_users(game).expect("arena growth"),
-        }
-    }
-
-    fn books(&self) -> (&SparseStrategies, &NbrIndex, f64) {
-        match self {
-            Driver::Seq(d) => (d.state(), d.neighborhood_loads(), d.potential().phi()),
-            Driver::Par(d) => (d.state(), d.neighborhood_loads(), d.potential().phi()),
-        }
-    }
-}
-
 /// The maintained index equals a rebuild and `Φ` is within 1e-9
 /// relative of a from-scratch recompute.
 fn check_no_drift(
     game: &SpatialGame<ChurnGame>,
-    d: &Driver,
+    d: &SpatialDynamics,
     at: &str,
 ) -> Result<(), TestCaseError> {
-    let (state, nbr, phi) = d.books();
+    let (state, nbr, phi) = (d.state(), d.neighborhood_loads(), d.potential().phi());
     prop_assert!(
         nbr.agrees_with(game.graph(), state),
         "neighborhood index drifted {at}"
@@ -94,14 +55,13 @@ fn check_arrival_stream(
     range: f64,
     seed: u64,
     batches: usize,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
     let side = 6.0;
     let (graph, positions) = ConflictGraph::random_geometric(n, side, range, seed);
     let mut geo = GeoIndex::new(&positions, range);
     let mut game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
     let start = SparseStrategies::random_uniform(n, k, c, seed ^ 0xA221);
-    let mut d = Driver::new(&game, start, threads);
+    let mut d = SpatialDynamics::new(&game, start);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA77);
     for batch in 0..=batches {
         if batch > 0 {
@@ -110,10 +70,11 @@ fn check_arrival_stream(
                 let p = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
                 game.graph_mut().push_vertex_at(&mut geo, p);
             }
-            d.grow_users(&game);
+            d.grow_users(&game).expect("arena growth");
             check_no_drift(&game, &d, &format!("after grow {batch}"))?;
         }
-        let (converged, cycle) = d.run(&game);
+        let converged = d.run(&game, MAX_ROUNDS, None).0;
+        let cycle = d.cycle_detected();
         prop_assert!(converged || cycle, "silent round cap at batch {batch}");
         check_no_drift(&game, &d, &format!("after run {batch}"))?;
         if cycle {
@@ -126,51 +87,34 @@ fn check_arrival_stream(
 fn check_explicit_outcome(
     game: &SpatialGame<ChurnGame>,
     start: &SparseStrategies,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
-    let (state, converged, cycle, nbr_ok, phi, decreases, fresh) = if threads == 0 {
-        let mut d = SpatialDynamics::new(game, start.clone());
-        let (converged, _) = d.run(game, MAX_ROUNDS, None);
-        let fresh = PotentialTracker::recompute(game, d.neighborhood_loads());
-        let ok = d.neighborhood_loads().agrees_with(game.graph(), d.state());
-        let (phi, dec, cyc) = (
-            d.potential().phi(),
-            d.potential().decreases(),
-            d.cycle_detected(),
-        );
-        (d.into_state(), converged, cyc, ok, phi, dec, fresh)
-    } else {
-        let mut d = SpatialParallelDynamics::new(game, start.clone(), threads);
-        let (converged, _) = d.run(game, MAX_ROUNDS);
-        let fresh = PotentialTracker::recompute(game, d.neighborhood_loads());
-        let ok = d.neighborhood_loads().agrees_with(game.graph(), d.state());
-        let (phi, dec, cyc) = (
-            d.potential().phi(),
-            d.potential().decreases(),
-            d.cycle_detected(),
-        );
-        (d.into_state(), converged, cyc, ok, phi, dec, fresh)
-    };
+    let mut d = SpatialDynamics::new(game, start.clone());
+    let (converged, _) = d.run(game, MAX_ROUNDS, None);
+    let fresh = PotentialTracker::recompute(game, d.neighborhood_loads());
+    let nbr_ok = d.neighborhood_loads().agrees_with(game.graph(), d.state());
+    let (phi, decreases, cycle) = (
+        d.potential().phi(),
+        d.potential().decreases(),
+        d.cycle_detected(),
+    );
+    let state = d.into_state();
 
     // Never a silent timeout: either the run converged or the detector
     // names the cycle.
-    prop_assert!(
-        converged || cycle,
-        "round cap hit without a detected cycle (threads {threads})"
-    );
+    prop_assert!(converged || cycle, "round cap hit without a detected cycle");
     if converged {
         prop_assert!(!cycle);
         prop_assert!(
             is_nash_spatial(game, &state),
-            "converged state not spatial-Nash (threads {threads})"
+            "converged state not spatial-Nash"
         );
     }
     // The maintained index and potential never drift from recomputation.
-    prop_assert!(nbr_ok, "neighborhood index drifted (threads {threads})");
+    prop_assert!(nbr_ok, "neighborhood index drifted");
     let scale = fresh.abs().max(1.0);
     prop_assert!(
         (phi - fresh).abs() <= 1e-9 * scale,
-        "potential drifted: {phi} vs {fresh} (threads {threads})"
+        "potential drifted: {phi} vs {fresh}"
     );
     // A monotone run reports zero decreases; a non-monotone run that
     // still converged is legal and the count says how non-monotone.
@@ -181,8 +125,8 @@ fn check_explicit_outcome(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Density × conflict range × |C| sweep: explicit outcomes on both
-    /// drivers, at every graph density from isolated dust to a clique.
+    /// Density × conflict range × |C| sweep: explicit outcomes at every
+    /// graph density from isolated dust to a clique.
     #[test]
     fn geometric_sweep_has_explicit_outcomes(
         n in 2usize..=20,
@@ -195,8 +139,7 @@ proptest! {
         let (graph, _) = ConflictGraph::random_geometric(n, side, range, seed);
         let game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
         let start = SparseStrategies::random_uniform(n, k, c, seed ^ 0x5EED);
-        check_explicit_outcome(&game, &start, 0)?;
-        check_explicit_outcome(&game, &start, 2)?;
+        check_explicit_outcome(&game, &start)?;
     }
 
     /// Isolated vertices mixed with a clique component: the clique part
@@ -220,8 +163,7 @@ proptest! {
         let graph = ConflictGraph::from_edges(n, &edges);
         let game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
         let start = SparseStrategies::random_uniform(n, k, c, seed);
-        check_explicit_outcome(&game, &start, 0)?;
-        check_explicit_outcome(&game, &start, 2)?;
+        check_explicit_outcome(&game, &start)?;
 
         let mut d = SpatialDynamics::new(&game, start);
         let (converged, _) = d.run(&game, MAX_ROUNDS, None);
@@ -237,8 +179,7 @@ proptest! {
         }
     }
 
-    /// The drift check over a seeded geometric arrival stream, on the
-    /// sequential driver and the parallel one at two workers.
+    /// The drift check over a seeded geometric arrival stream.
     #[test]
     fn arrival_stream_keeps_potential_exact(
         n in 2usize..=16,
@@ -248,8 +189,7 @@ proptest! {
         seed in 0u64..1_000,
         batches in 1usize..=10,
     ) {
-        check_arrival_stream(n, k, c, range, seed, batches, 0)?;
-        check_arrival_stream(n, k, c, range, seed, batches, 2)?;
+        check_arrival_stream(n, k, c, range, seed, batches)?;
     }
 }
 

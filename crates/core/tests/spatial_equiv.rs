@@ -8,13 +8,7 @@
 //! * [`SpatialDynamics`] replays [`ActiveSetDynamics`] exactly — same
 //!   final state (`Eq`), same convergence verdict, same round count,
 //!   same move count, and the same **move-by-move trace** — on both the
-//!   heap route and the forced-DP route;
-//! * [`SpatialParallelDynamics`] replays [`ParallelDynamics`] exactly —
-//!   state, verdict, rounds, `moves`, `committed`, `deferred` (the
-//!   (channel × neighborhood)-disjoint conflict rule degenerates to
-//!   channel-disjoint when everyone is everyone's neighbor);
-//! * the spatial parallel driver is **thread-count invariant** in
-//!   everything, counters included.
+//!   heap route and the forced-DP route.
 //!
 //! Check/skip/activation counters are *not* pinned across engines: the
 //! wake machineries are different by design (occupant index + horizons
@@ -25,10 +19,8 @@ mod common;
 use common::check_conformance;
 use mrca_core::br_fast::ActiveSetDynamics;
 use mrca_core::churn::ChurnGame;
-use mrca_core::spatial::{ConflictGraph, SpatialDynamics, SpatialGame, SpatialParallelDynamics};
-use mrca_core::{
-    ChannelGame, ChannelId, ParallelDynamics, SparseStrategies, StrategyMatrix, UserId,
-};
+use mrca_core::spatial::{SpatialDynamics, SpatialGame};
+use mrca_core::{ChannelGame, ChannelId, SparseStrategies, StrategyMatrix, UserId};
 use proptest::prelude::*;
 
 const MAX_ROUNDS: usize = 500;
@@ -117,66 +109,5 @@ proptest! {
         let scale = fresh.abs().max(1.0);
         prop_assert!((sp.potential().phi() - fresh).abs() <= 1e-9 * scale,
             "incremental potential drifted: {} vs {}", sp.potential().phi(), fresh);
-    }
-
-    /// Parallel driver: `SpatialParallelDynamics(clique)` replays
-    /// `ParallelDynamics` — the generalized conflict rule reduces to
-    /// channel-disjoint, so tiers, commits and deferrals line up.
-    #[test]
-    fn clique_parallel_replays_parallel(
-        n in 1usize..=10,
-        k in 1u32..=3,
-        c in 2usize..=5,
-        seed in 0u64..1_000,
-        force_dp in proptest::bool::ANY,
-    ) {
-        let game = if force_dp {
-            ChurnGame::uniform(n, k, c, 1.0).force_generic_route()
-        } else {
-            ChurnGame::uniform(n, k, c, 1.0)
-        };
-        let start = SparseStrategies::random_uniform(n, k, c, seed);
-
-        let mut base = ParallelDynamics::new(&game, start.clone(), 2);
-        let (base_conv, base_rounds) = base.run(&game, MAX_ROUNDS);
-
-        let spatial = SpatialGame::clique(game.clone());
-        let mut sp = SpatialParallelDynamics::new(&spatial, start, 2);
-        let (sp_conv, sp_rounds) = sp.run(&spatial, MAX_ROUNDS);
-
-        prop_assert!(!sp.cycle_detected());
-        prop_assert_eq!(sp_conv, base_conv);
-        prop_assert_eq!(sp_rounds, base_rounds);
-        prop_assert_eq!(sp.counters().moves, base.counters().moves);
-        prop_assert_eq!(sp.counters().committed, base.counters().committed);
-        prop_assert_eq!(sp.counters().deferred, base.counters().deferred);
-        prop_assert!(sp.state() == base.state(), "final states must be bit-identical");
-    }
-
-    /// The spatial parallel driver's outcome is independent of the
-    /// worker count — states *and* every counter (on an arbitrary
-    /// geometric graph, not just the clique).
-    #[test]
-    fn spatial_parallel_thread_invariance(
-        n in 2usize..=24,
-        k in 1u32..=3,
-        c in 2usize..=4,
-        seed in 0u64..1_000,
-        range in 0.5f64..3.0,
-    ) {
-        let (graph, _) = ConflictGraph::random_geometric(n, 6.0, range, seed);
-        let spatial = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
-        let start = SparseStrategies::random_uniform(n, k, c, seed ^ 0xABCD);
-
-        let mut one = SpatialParallelDynamics::new(&spatial, start.clone(), 1);
-        let res_one = one.run(&spatial, MAX_ROUNDS);
-        for threads in [2usize, 4] {
-            let mut multi = SpatialParallelDynamics::new(&spatial, start.clone(), threads);
-            let res = multi.run(&spatial, MAX_ROUNDS);
-            prop_assert_eq!(res, res_one, "threads {}", threads);
-            prop_assert_eq!(multi.counters(), one.counters(), "threads {}", threads);
-            prop_assert_eq!(multi.cycle_detected(), one.cycle_detected());
-            prop_assert!(multi.state() == one.state(), "threads {}", threads);
-        }
     }
 }

@@ -16,8 +16,7 @@
 //!   shift) stay in lockstep: bit-identical move traces, equal states
 //!   after every settle, equal round counts, work counters, cycle flags,
 //!   and bit-equal maintained potentials — on both best-response routes
-//!   (lazy heap and forced generic DP) and on the parallel driver at 1,
-//!   2 and 4 workers.
+//!   (lazy heap and forced generic DP).
 //!
 //! One more case widens the channel space (|C| 24–64, short conflict
 //! range) so the serving builder picks CSR by itself: its pick must
@@ -30,9 +29,7 @@
 
 use mrca_core::churn::ChurnGame;
 use mrca_core::sparse::{SparseEntry, SparseStrategies};
-use mrca_core::spatial::{
-    ConflictGraph, NbrIndex, SpatialDynamics, SpatialGame, SpatialParallelDynamics,
-};
+use mrca_core::spatial::{ConflictGraph, NbrIndex, SpatialDynamics, SpatialGame};
 use mrca_core::{ChannelGame, ChannelId, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -204,13 +201,10 @@ enum Build {
 
 /// An engine under test paired with its dense twin; every operation is
 /// applied to both and the observable books compared.
-enum Pair {
-    Seq(Box<SpatialDynamics>, Box<SpatialDynamics>),
-    Par(Box<SpatialParallelDynamics>, Box<SpatialParallelDynamics>),
-}
+struct Pair(Box<SpatialDynamics>, Box<SpatialDynamics>);
 
 impl Pair {
-    fn seq(game: &SpatialGame<ChurnGame>, s: SparseStrategies, build: Build) -> Self {
+    fn new(game: &SpatialGame<ChurnGame>, s: SparseStrategies, build: Build) -> Self {
         let dense = NbrIndex::dense_of(game.graph(), &s);
         let a = match build {
             Build::Csr => {
@@ -219,135 +213,75 @@ impl Pair {
             Build::Default => SpatialDynamics::new(game, s.clone()),
         };
         let b = SpatialDynamics::with_index(game, s, dense);
-        Pair::Seq(Box::new(a), Box::new(b))
-    }
-
-    fn par(
-        game: &SpatialGame<ChurnGame>,
-        s: SparseStrategies,
-        threads: usize,
-        build: Build,
-    ) -> Self {
-        let dense = NbrIndex::dense_of(game.graph(), &s);
-        let a = match build {
-            Build::Csr => {
-                let csr = NbrIndex::csr_of(game.graph(), &s);
-                SpatialParallelDynamics::with_index(game, s.clone(), csr, threads)
-            }
-            Build::Default => SpatialParallelDynamics::new(game, s.clone(), threads),
-        };
-        let b = SpatialParallelDynamics::with_index(game, s, dense, threads);
-        Pair::Par(Box::new(a), Box::new(b))
+        Pair(Box::new(a), Box::new(b))
     }
 
     fn state(&self) -> &SparseStrategies {
-        match self {
-            Pair::Seq(a, _) => a.state(),
-            Pair::Par(a, _) => a.state(),
-        }
+        self.0.state()
     }
 
     /// Run both engines and assert every observable agrees: outcome,
-    /// rounds, move trace (sequential only — the parallel driver has no
-    /// trace hook), state, counters, cycle flag, potential bits. The
-    /// engine under test must hold the `csr` layout, its twin dense.
+    /// rounds, move trace, state, counters, cycle flag, potential bits.
+    /// The engine under test must hold the `csr` layout, its twin dense.
     fn run_lockstep(
         &mut self,
         game: &SpatialGame<ChurnGame>,
         csr: bool,
     ) -> Result<bool, TestCaseError> {
-        let (outcome_s, outcome_d) = match self {
-            Pair::Seq(a, b) => {
-                let mut trace_s = Vec::new();
-                let mut trace_d = Vec::new();
-                let out_s = a.run(game, MAX_ROUNDS, Some(&mut trace_s));
-                let out_d = b.run(game, MAX_ROUNDS, Some(&mut trace_d));
-                prop_assert_eq!(&trace_s, &trace_d, "move traces diverged");
-                (out_s, out_d)
-            }
-            Pair::Par(a, b) => (a.run(game, MAX_ROUNDS), b.run(game, MAX_ROUNDS)),
-        };
+        let Pair(a, b) = self;
+        let mut trace_s = Vec::new();
+        let mut trace_d = Vec::new();
+        let outcome_s = a.run(game, MAX_ROUNDS, Some(&mut trace_s));
+        let outcome_d = b.run(game, MAX_ROUNDS, Some(&mut trace_d));
+        prop_assert_eq!(&trace_s, &trace_d, "move traces diverged");
         prop_assert_eq!(outcome_s, outcome_d, "(converged, rounds) diverged");
-        let (state_s, state_d, counters, cycles, phi_bits) = match self {
-            Pair::Seq(a, b) => (
-                a.state(),
-                b.state(),
-                (a.counters(), b.counters()),
-                (a.cycle_detected(), b.cycle_detected()),
-                (a.potential().phi().to_bits(), b.potential().phi().to_bits()),
-            ),
-            Pair::Par(a, b) => (
-                a.state(),
-                b.state(),
-                (a.counters(), b.counters()),
-                (a.cycle_detected(), b.cycle_detected()),
-                (a.potential().phi().to_bits(), b.potential().phi().to_bits()),
-            ),
-        };
-        prop_assert_eq!(state_s, state_d, "states diverged");
-        prop_assert_eq!(counters.0, counters.1, "work counters diverged");
-        prop_assert_eq!(cycles.0, cycles.1, "cycle flags diverged");
-        prop_assert_eq!(phi_bits.0, phi_bits.1, "potential bits diverged");
+        prop_assert_eq!(a.state(), b.state(), "states diverged");
+        prop_assert_eq!(a.counters(), b.counters(), "work counters diverged");
+        prop_assert_eq!(
+            a.cycle_detected(),
+            b.cycle_detected(),
+            "cycle flags diverged"
+        );
+        prop_assert_eq!(
+            a.potential().phi().to_bits(),
+            b.potential().phi().to_bits(),
+            "potential bits diverged"
+        );
         // Each side kept its layout through every grow, and neither
         // drifted from a from-scratch rebuild.
-        let agree = match self {
-            Pair::Seq(a, b) => (
-                a.neighborhood_loads().is_csr(),
-                b.neighborhood_loads().is_csr(),
-                a.neighborhood_loads().agrees_with(game.graph(), a.state()),
-                b.neighborhood_loads().agrees_with(game.graph(), b.state()),
-            ),
-            Pair::Par(a, b) => (
-                a.neighborhood_loads().is_csr(),
-                b.neighborhood_loads().is_csr(),
-                a.neighborhood_loads().agrees_with(game.graph(), a.state()),
-                b.neighborhood_loads().agrees_with(game.graph(), b.state()),
-            ),
-        };
-        prop_assert_eq!(agree.0, csr, "engine under test changed layout");
-        prop_assert!(!agree.1, "twin engine is not on the dense layout");
-        prop_assert!(agree.2, "tested index drifted from rebuild");
-        prop_assert!(agree.3, "dense index drifted from rebuild");
+        prop_assert_eq!(
+            a.neighborhood_loads().is_csr(),
+            csr,
+            "engine under test changed layout"
+        );
+        prop_assert!(
+            !b.neighborhood_loads().is_csr(),
+            "twin engine is not on the dense layout"
+        );
+        prop_assert!(
+            a.neighborhood_loads().agrees_with(game.graph(), a.state()),
+            "tested index drifted from rebuild"
+        );
+        prop_assert!(
+            b.neighborhood_loads().agrees_with(game.graph(), b.state()),
+            "dense index drifted from rebuild"
+        );
         Ok(outcome_s.0)
     }
 
     fn grow_users(&mut self, game: &SpatialGame<ChurnGame>) {
-        match self {
-            Pair::Seq(a, b) => {
-                a.grow_users(game).unwrap();
-                b.grow_users(game).unwrap();
-            }
-            Pair::Par(a, b) => {
-                a.grow_users(game).unwrap();
-                b.grow_users(game).unwrap();
-            }
-        }
+        self.0.grow_users(game).unwrap();
+        self.1.grow_users(game).unwrap();
     }
 
     fn retire_user(&mut self, game: &SpatialGame<ChurnGame>, user: UserId) {
-        match self {
-            Pair::Seq(a, b) => {
-                a.retire_user(game, user);
-                b.retire_user(game, user);
-            }
-            Pair::Par(a, b) => {
-                a.retire_user(game, user);
-                b.retire_user(game, user);
-            }
-        }
+        self.0.retire_user(game, user);
+        self.1.retire_user(game, user);
     }
 
     fn reprice_channel(&mut self, game: &SpatialGame<ChurnGame>, c: ChannelId) {
-        match self {
-            Pair::Seq(a, b) => {
-                a.reprice_channel(game, c);
-                b.reprice_channel(game, c);
-            }
-            Pair::Par(a, b) => {
-                a.reprice_channel(game, c);
-                b.reprice_channel(game, c);
-            }
-        }
+        self.0.reprice_channel(game, c);
+        self.1.reprice_channel(game, c);
     }
 }
 
@@ -444,8 +378,7 @@ proptest! {
     }
 
     /// Driver-level lockstep: the same churn stream through paired
-    /// CSR/dense engines on both BR routes, sequential and parallel at
-    /// 1, 2 and 4 workers.
+    /// CSR/dense engines on both BR routes.
     #[test]
     fn dynamics_lockstep_sparse_vs_dense(
         n in 4usize..12,
@@ -459,28 +392,21 @@ proptest! {
         let game = SpatialGame::new(ChurnGame::uniform(n, k, c, 1.0), graph);
         let start = SparseStrategies::random_uniform(n, k, c, seed);
 
-        let seq = |g: &SpatialGame<ChurnGame>, s| Pair::seq(g, s, Build::Csr);
-        // Sequential, lazy-heap route.
-        check_lockstep_replay(game.clone(), start.clone(), &events, seed, true, seq)?;
-        // Sequential, forced generic (DP) route.
+        let csr = |g: &SpatialGame<ChurnGame>, s| Pair::new(g, s, Build::Csr);
+        // Lazy-heap route.
+        check_lockstep_replay(game.clone(), start.clone(), &events, seed, true, csr)?;
+        // Forced generic (DP) route.
         let dp = SpatialGame::new(
             game.inner().clone().force_generic_route(),
             game.graph().clone(),
         );
-        check_lockstep_replay(dp, start.clone(), &events, seed, true, seq)?;
-        // Parallel engine at 1, 2 and 4 workers.
-        for threads in [1usize, 2, 4] {
-            check_lockstep_replay(game.clone(), start.clone(), &events, seed, true, |g, s| {
-                Pair::par(g, s, threads, Build::Csr)
-            })?;
-        }
+        check_lockstep_replay(dp, start, &events, seed, true, csr)?;
     }
 
     /// The size rule on its own: at |C| 24–64 and a short conflict
     /// range the serving builder picks CSR by itself (dense only for a
     /// crowded draw). Its pick equals the byte rule, and the default
-    /// engine stays in lockstep with the dense one, sequential and
-    /// parallel.
+    /// engine stays in lockstep with the dense one.
     #[test]
     fn default_pick_matches_byte_rule_and_dense(
         n in 4usize..12,
@@ -495,11 +421,8 @@ proptest! {
         let start = SparseStrategies::random_uniform(n, k, c, seed);
         let csr = byte_rule_picks_csr(&NbrIndex::dense_of(game.graph(), &start));
         prop_assert_eq!(NbrIndex::sparse_of(game.graph(), &start).is_csr(), csr);
-        check_lockstep_replay(game.clone(), start.clone(), &events, seed, csr, |g, s| {
-            Pair::seq(g, s, Build::Default)
-        })?;
         check_lockstep_replay(game, start, &events, seed, csr, |g, s| {
-            Pair::par(g, s, 2, Build::Default)
+            Pair::new(g, s, Build::Default)
         })?;
     }
 }

@@ -13,7 +13,6 @@
 
 use mrca_core::br_dp::ChannelGame;
 use mrca_core::br_fast::{self, ActiveSetDynamics, DynCounters};
-use mrca_core::br_par::best_response_dynamics_parallel_counted;
 use mrca_core::churn::ChurnGame;
 use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
 use mrca_core::multi_rate::MultiRateGame;
@@ -307,35 +306,6 @@ proptest! {
     fn hetero_perturbed_recovery(instance in hetero_instance()) {
         let (game, m) = instance;
         check_perturbed_recovery(&game, &m)?;
-    }
-
-    /// The two-phase parallel driver files park anchors through the
-    /// crate-level hooks (pass-1 certs and mover-discounted gaps, the
-    /// possibly-negative case): the parallel fixed point must stay
-    /// deterministic across thread counts and exactly Nash, and a
-    /// sequential refined replay from the same start must agree with
-    /// its own sweep oracle.
-    #[test]
-    fn parallel_anchoring_stays_deterministic_and_nash(
-        instance in homogeneous_instance(measured_rate_strategy()),
-    ) {
-        let (game, m) = instance;
-        let sp = SparseStrategies::from_matrix(&game, &m);
-        let mut reference = None;
-        for threads in [2usize, 4] {
-            let (st, conv, rounds, _) =
-                best_response_dynamics_parallel_counted(&game, sp.clone(), MAX_ROUNDS, threads);
-            prop_assert!(conv, "parallel converges ({} threads)", threads);
-            prop_assert!(br_fast::is_nash_sparse(&game, &st), "parallel Nash");
-            match &reference {
-                None => reference = Some((st, rounds)),
-                Some((rst, rrounds)) => {
-                    prop_assert_eq!(&st, rst, "parallel determinism");
-                    prop_assert_eq!(rounds, *rrounds, "parallel rounds");
-                }
-            }
-        }
-        check_refinement_is_pure_optimization(&game, &m)?;
     }
 
     /// Churn + reprice event stream on the generic route: twin engines

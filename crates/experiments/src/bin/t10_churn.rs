@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! t10_churn [--users N] [--channels C] [--radios K] [--seed S]
-//!           [--events E] [--threads T] [--rounds R] [--smoke]
+//!           [--events E] [--rounds R] [--drift-every D] [--smoke]
 //! ```
 //!
 //! The default shape is the acceptance workload: a standing **10⁶-user**
@@ -14,17 +14,14 @@
 //! users, 200 events, a drift check every 50. Either shape prints a
 //! `churn:` key=value summary line the CI job asserts on (`events > 0`,
 //! `drift_failures == 0`, and the engine's best-response `checks` over
-//! the stream under a bound — a seeded single-threaded count, so it is
-//! deterministic and cannot flake on a slow runner; the line also
+//! the stream under a bound — a seeded count, so it is deterministic
+//! and cannot flake on a slow runner; the line also
 //! carries `occupant_wakeups`, `revalidated` and `moves`); only the
 //! full shape writes the tracked
 //! `results/BENCH_churn.json`, so a smoke run leaves the committed
 //! report alone. The bin itself also asserts both, so a drift failure
-//! is a nonzero exit, not just a number in a file.
-//!
-//! `--threads T` picks the engine exactly like `t9_scale`: `T <= 1`
-//! replays through the sequential active-set worklist, `T > 1` through
-//! the deterministic two-phase parallel driver.
+//! is a nonzero exit, not just a number in a file. The replay runs the
+//! sequential active-set worklist on one thread.
 
 use mrca_experiments::churn::{ChurnConfig, ChurnDriver};
 use mrca_experiments::write_result;
@@ -32,7 +29,6 @@ use mrca_experiments::write_result;
 /// The run's configuration and whether it is the `--smoke` shape.
 fn parse_args() -> (ChurnConfig, bool) {
     let mut cfg = ChurnConfig::full();
-    cfg.threads = 1;
     let mut smoke = false;
     let mut explicit_events = None;
     let mut explicit_drift = None;
@@ -50,7 +46,6 @@ fn parse_args() -> (ChurnConfig, bool) {
             "--radios" => cfg.radios = grab("--radios") as u32,
             "--seed" => cfg.seed = grab("--seed"),
             "--events" => explicit_events = Some(grab("--events") as usize),
-            "--threads" => cfg.threads = grab("--threads") as usize,
             "--rounds" => cfg.max_rounds = grab("--rounds") as usize,
             "--drift-every" => explicit_drift = Some(grab("--drift-every") as usize),
             "--smoke" => smoke = true,
@@ -58,20 +53,14 @@ fn parse_args() -> (ChurnConfig, bool) {
         }
     }
     if smoke {
-        let keep = (
-            cfg.initial_users,
-            cfg.radios,
-            cfg.n_channels,
-            cfg.seed,
-            cfg.threads,
-        );
+        let keep = (cfg.initial_users, cfg.radios, cfg.n_channels, cfg.seed);
         cfg = ChurnConfig::smoke();
         // --smoke composes with explicit dimension flags (the CI job
         // pins --users 100000 to make the gate's shape visible).
         if std::env::args().any(|a| a == "--users") {
             cfg.initial_users = keep.0;
         }
-        (cfg.radios, cfg.n_channels, cfg.seed, cfg.threads) = (keep.1, keep.2, keep.3, keep.4);
+        (cfg.radios, cfg.n_channels, cfg.seed) = (keep.1, keep.2, keep.3);
     }
     if let Some(e) = explicit_events {
         cfg.events = e;
@@ -96,8 +85,8 @@ fn main() {
     let (cfg, smoke) = parse_args();
     println!("== T10: churn service — seeded event replay vs a standing equilibrium ==\n");
     println!(
-        "settling {} users (k={}, C={}, threads={}) ...",
-        cfg.initial_users, cfg.radios, cfg.n_channels, cfg.threads
+        "settling {} users (k={}, C={}) ...",
+        cfg.initial_users, cfg.radios, cfg.n_channels
     );
     let driver = ChurnDriver::new(cfg.clone());
     println!("replaying {} events ...", cfg.events);

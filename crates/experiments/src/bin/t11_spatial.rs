@@ -3,7 +3,7 @@
 //! sweep and measurement contract).
 //!
 //! ```text
-//! t11_spatial [--radios K] [--seed S] [--threads T] [--rounds R]
+//! t11_spatial [--radios K] [--seed S] [--rounds R]
 //!             [--smoke-users N] [--wide-users N] [--smoke]
 //! ```
 //!
@@ -43,7 +43,6 @@ fn parse_args() -> (SpatialConfig, bool) {
         match flag.as_str() {
             "--radios" => cfg.radios = grab("--radios") as u32,
             "--seed" => cfg.seed = grab("--seed"),
-            "--threads" => cfg.threads = grab("--threads") as usize,
             "--rounds" => cfg.max_rounds = grab("--rounds") as usize,
             "--smoke-users" => explicit_smoke_users = Some(grab("--smoke-users") as usize),
             "--wide-users" => explicit_wide_users = Some(grab("--wide-users") as usize),
@@ -52,9 +51,9 @@ fn parse_args() -> (SpatialConfig, bool) {
         }
     }
     if smoke {
-        let keep = (cfg.radios, cfg.seed, cfg.threads, cfg.max_rounds);
+        let keep = (cfg.radios, cfg.seed, cfg.max_rounds);
         cfg = SpatialConfig::smoke();
-        (cfg.radios, cfg.seed, cfg.threads, cfg.max_rounds) = keep;
+        (cfg.radios, cfg.seed, cfg.max_rounds) = keep;
     }
     if let Some(n) = explicit_smoke_users {
         cfg.smoke_users = n;
@@ -116,13 +115,12 @@ fn main() {
     let (cfg, smoke) = parse_args();
     println!("== T11: spatial interference — per-neighborhood load games on conflict graphs ==\n");
     println!(
-        "sweep: {} densities x {} ranges x {} channel counts (side {}), k={}, threads={}",
+        "sweep: {} densities x {} ranges x {} channel counts (side {}), k={}",
         cfg.densities.len(),
         cfg.ranges.len(),
         cfg.channels.len(),
         cfg.side,
-        cfg.radios,
-        cfg.threads
+        cfg.radios
     );
     let report = run_sweep(&cfg);
     if !smoke {

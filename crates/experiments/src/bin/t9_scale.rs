@@ -14,18 +14,13 @@
 //!
 //! ```text
 //! t9_scale [--users N] [--channels C] [--radios K] [--seed S]
-//!          [--rounds R] [--threads T] [--smoke] [--shard i/m]
+//!          [--rounds R] [--smoke] [--shard i/m]
 //! ```
 //!
-//! `--threads T` picks the dynamics route: `T <= 1` runs the sequential
-//! active-set worklist (`dynamics = "active-set"`), `T > 1` the
-//! deterministic two-phase parallel rounds of
-//! [`mrca_core::br_par::ParallelDynamics`] (`dynamics = "parallel"`),
-//! with the per-round snapshot/commit wall time split out into the
-//! `phase_a_ms`/`phase_b_ms` columns. The default is the machine's
-//! available parallelism. Either route must land on an exact, balanced
-//! equilibrium — the parallel one additionally books every move through
-//! a phase-B commit (`moves == committed`).
+//! Every cell runs the sequential active-set worklist on one thread and
+//! must land on an exact, balanced equilibrium; the `activations`,
+//! `br_checks`, `skipped_checks` and `moves` columns are its counters,
+//! a deterministic function of the flags.
 //!
 //! `--smoke` runs the single `--users` cell (default 10⁵) under a small
 //! round budget — the CI wall-clock-gated job; without it the bin sweeps
@@ -40,7 +35,6 @@
 //! recombine shards with `all merge`.
 
 use mrca_core::br_fast::{self, BrEngine};
-use mrca_core::br_par::ParallelDynamics;
 use mrca_core::sparse::SparseStrategies;
 use mrca_core::{ChannelAllocationGame, ChannelLoads, GameConfig};
 use mrca_experiments::shard::{run_sharded_streaming, Parallelism};
@@ -54,7 +48,6 @@ struct Args {
     radios: u32,
     seed: u64,
     rounds: usize,
-    threads: usize,
     smoke: bool,
     shard: Option<ShardSpec>,
 }
@@ -66,12 +59,9 @@ fn parse_args() -> Args {
         radios: 2,
         seed: 2026,
         // Round cap, not a work budget: the active set skips converged
-        // users, so idle rounds are nearly free. The parallel route's
-        // rounds are full snapshot sweeps (a different, coarser unit
-        // than sequential epochs — the 10⁶ cell needs ~76 of them vs
-        // ~41 sequential), so the cap leaves generous headroom.
+        // users, so idle rounds are nearly free (the 10⁶ cell needs ~41),
+        // and the cap leaves generous headroom.
         rounds: 400,
-        threads: mrca_core::par::available_threads(),
         smoke: false,
         shard: None,
     };
@@ -89,7 +79,6 @@ fn parse_args() -> Args {
             "--radios" => args.radios = grab("--radios") as u32,
             "--seed" => args.seed = grab("--seed"),
             "--rounds" => args.rounds = grab("--rounds") as usize,
-            "--threads" => args.threads = grab("--threads") as usize,
             "--smoke" => args.smoke = true,
             "--shard" => {
                 let v = it.next().unwrap_or_else(|| panic!("--shard needs i/m"));
@@ -114,18 +103,14 @@ fn scale_cell_id(n_users: usize, radios: u32, n_channels: usize) -> String {
     ])
 }
 
-/// One scale cell, entirely on the sparse path. `threads <= 1` drives
-/// the sequential active-set worklist, `threads > 1` the two-phase
-/// parallel rounds (whose committed sequence is thread-count-invariant,
-/// so the row's counters are reproducible on any machine). Returns the
-/// CSV row.
+/// One scale cell, entirely on the sparse path, driven by the
+/// sequential active-set worklist. Returns the CSV row.
 fn run_cell(
     n_users: usize,
     radios: u32,
     n_channels: usize,
     seed: u64,
     rounds: usize,
-    threads: usize,
 ) -> Vec<String> {
     let cfg = GameConfig::new(n_users, radios, n_channels).expect("valid scale dims");
     // Unit rate at every cell size: the improvement predicate is
@@ -157,22 +142,9 @@ fn run_cell(
     );
     let build_ms = build.elapsed().as_secs_f64() * 1e3;
 
-    let parallel = threads > 1;
     let t = Instant::now();
-    let (end, converged, used_rounds, counters, phase_a_ms, phase_b_ms) = if parallel {
-        let mut d = ParallelDynamics::new(&game, start, threads);
-        let (converged, used_rounds) = d.run(&game, rounds);
-        let counters = d.counters();
-        let (pa, pb) = (
-            d.phase_a_time().as_secs_f64() * 1e3,
-            d.phase_b_time().as_secs_f64() * 1e3,
-        );
-        (d.into_state(), converged, used_rounds, counters, pa, pb)
-    } else {
-        let (end, converged, used_rounds, counters) =
-            br_fast::best_response_dynamics_sparse_counted(&game, start, rounds);
-        (end, converged, used_rounds, counters, 0.0, 0.0)
-    };
+    let (end, converged, used_rounds, counters) =
+        br_fast::best_response_dynamics_sparse_counted(&game, start, rounds);
     let dyn_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Active-set acceptance assertions: the dynamics must route through
@@ -193,25 +165,6 @@ fn run_cell(
         used_rounds < 3 || counters.skipped_checks > 0,
         "a ≥3-round convergence must skip provably-idle users"
     );
-    if parallel {
-        // Parallel-route acceptance: every move is booked through a
-        // phase-B commit, and a non-trivial run must actually commit —
-        // if the parallel driver silently fell back to per-user
-        // application, the committed counter would stay at zero.
-        assert_eq!(
-            counters.moves, counters.committed,
-            "parallel moves must all be phase-B commits"
-        );
-        assert!(
-            counters.moves == 0 || counters.committed > 0,
-            "the parallel route must engage"
-        );
-    } else {
-        assert_eq!(
-            counters.committed, 0,
-            "the sequential route books no phase-B commits"
-        );
-    }
 
     let t = Instant::now();
     let check = br_fast::nash_check_sparse(&game, &end);
@@ -224,20 +177,16 @@ fn run_cell(
         "constant-rate NE must be load-balanced (Proposition 1)"
     );
 
-    let route = if parallel { "parallel" } else { "active-set" };
     println!(
-        "N={n_users:>8} k={radios} C={n_channels} T={threads}: converged in {used_rounds:>2} rounds \
-         ({dyn_ms:>9.1} ms dynamics = {phase_a_ms:>8.1} ms snapshot + {phase_b_ms:>8.1} ms commit, \
-         {nash_ms:>8.1} ms NE check); \
+        "N={n_users:>8} k={radios} C={n_channels}: converged in {used_rounds:>2} rounds \
+         ({dyn_ms:>9.1} ms dynamics, {nash_ms:>8.1} ms NE check); \
          memory {:.1} MB sparse vs {:.1} MB dense ({mem_ratio:.1}x); \
-         {route} {} checks / {} skipped / {} moves ({} committed, {} deferred)",
+         {} checks / {} skipped / {} moves",
         sparse_bytes as f64 / 1e6,
         dense_bytes as f64 / 1e6,
         counters.checks,
         counters.skipped_checks,
         counters.moves,
-        counters.committed,
-        counters.deferred,
     );
 
     vec![
@@ -245,20 +194,14 @@ fn run_cell(
         radios.to_string(),
         n_channels.to_string(),
         "heap".into(),
-        route.into(),
-        threads.to_string(),
         converged.to_string(),
         used_rounds.to_string(),
         counters.activations.to_string(),
         counters.checks.to_string(),
         counters.skipped_checks.to_string(),
         counters.moves.to_string(),
-        counters.committed.to_string(),
-        counters.deferred.to_string(),
         format!("{build_ms:.3}"),
         format!("{dyn_ms:.3}"),
-        format!("{phase_a_ms:.3}"),
-        format!("{phase_b_ms:.3}"),
         format!("{nash_ms:.3}"),
         sparse_bytes.to_string(),
         dense_bytes.to_string(),
@@ -268,25 +211,19 @@ fn run_cell(
     ]
 }
 
-const HEADERS: [&str; 24] = [
+const HEADERS: [&str; 18] = [
     "n_users",
     "radios",
     "n_channels",
     "engine",
-    "dynamics",
-    "threads",
     "converged",
     "rounds",
     "activations",
     "br_checks",
     "skipped_checks",
     "moves",
-    "committed",
-    "deferred",
     "build_ms",
     "dynamics_ms",
-    "phase_a_ms",
-    "phase_b_ms",
     "nash_check_ms",
     "sparse_bytes",
     "dense_bytes",
@@ -323,7 +260,7 @@ fn main() {
         // so differently-configured runs must land in different files —
         // while the dimension columns of recovered rows are validated by
         // the engine's static-prefix check.
-        let base = format!("t9_scale.s{}r{}t{}", args.seed, args.rounds, args.threads);
+        let base = format!("t9_scale.s{}r{}", args.seed, args.rounds);
         let headers: Vec<String> = HEADERS.iter().map(|s| s.to_string()).collect();
         println!(
             "shard {spec} of the {} scale cells -> {}",
@@ -344,16 +281,7 @@ fn main() {
                     args.channels.to_string(),
                 ]
             },
-            |&n| {
-                run_cell(
-                    n,
-                    args.radios,
-                    args.channels,
-                    args.seed,
-                    args.rounds,
-                    args.threads,
-                )
-            },
+            |&n| run_cell(n, args.radios, args.channels, args.seed, args.rounds),
         );
         println!(
             "\nOK: shard {spec} ({} cells) converged to exact, balanced equilibria on the sparse path.",
@@ -370,14 +298,7 @@ fn main() {
 
     let mut csv = StreamingCsv::create("t9_scale.csv", &HEADERS);
     for n in sizes {
-        let row = run_cell(
-            n,
-            args.radios,
-            args.channels,
-            args.seed,
-            args.rounds,
-            args.threads,
-        );
+        let row = run_cell(n, args.radios, args.channels, args.seed, args.rounds);
         csv.row(&row); // streamed: each finished cell is on disk immediately
     }
     println!("\nOK: all scale cells converged to exact, balanced equilibria on the sparse path.");

@@ -32,10 +32,10 @@
 //! bench reuses the same driver and report plumbing at a smaller
 //! standing population.
 
-use mrca_core::br_fast::{is_nash_sparse, ActiveSetDynamics, DynCounters};
+use mrca_core::br_fast::{is_nash_sparse, ActiveSetDynamics};
 use mrca_core::churn::ChurnGame;
 use mrca_core::sparse::SparseStrategies;
-use mrca_core::{ChannelId, ChannelLoads, ParallelDynamics, UserId};
+use mrca_core::{ChannelId, ChannelLoads, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -56,9 +56,6 @@ pub struct ChurnConfig {
     pub events: usize,
     /// Stream seed (start state uses `seed ^ 1`).
     pub seed: u64,
-    /// `<= 1` runs the sequential active-set engine, more the parallel
-    /// two-phase driver with this many Phase-A workers.
-    pub threads: usize,
     /// Round cap per re-convergence (and for the initial settle).
     ///
     /// Sized well above the worst-case event: a rate shift on a heavy
@@ -82,7 +79,6 @@ impl ChurnConfig {
             rate: 1.0,
             events: 200,
             seed: 2026,
-            threads: 1,
             max_rounds: 20_000,
             drift_every: 50,
         }
@@ -107,47 +103,6 @@ enum EventKind {
     Depart,
     BudgetChange,
     RateShift,
-}
-
-/// Sequential or parallel engine under one face.
-#[derive(Debug)]
-enum Engine {
-    Seq(ActiveSetDynamics),
-    Par(ParallelDynamics),
-}
-
-impl Engine {
-    fn state(&self) -> &SparseStrategies {
-        match self {
-            Engine::Seq(d) => d.state(),
-            Engine::Par(d) => d.state(),
-        }
-    }
-
-    fn loads(&self) -> &ChannelLoads {
-        match self {
-            Engine::Seq(d) => d.loads(),
-            Engine::Par(d) => d.loads(),
-        }
-    }
-
-    fn counters(&self) -> DynCounters {
-        match self {
-            Engine::Seq(d) => d.counters(),
-            Engine::Par(d) => d.counters(),
-        }
-    }
-
-    fn moves(&self) -> u64 {
-        self.counters().moves
-    }
-
-    fn run(&mut self, game: &ChurnGame, max_rounds: usize) -> (bool, usize) {
-        match self {
-            Engine::Seq(d) => d.run(game, max_rounds, None),
-            Engine::Par(d) => d.run(game, max_rounds),
-        }
-    }
 }
 
 /// Aggregated replay outcome — everything `BENCH_churn.json` records.
@@ -209,7 +164,7 @@ pub struct ChurnReport {
 pub struct ChurnDriver {
     cfg: ChurnConfig,
     game: ChurnGame,
-    engine: Engine,
+    engine: ActiveSetDynamics,
     /// Live user ids (swap-removed on departure).
     live: Vec<u32>,
     rng: StdRng,
@@ -233,13 +188,9 @@ impl ChurnDriver {
             cfg.n_channels,
             cfg.seed ^ 1,
         );
-        let mut engine = if cfg.threads <= 1 {
-            Engine::Seq(ActiveSetDynamics::new(&game, start))
-        } else {
-            Engine::Par(ParallelDynamics::new(&game, start, cfg.threads))
-        };
+        let mut engine = ActiveSetDynamics::new(&game, start);
         let t = Instant::now();
-        let (converged, settle_rounds) = engine.run(&game, cfg.max_rounds);
+        let (converged, settle_rounds) = engine.run(&game, cfg.max_rounds, None);
         let settle_ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(converged, "initial settle must converge");
         let live = (0..cfg.initial_users as u32).collect();
@@ -273,10 +224,7 @@ impl ChurnDriver {
         let budget = self.rng.gen_range(1..=self.cfg.radios.max(1));
         let u = self.game.push_user(budget);
         self.live.push(u.0 as u32);
-        match &mut self.engine {
-            Engine::Seq(d) => d.grow_users(&self.game).expect("arena growth"),
-            Engine::Par(d) => d.grow_users(&self.game).expect("arena growth"),
-        }
+        self.engine.grow_users(&self.game).expect("arena growth");
     }
 
     fn depart(&mut self) -> bool {
@@ -286,10 +234,7 @@ impl ChurnDriver {
         let idx = self.rng.gen_range(0..self.live.len());
         let u = UserId(self.live.swap_remove(idx) as usize);
         self.game.retire(u);
-        match &mut self.engine {
-            Engine::Seq(d) => d.retire_user(&self.game, u),
-            Engine::Par(d) => d.retire_user(&self.game, u),
-        }
+        self.engine.retire_user(&self.game, u);
         true
     }
 
@@ -309,10 +254,7 @@ impl ChurnDriver {
         let load = self.engine.loads().load(c);
         let old = self.game.set_rate(c, cur * factor);
         let f = move |t: u32| ChurnGame::payoff_at_rate(load, t, old);
-        match &mut self.engine {
-            Engine::Seq(d) => d.reprice_channel(&self.game, c, &f),
-            Engine::Par(d) => d.reprice_channel(&self.game, c, &f),
-        }
+        self.engine.reprice_channel(&self.game, c, &f);
     }
 
     /// Full drift check: the standing state must still be an exact Nash
@@ -342,7 +284,7 @@ impl ChurnDriver {
 
         for i in 0..cfg.events {
             let kind = self.next_kind();
-            let before = self.engine.moves();
+            let before = self.engine.counters().moves;
             let t = Instant::now();
             match kind {
                 EventKind::Arrive => {
@@ -374,11 +316,11 @@ impl ChurnDriver {
                     rate_shifts += 1;
                 }
             }
-            let (converged, _) = self.engine.run(&self.game, cfg.max_rounds);
+            let (converged, _) = self.engine.run(&self.game, cfg.max_rounds, None);
             let dt = t.elapsed();
             assert!(converged, "event {i} ({kind:?}): re-convergence stalled");
             replay_wall += dt;
-            moves_per_event.push(self.engine.moves() - before);
+            moves_per_event.push(self.engine.counters().moves - before);
             wall_per_event.push(dt.as_secs_f64() * 1e6);
 
             if cfg.drift_every > 0 && (i + 1) % cfg.drift_every == 0 {
@@ -453,7 +395,7 @@ impl ChurnReport {
         format!(
             "{{\"bench\": \"t10_churn\", \
              \"initial_users\": {}, \"radios\": {}, \"n_channels\": {}, \
-             \"threads\": {}, \"seed\": {}, \
+             \"seed\": {}, \
              \"events\": {}, \"arrivals\": {}, \"departures\": {}, \
              \"budget_changes\": {}, \"rate_shifts\": {}, \
              \"p50_moves\": {}, \"p99_moves\": {}, \"max_moves\": {}, \
@@ -466,7 +408,6 @@ impl ChurnReport {
             self.cfg.initial_users,
             self.cfg.radios,
             self.cfg.n_channels,
-            self.cfg.threads,
             self.cfg.seed,
             self.events_processed,
             self.arrivals,
@@ -544,7 +485,6 @@ mod tests {
             rate: 1.0,
             events: 60,
             seed: 7,
-            threads: 1,
             max_rounds: 400,
             drift_every: 15,
         };
@@ -564,22 +504,5 @@ mod tests {
             "{}",
             report.summary()
         );
-    }
-
-    #[test]
-    fn parallel_replay_matches_the_contract_too() {
-        let cfg = ChurnConfig {
-            initial_users: 300,
-            radios: 2,
-            n_channels: 8,
-            rate: 1.0,
-            events: 40,
-            seed: 11,
-            threads: 2,
-            max_rounds: 400,
-            drift_every: 10,
-        };
-        let report = ChurnDriver::new(cfg).replay();
-        assert_eq!(report.drift_failures, 0, "{}", report.summary());
     }
 }

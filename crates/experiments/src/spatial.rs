@@ -36,7 +36,6 @@
 use mrca_core::churn::ChurnGame;
 use mrca_core::spatial::{
     spatial_utility, spatial_welfare, ConflictGraph, NbrIndex, SpatialDynamics, SpatialGame,
-    SpatialParallelDynamics,
 };
 use mrca_core::{SparseStrategies, UserId};
 use std::time::Instant;
@@ -58,8 +57,6 @@ pub struct SpatialConfig {
     pub rate: f64,
     /// Base seed (cells derive theirs from it).
     pub seed: u64,
-    /// `<= 1` sequential driver, more the parallel one.
-    pub threads: usize,
     /// Round cap — only reached on a genuine stall, since cycles are
     /// detected explicitly.
     pub max_rounds: usize,
@@ -94,7 +91,6 @@ impl SpatialConfig {
             radios: 2,
             rate: 1.0,
             seed: 2026,
-            threads: 1,
             max_rounds: 20_000,
             smoke_users: 1_000_000,
             smoke_side: 3_162.0,
@@ -237,35 +233,19 @@ pub fn run_cell(
     let start = SparseStrategies::random_uniform(n, cfg.radios, n_channels, seed ^ 0x5EED);
 
     let t0 = Instant::now();
-    let (state, converged, rounds, cycle, moves, decreases, index_bytes, index_dense_bytes) =
-        if cfg.threads <= 1 {
-            let mut d = SpatialDynamics::new(&game, start);
-            let (converged, rounds) = d.run(&game, cfg.max_rounds, None);
-            let (moves, dec, cyc) = (
-                d.counters().moves,
-                d.potential().decreases(),
-                d.cycle_detected(),
-            );
-            let (ib, idb) = (
-                d.neighborhood_loads().heap_bytes(),
-                d.neighborhood_loads().dense_bytes(),
-            );
-            (d.into_state(), converged, rounds, cyc, moves, dec, ib, idb)
-        } else {
-            let mut d = SpatialParallelDynamics::new(&game, start, cfg.threads);
-            let (converged, rounds) = d.run(&game, cfg.max_rounds);
-            let (moves, dec, cyc) = (
-                d.counters().moves,
-                d.potential().decreases(),
-                d.cycle_detected(),
-            );
-            let (ib, idb) = (
-                d.neighborhood_loads().heap_bytes(),
-                d.neighborhood_loads().dense_bytes(),
-            );
-            (d.into_state(), converged, rounds, cyc, moves, dec, ib, idb)
-        };
+    let mut d = SpatialDynamics::new(&game, start);
+    let (converged, rounds) = d.run(&game, cfg.max_rounds, None);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (moves, decreases, cycle) = (
+        d.counters().moves,
+        d.potential().decreases(),
+        d.cycle_detected(),
+    );
+    let (index_bytes, index_dense_bytes) = (
+        d.neighborhood_loads().heap_bytes(),
+        d.neighborhood_loads().dense_bytes(),
+    );
+    let state = d.into_state();
     let graph_bytes = game.graph().heap_bytes();
 
     // Welfare and per-user domination vs the greedy coloring baseline.
@@ -468,10 +448,9 @@ impl SpatialReport {
     pub fn to_json(&self) -> String {
         let cells: Vec<String> = self.cells.iter().map(|c| c.to_json()).collect();
         format!(
-            "{{\"bench\": \"t11_spatial\", \"radios\": {}, \"threads\": {}, \"seed\": {}, \
+            "{{\"bench\": \"t11_spatial\", \"radios\": {}, \"seed\": {}, \
              \"cells\": [{}], \"smoke\": {}, \"wide\": {}}}\n",
             self.cfg.radios,
-            self.cfg.threads,
             self.cfg.seed,
             cells.join(", "),
             self.smoke.to_json(),

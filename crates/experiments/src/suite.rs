@@ -1320,7 +1320,7 @@ where
     // The sink must run concurrently with the workers on the caller's
     // thread, so this drives the scope by hand — but the claiming
     // primitive is the shared [`par::ChunkQueue`], the same one
-    // `scoped_chunks` (and through it the parallel dynamics) use.
+    // `scoped_chunks` (and through it `parallel_map`) uses.
     let queue = par::ChunkQueue::new(items.len(), 1);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
