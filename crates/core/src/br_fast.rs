@@ -75,6 +75,13 @@
 //! incremental DP ≡ full DP ≡ enumeration on randomized instances of all
 //! three game variants, and the convergence-trace golden suite pins
 //! identical dynamics traces between the dense and sparse engines.
+//!
+//! The spatial driver answers its heap-route queries with the row kernel
+//! ([`crate::spatial::RowKernel`]) instead of this heap: one user's
+//! neighborhood loads are a per-user vector no shared heap could key. It
+//! takes the same marginals under the same tie rule, and
+//! `fast_path_equiv` and `row_kernel_equiv` pin it to [`HeapEngine`] bit
+//! for bit.
 
 use crate::br_dp::{self, park_slack, ChannelGame};
 use crate::error::Error;
@@ -394,162 +401,6 @@ impl HeapEngine {
         }
         (alloc.into_iter().map(|(c, t, _)| (c, t)).collect(), value)
     }
-}
-
-/// The flat per-channel first-entry payoff table of the branch-free
-/// marginal kernel: `first[c] = channel_payoff(c, k_c, 1)` against a
-/// load snapshot — exactly the key a fresh [`HeapEngine`] global entry
-/// would carry, laid out as one contiguous `f64` row instead of a heap.
-///
-/// The spatial driver ([`crate::spatial`]) rebuilds it per query from
-/// the querying user's neighborhood row — a per-user load vector no
-/// shared heap could key — and each best response starts from a
-/// straight `memcpy` of this row and scans it linearly.
-#[derive(Debug, Default, Clone)]
-pub struct MarginalTable {
-    first: Vec<f64>,
-}
-
-impl MarginalTable {
-    /// Build the table against `loads` (`O(|C|)` payoff calls).
-    pub fn build<G: ChannelGame + ?Sized>(game: &G, loads: &ChannelLoads) -> Self {
-        let mut t = MarginalTable::default();
-        t.rebuild(game, loads);
-        t
-    }
-
-    /// Refill against new loads, reusing the allocation.
-    pub fn rebuild<G: ChannelGame + ?Sized>(&mut self, game: &G, loads: &ChannelLoads) {
-        self.first.clear();
-        self.first.extend((0..loads.n_channels()).map(|c| {
-            let cid = ChannelId(c);
-            game.channel_payoff(cid, loads.load(cid), 1)
-        }));
-    }
-
-    /// The flat `first[c]` row.
-    pub fn first(&self) -> &[f64] {
-        &self.first
-    }
-}
-
-/// One selected channel of an in-flight kernel query: the running count
-/// and the memoized payoff at that count, so the next marginal costs one
-/// payoff call (the same memoization [`HeapEngine`]'s `LocalEntry` does).
-#[derive(Debug, Clone, Copy)]
-struct KernelSel {
-    chan: u32,
-    others: u32,
-    taken: u32,
-    /// `channel_payoff(chan, others, taken)` — memoized.
-    f_taken: f64,
-}
-
-/// Per-query scratch of the branch-free kernel: the live marginal row
-/// (a copy of the shared [`MarginalTable`] with own-channel corrections)
-/// plus the ≤ `k` selected-channel states.
-#[derive(Debug, Default, Clone)]
-pub struct KernelScratch {
-    cur: Vec<f64>,
-    sel: Vec<KernelSel>,
-}
-
-/// Branch-free best response for **separable-monotone** payoffs over the
-/// flat marginal table: copy the shared `first[c]` row, correct the ≤ `k`
-/// own channels, then `k` times take the argmax of the row by a straight
-/// linear scan (strict `>`, so exact ties resolve to the lowest channel
-/// index — the workspace-wide rule) and lower the winner's slot to its
-/// next marginal. No heap, no per-entry branching beyond the scan's
-/// compare-and-select, and the only allocations are one-time scratch
-/// growth.
-///
-/// Returns the achieved value (the ascending-channel payoff sum, the
-/// exact association every engine uses) and **appends** the sorted sparse
-/// row to `out`. The selection sequence — and therefore the allocation
-/// *and* the value, bit for bit — matches [`HeapEngine::best_response`]
-/// against the same loads: both take the `k` largest elements of the
-/// identical marginal multiset with the identical tie rule. The
-/// `fast_path_equiv` suite pins this differentially.
-///
-/// # Panics
-///
-/// Debug-asserts the game declares a separable-monotone payoff with all
-/// radios deployed (the greedy argument's precondition, as for
-/// [`HeapEngine`]).
-pub fn kernel_best_response_into<G: ChannelGame + ?Sized>(
-    game: &G,
-    row: &[SparseEntry],
-    loads: &ChannelLoads,
-    k: u32,
-    table: &MarginalTable,
-    scratch: &mut KernelScratch,
-    out: &mut Vec<SparseEntry>,
-) -> f64 {
-    debug_assert!(
-        game.payoff_is_separable_monotone() && !game.may_idle_radios(),
-        "the marginal kernel requires a separable-monotone payoff with all radios deployed"
-    );
-    debug_assert_eq!(table.first.len(), loads.n_channels(), "stale table");
-    scratch.cur.clear();
-    scratch.cur.extend_from_slice(&table.first);
-    scratch.sel.clear();
-    // Own-channel correction: the shared row was computed against the
-    // full load; this user's first marginal excludes its own radios.
-    for &(c, own) in row {
-        let cid = ChannelId(c as usize);
-        let others = loads.load(cid) - own;
-        scratch.cur[c as usize] = game.channel_payoff(cid, others, 1);
-    }
-    for _ in 0..k {
-        // Argmax by linear scan; strict `>` keeps the first (lowest)
-        // channel on exact ties, matching MarginalKey's ordering.
-        let mut best = f64::NEG_INFINITY;
-        let mut arg = usize::MAX;
-        for (c, &m) in scratch.cur.iter().enumerate() {
-            if m > best {
-                best = m;
-                arg = c;
-            }
-        }
-        if arg == usize::MAX {
-            break; // |C| = 0: nothing to place
-        }
-        let cid = ChannelId(arg);
-        let sel = match scratch.sel.iter_mut().find(|s| s.chan == arg as u32) {
-            Some(s) => s,
-            None => {
-                let others = match row.binary_search_by_key(&(arg as u32), |&(c, _)| c) {
-                    Ok(i) => loads.load(cid) - row[i].1,
-                    Err(_) => loads.load(cid),
-                };
-                scratch.sel.push(KernelSel {
-                    chan: arg as u32,
-                    others,
-                    taken: 0,
-                    f_taken: 0.0,
-                });
-                scratch.sel.last_mut().expect("just pushed")
-            }
-        };
-        sel.taken += 1;
-        let f_up = game.channel_payoff(cid, sel.others, sel.taken);
-        let marginal_next = game.channel_payoff(cid, sel.others, sel.taken + 1) - f_up;
-        debug_assert!(
-            marginal_next <= (f_up - sel.f_taken) + 1e-9 * best.abs().max(1.0),
-            "payoff declared separable-monotone but marginal rose on {cid}"
-        );
-        sel.f_taken = f_up;
-        scratch.cur[arg] = marginal_next;
-    }
-    // Emit ascending by channel and recompute the value in the same
-    // order — the exact floating-point association all engines share.
-    scratch.sel.sort_unstable_by_key(|s| s.chan);
-    let mut value = 0.0;
-    for s in &scratch.sel {
-        value += game.channel_payoff(ChannelId(s.chan as usize), s.others, s.taken);
-        out.push((s.chan, s.taken));
-    }
-    value
 }
 
 /// The incremental DP: shared per-channel payoff columns repaired two at

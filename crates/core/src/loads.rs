@@ -71,8 +71,8 @@ impl ChannelLoads {
     /// Overwrite the cached vector from a raw per-channel slice, reusing
     /// the allocation. This is how the spatial engine ([`crate::spatial`])
     /// materializes a user's *neighborhood* load view in the exact shape
-    /// the shared best-response kernels consume — so the per-channel
-    /// arithmetic inside them is the same code (and the same floats) on
+    /// the shared knapsack DP consumes — so the per-channel
+    /// arithmetic inside it is the same code (and the same floats) on
     /// the global and the per-neighborhood path.
     pub(crate) fn copy_from_slice(&mut self, loads: &[u32]) {
         self.loads.clear();
@@ -82,7 +82,7 @@ impl ChannelLoads {
     /// Size the vector to `n` zeroed cells if it is not already that
     /// shape. The neighborhood index materializes its CSR rows through
     /// this view with the sparse-set trick — fill the occupied
-    /// cells, run the kernel, clear the same cells — so between uses the
+    /// cells, run the DP, clear the same cells — so between uses the
     /// view is all zeros and this call is an `O(1)` length check, not an
     /// `O(|C|)` wipe.
     pub(crate) fn ensure_zeroed(&mut self, n: usize) {

@@ -108,6 +108,21 @@ impl SparseStrategies {
         Ok(user)
     }
 
+    /// Append empty rows with slot capacities `budgets`, all or none:
+    /// the summed demand is checked before the first row is pushed, so an
+    /// [`Error::ArenaOverflow`] leaves the structure unchanged.
+    pub fn push_rows(&mut self, budgets: &[u32]) -> Result<(), Error> {
+        let end = *self.starts.last().expect("starts always holds n+1 offsets");
+        budgets.iter().try_fold(end, |acc, &k| {
+            acc.checked_add(k)
+                .ok_or_else(|| Error::arena_overflow(acc as u64, k as u64))
+        })?;
+        for &k in budgets {
+            self.push_row(k).expect("the summed demand fits");
+        }
+        Ok(())
+    }
+
     /// Sparse form of a dense matrix, with row capacities taken from the
     /// game's budgets (so rows can later be replaced by any legal
     /// strategy, e.g. when dynamics deploy radios an initial matrix left
@@ -612,6 +627,21 @@ mod tests {
             "{err}"
         );
         assert_eq!(s, before);
+    }
+
+    #[test]
+    fn push_rows_is_all_or_nothing() {
+        let mut s = SparseStrategies::with_budgets(&[2, 3], 4);
+        let before = s.clone();
+        let err = s.push_rows(&[1, u32::MAX]).unwrap_err();
+        assert!(
+            matches!(err, Error::ArenaOverflow { slots: 6, .. }),
+            "{err}"
+        );
+        assert_eq!(s, before, "the row that fit is not pushed either");
+        s.push_rows(&[1, 2]).unwrap();
+        assert_eq!(s.n_users(), 4);
+        assert_eq!(s.row_capacity(UserId(3)), 2);
     }
 
     #[test]

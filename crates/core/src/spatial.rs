@@ -17,14 +17,16 @@
 //! # How the engine generalizes
 //!
 //! [`ChannelGame::channel_payoff`] is already parameterized on the
-//! others-load, so the whole best-response layer is reused verbatim: a
-//! user's query materializes its neighborhood row as a [`ChannelLoads`]
-//! view and runs the *same* kernels — the branch-free marginal kernel
-//! ([`kernel_best_response_into`]) on the separable-monotone route, the
-//! shared knapsack DP ([`crate::br_dp`]) on the generic route. Identical
-//! inputs produce identical floats, which is what makes the clique
-//! reduction a bit-level differential test rather than an approximate
-//! one.
+//! others-load, so a neighborhood query asks the same payoffs a global
+//! one does. On the separable-monotone route the [`RowKernel`] answers
+//! it from the user's nonzero neighborhood cells plus one order of all
+//! channels by zero-load marginal: `O(k · row)` work, nothing `|C|`-wide
+//! per query. The generic route materializes the row as a
+//! [`ChannelLoads`] view and runs the shared knapsack DP
+//! ([`crate::br_dp`]). Both take the same marginals under the same tie
+//! rule as the single-domain engines, so identical inputs produce
+//! identical floats, which is what makes the clique reduction a
+//! bit-level differential test rather than an approximate one.
 //!
 //! The driver changes only in its *wake rule*: a move by `u` changes
 //! `ℓ_v(c)` exactly for `v ∈ N(u)` on the touched channels, so
@@ -65,7 +67,7 @@
 //! instruments on and writes `results/BENCH_spatial.json`.
 
 use crate::br_dp::{self, ChannelGame};
-use crate::br_fast::{kernel_best_response_into, DynCounters, KernelScratch, MarginalTable};
+use crate::br_fast::DynCounters;
 use crate::error::Error;
 use crate::game::improves;
 use crate::game::NashCheck;
@@ -829,8 +831,8 @@ impl NbrIndex {
         }
     }
 
-    /// User `u`'s row materialized dense — tests and goldens; the hot
-    /// path materializes through [`fill_view`](Self::fill_view) instead.
+    /// User `u`'s row materialized dense — tests and goldens; queries
+    /// read the row's cells in place instead.
     pub fn dense_row(&self, u: usize) -> Vec<u32> {
         let mut out = vec![0u32; self.n_channels];
         self.for_each_load(u, |c, l| out[c] = l);
@@ -963,8 +965,8 @@ impl NbrIndex {
         self.n_users() * self.n_channels * std::mem::size_of::<u32>()
     }
 
-    /// Materialize `u`'s row into the BR scratch view, with zero
-    /// allocation. The dense layout copies its row over the whole view;
+    /// Materialize `u`'s row into the knapsack DP's scratch view, with
+    /// zero allocation. The dense layout copies its row over the whole view;
     /// CSR scatters its `O(deg·k)` cells over an all-zeros view, which
     /// [`clear_view`](Self::clear_view) restores after the query. The
     /// layout is fixed at build, so a scratch only ever sees one of the
@@ -1234,19 +1236,263 @@ impl Csr {
 }
 
 // ---------------------------------------------------------------------------
-// Best responses over a neighborhood view
+// Best responses over a neighborhood row
 // ---------------------------------------------------------------------------
 
-/// Scratch for spatial best-response queries: the user's neighborhood
-/// row materialized as a [`ChannelLoads`] view plus the route-specific
-/// kernel buffers. One per driver or Nash scan, reused across queries.
-#[derive(Debug, Default)]
+/// The heap-route best response over one neighborhood row: the greedy
+/// pick of the `k` best marginals, exact for separable-monotone payoffs
+/// with every radio deployed, at a cost set by the row, not by `|C|`.
+///
+/// On a channel no neighbor occupies, a user's marginals
+/// `payoff(c, 0, t+1) − payoff(c, 0, t)` depend on the channel alone. So
+/// one order of all channels by zero-load first marginal
+/// `payoff(c, 0, 1)`, best first and exact ties to the lower channel,
+/// ranks every channel outside any row. The kernel builds it with
+/// [`new`](Self::new) and rebuilds it with [`reorder`](Self::reorder) on
+/// a rate change, in `O(|C| log |C|)`. A user's own channels carry load
+/// ≥ own ≥ 1, so they are always loaded cells of its row.
+///
+/// A query reads the row's loaded cells in ascending channel order
+/// ([`push_cell`](Self::push_cell)). Each is a candidate with others-load
+/// `ℓ − own` and first marginal `payoff(c, ℓ − own, 1)`; a cursor into
+/// the zero-load order, skipping row channels, offers the best channel
+/// outside the row. `k` times the query takes the largest marginal,
+/// exact ties to the lowest channel and never a NaN, and a zero-load
+/// pick joins the candidates with others-load 0. That is the greedy of
+/// [`crate::br_fast::HeapEngine::best_response`] over the same marginals
+/// with the same tie rule, and the value is the same ascending-channel
+/// payoff sum, so rows and value bits agree with it (`fast_path_equiv`
+/// and `row_kernel_equiv` pin both). A query costs `O(k · row)` compares
+/// plus a binary search per cursor check; nothing `|C|`-wide is filled,
+/// rebuilt or scanned.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct RowKernel {
+    /// Every channel with `payoff(c, 0, 1)`, in pick order.
+    order: Vec<(u32, f64)>,
+    /// Candidates as `(channel, others-load)`: the row's loaded cells in
+    /// ascending channel order, then zero-load picks in pick order.
+    cands: Vec<SparseEntry>,
+    /// Each candidate's next marginal, parallel to `cands`.
+    marg: Vec<f64>,
+    /// The query's picked candidates, at most `k`.
+    picks: Vec<Pick>,
+}
+
+/// One picked candidate of a [`RowKernel`] query, with the payoffs at
+/// its count and one radio above it, so a pick costs one payoff call.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    /// Index into the candidates.
+    at: u32,
+    /// Radios placed on it so far.
+    taken: u32,
+    /// `payoff(c, others, taken)`.
+    f_taken: f64,
+    /// `payoff(c, others, taken + 1)`.
+    f_next: f64,
+}
+
+impl RowKernel {
+    /// A kernel ordered for `game`'s current payoffs.
+    pub fn new<G: ChannelGame + ?Sized>(game: &G) -> Self {
+        let mut kernel = RowKernel {
+            order: Vec::new(),
+            cands: Vec::new(),
+            marg: Vec::new(),
+            picks: Vec::new(),
+        };
+        kernel.reorder(game);
+        kernel
+    }
+
+    /// Rebuild the zero-load order from `game`'s current payoffs. A NaN
+    /// marginal ranks with −∞; the query picks neither.
+    pub fn reorder<G: ChannelGame + ?Sized>(&mut self, game: &G) {
+        self.order.clear();
+        self.order.extend(
+            (0..game.n_channels()).map(|c| (c as u32, game.channel_payoff(ChannelId(c), 0, 1))),
+        );
+        let rank = |m: f64| if m.is_nan() { f64::NEG_INFINITY } else { m };
+        self.order.sort_unstable_by(|a, b| {
+            rank(b.1)
+                .partial_cmp(&rank(a.1))
+                .expect("NaN is ranked as −∞")
+                .then(a.0.cmp(&b.0))
+        });
+    }
+
+    /// Whether the zero-load order is `game`'s, bit for bit.
+    #[cfg(feature = "paranoid-checks")]
+    fn is_ordered_for<G: ChannelGame + ?Sized>(&self, game: &G) -> bool {
+        let fresh = RowKernel::new(game).order;
+        fresh.len() == self.order.len()
+            && fresh
+                .iter()
+                .zip(&self.order)
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+    }
+
+    /// Queue the row's next loaded cell `(c, ℓ_u(c))`, `ℓ > 0`, in
+    /// ascending channel order.
+    #[inline]
+    pub fn push_cell(&mut self, c: u32, load: u32) {
+        debug_assert!(
+            load > 0 && self.cands.last().is_none_or(|&(p, _)| p < c),
+            "cells must be nonzero and ascending"
+        );
+        self.cands.push((c, load));
+    }
+
+    /// Query a user with row `own` and budget `k` against the queued
+    /// cells, which it consumes: appends the best response's sorted row
+    /// to `out` and returns `(utility, value)` — the user's current
+    /// utility `Σ payoff(c, ℓ − own, own)` over its own channels in
+    /// ascending order ([`spatial_utility`]'s sum, bit for bit) and the
+    /// best response's value.
+    pub fn best_response_into<G: ChannelGame + ?Sized>(
+        &mut self,
+        game: &G,
+        own: &[SparseEntry],
+        k: u32,
+        out: &mut Vec<SparseEntry>,
+    ) -> (f64, f64) {
+        debug_assert!(
+            game.payoff_is_separable_monotone() && !game.may_idle_radios(),
+            "the row kernel requires a separable-monotone payoff with all radios deployed"
+        );
+        debug_assert_eq!(
+            self.order.len(),
+            game.n_channels(),
+            "ordered for another game"
+        );
+        // Loads become others-loads; own cells add to the utility.
+        let (mut j, mut utility) = (0, 0.0);
+        self.marg.clear();
+        self.marg.extend(self.cands.iter_mut().map(|cand| {
+            let cid = ChannelId(cand.0 as usize);
+            match own.get(j) {
+                Some(&(c, t)) if c == cand.0 => {
+                    j += 1;
+                    cand.1 -= t;
+                    let first = game.channel_payoff(cid, cand.1, 1);
+                    utility += if t == 1 {
+                        first
+                    } else {
+                        game.channel_payoff(cid, cand.1, t)
+                    };
+                    first
+                }
+                _ => game.channel_payoff(cid, cand.1, 1),
+            }
+        }));
+        debug_assert_eq!(j, own.len(), "an own channel has no loaded cell");
+        let loaded = self.cands.len();
+        // A full-width row leaves the cursor nothing to offer.
+        let mut z = if loaded < self.order.len() {
+            0
+        } else {
+            self.order.len()
+        };
+        self.picks.clear();
+        for _ in 0..k {
+            let row = &self.cands[..loaded];
+            while z < self.order.len()
+                && row.binary_search_by_key(&self.order[z].0, |e| e.0).is_ok()
+            {
+                z += 1;
+            }
+            // Loaded cells ascend, so a strict `>` keeps the lowest
+            // channel of a tie among them; zero picks and the cursor
+            // compare channels. With nothing picked `best_chan` is 0, so
+            // no tie with −∞ wins, and no NaN ever compares true.
+            let (mut best, mut at, mut best_chan) = (f64::NEG_INFINITY, usize::MAX, 0);
+            for (i, &m) in self.marg[..loaded].iter().enumerate() {
+                if m > best {
+                    (best, at) = (m, i);
+                }
+            }
+            if at != usize::MAX {
+                best_chan = self.cands[at].0;
+            }
+            for i in loaded..self.cands.len() {
+                let (m, c) = (self.marg[i], self.cands[i].0);
+                if m > best || (m == best && c < best_chan) {
+                    (best, at, best_chan) = (m, i, c);
+                }
+            }
+            if let Some(&(c, m)) = self.order.get(z) {
+                if m > best || (m == best && c < best_chan) {
+                    (best, at) = (m, self.cands.len());
+                    self.cands.push((c, 0));
+                    self.marg.push(m);
+                    z += 1;
+                }
+            }
+            if at == usize::MAX {
+                break; // |C| = 0: nothing to place
+            }
+            let (c, others) = self.cands[at];
+            let cid = ChannelId(c as usize);
+            let pick = match self.picks.iter().position(|p| p.at as usize == at) {
+                Some(i) => &mut self.picks[i],
+                None => {
+                    // An unpicked candidate's marginal is its first payoff.
+                    self.picks.push(Pick {
+                        at: at as u32,
+                        taken: 0,
+                        f_taken: 0.0,
+                        f_next: best,
+                    });
+                    self.picks.last_mut().expect("just pushed")
+                }
+            };
+            pick.taken += 1;
+            pick.f_taken = pick.f_next;
+            pick.f_next = game.channel_payoff(cid, others, pick.taken + 1);
+            let next = pick.f_next - pick.f_taken;
+            debug_assert!(
+                next <= best + 1e-9 * best.abs().max(1.0),
+                "payoff declared separable-monotone but marginal rose on {cid}"
+            );
+            self.marg[at] = next;
+        }
+        // Emit ascending by channel and sum the value in the same order —
+        // the exact floating-point association all engines share.
+        let cands = &self.cands;
+        self.picks.sort_unstable_by_key(|p| cands[p.at as usize].0);
+        let mut value = 0.0;
+        for p in &self.picks {
+            value += p.f_taken;
+            out.push((cands[p.at as usize].0, p.taken));
+        }
+        self.cands.clear();
+        (utility, value)
+    }
+}
+
+/// Scratch for spatial best-response queries, one per driver or Nash
+/// scan and reused across queries: the [`RowKernel`] of the
+/// separable-monotone route, and the [`ChannelLoads`] view and knapsack
+/// buffers of the generic route.
+#[derive(Debug)]
 pub struct SpatialScratch {
+    kernel: RowKernel,
     view: ChannelLoads,
-    table: MarginalTable,
-    kernel: KernelScratch,
     knap: br_dp::KnapsackScratch,
     counts: Vec<u32>,
+}
+
+impl SpatialScratch {
+    /// Scratch whose kernel is ordered for `game`.
+    pub fn new<G: ChannelGame + ?Sized>(game: &G) -> Self {
+        SpatialScratch {
+            kernel: RowKernel::new(game),
+            view: ChannelLoads::default(),
+            knap: br_dp::KnapsackScratch::default(),
+            counts: Vec::new(),
+        }
+    }
 }
 
 /// Current utility of `user` from its sparse row against its
@@ -1282,75 +1528,47 @@ pub fn spatial_welfare<G: ChannelGame + ?Sized>(
         .sum()
 }
 
-/// Exact best response of a user against its neighborhood row,
-/// dispatching exactly like [`crate::br_fast::BrEngine`]: the
-/// branch-free marginal kernel when the payoff is separable-monotone
-/// with all radios deployed (`heap_route`), the shared knapsack DP
-/// otherwise. Both paths consume the neighborhood view through the same
-/// code the global engines use, so a clique neighborhood reproduces
-/// their floats bit for bit.
-///
-/// The kernels need a full-width row; `user`'s is materialized into
-/// `scratch.view` through [`NbrIndex::fill_view`] and released through
-/// [`NbrIndex::clear_view`]. Zero allocation either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spatial_best_response_into<G: ChannelGame + ?Sized>(
+/// The generic route: the shared knapsack DP against `scratch.view`,
+/// the user's own channels corrected to others-loads as the DP cache
+/// corrects them. Appends the sorted row to `out` and returns
+/// `(utility, value)` as [`RowKernel::best_response_into`] does.
+fn dp_best_response_into<G: ChannelGame + ?Sized>(
     game: &G,
     row: &[SparseEntry],
-    nbr: &NbrIndex,
-    user: usize,
     k: u32,
-    heap_route: bool,
     scratch: &mut SpatialScratch,
     out: &mut Vec<SparseEntry>,
-) -> f64 {
-    out.clear();
-    nbr.fill_view(user, &mut scratch.view);
-    let value = if heap_route {
-        scratch.table.rebuild(game, &scratch.view);
-        kernel_best_response_into(
-            game,
-            row,
-            &scratch.view,
-            k,
-            &scratch.table,
-            &mut scratch.kernel,
-            out,
-        )
-    } else {
-        let view = &scratch.view;
-        let kk = k as usize;
-        let value = br_dp::solve_knapsack_scratch(
-            game.n_channels(),
-            kk,
-            game.may_idle_radios(),
-            |c, t| match row.binary_search_by_key(&(c as u32), |&(cc, _)| cc) {
-                // Own channels mirror the DP cache's corrected columns:
-                // seeded 0 at t = 0, others-load = ℓ − own above.
-                Ok(i) if t == 0 => {
-                    let _ = i;
-                    0.0
-                }
-                Ok(i) => {
-                    let own = row[i].1;
-                    game.channel_payoff(ChannelId(c), view.load(ChannelId(c)) - own, t as u32)
-                }
-                Err(_) => game.channel_payoff(ChannelId(c), view.load(ChannelId(c)), t as u32),
-            },
-            &mut scratch.knap,
-            &mut scratch.counts,
-        );
-        out.extend(
-            scratch
-                .counts
-                .iter()
-                .enumerate()
-                .filter_map(|(c, &t)| (t > 0).then_some((c as u32, t))),
-        );
-        value
-    };
-    nbr.clear_view(user, &mut scratch.view);
-    value
+) -> (f64, f64) {
+    let view = &scratch.view;
+    let mut utility = 0.0;
+    for &(c, t) in row {
+        let cid = ChannelId(c as usize);
+        utility += game.channel_payoff(cid, view.load(cid) - t, t);
+    }
+    let value = br_dp::solve_knapsack_scratch(
+        game.n_channels(),
+        k as usize,
+        game.may_idle_radios(),
+        |c, t| match row.binary_search_by_key(&(c as u32), |e| e.0) {
+            // Own channels: seeded 0 at t = 0, others-load = ℓ − own above.
+            Ok(_) if t == 0 => 0.0,
+            Ok(i) => {
+                let own = row[i].1;
+                game.channel_payoff(ChannelId(c), view.load(ChannelId(c)) - own, t as u32)
+            }
+            Err(_) => game.channel_payoff(ChannelId(c), view.load(ChannelId(c)), t as u32),
+        },
+        &mut scratch.knap,
+        &mut scratch.counts,
+    );
+    out.extend(
+        scratch
+            .counts
+            .iter()
+            .enumerate()
+            .filter_map(|(c, &t)| (t > 0).then_some((c as u32, t))),
+    );
+    (utility, value)
 }
 
 /// Dense vector of a sparse row (trace and witness materialization).
@@ -1365,30 +1583,46 @@ fn row_to_vector(row: &[SparseEntry], n_channels: usize) -> StrategyVector {
 /// Full `O(|N|)` Nash scan under neighborhood loads: per-user gains and
 /// the first improving witness, with the engine's own
 /// [`improves`] predicate — the spatial analogue of
-/// [`crate::br_fast::nash_check_sparse`].
+/// [`crate::br_fast::nash_check_sparse`]. Each user's closed-neighborhood
+/// row is aggregated on the spot, by the row aggregation the index
+/// builder and [`NbrIndex::agrees_with`] use, and answered from its
+/// cells: the [`RowKernel`] on the separable-monotone route, the DP over
+/// the cells scattered into a view (and cleared again) otherwise. The
+/// scan holds `O(|C|)` scratch and builds no `N`-row index.
 pub fn nash_check_spatial<G: ChannelGame>(
     game: &SpatialGame<G>,
     s: &SparseStrategies,
 ) -> NashCheck {
-    let nbr = NbrIndex::sparse_of(game.graph(), s);
+    let graph = game.graph();
+    assert_eq!(graph.n_vertices(), s.n_users(), "one graph vertex per user");
     let heap_route = game.payoff_is_separable_monotone() && !game.may_idle_radios();
-    let mut scratch = SpatialScratch::default();
-    let mut br = Vec::new();
+    let mut scratch = SpatialScratch::new(game);
+    let mut agg = RowAggregator::new(s.n_channels());
+    let (mut cells, mut br) = (Vec::new(), Vec::new());
     let n = game.n_users();
     let mut gains = Vec::with_capacity(n);
     let mut witness = None;
     for user in UserId::all(n) {
-        let before = spatial_utility(game, s, &nbr, user);
-        let after = spatial_best_response_into(
-            game,
-            s.row(user),
-            &nbr,
-            user.0,
-            game.radios_of(user),
-            heap_route,
-            &mut scratch,
-            &mut br,
-        );
+        let (own, k) = (s.row(user), game.radios_of(user));
+        br.clear();
+        let (before, after) = if heap_route {
+            // The aggregated row is sorted and nonzero: exactly the
+            // kernel's queued-cell contract.
+            agg.aggregate(graph, s, user.0, &mut scratch.kernel.cands);
+            scratch.kernel.best_response_into(game, own, k, &mut br)
+        } else {
+            cells.clear();
+            agg.aggregate(graph, s, user.0, &mut cells);
+            scratch.view.ensure_zeroed(s.n_channels());
+            for &(c, l) in &cells {
+                scratch.view.set_raw(c as usize, l);
+            }
+            let found = dp_best_response_into(game, own, k, &mut scratch, &mut br);
+            for &(c, _) in &cells {
+                scratch.view.set_raw(c as usize, 0);
+            }
+            found
+        };
         gains.push((after - before).max(0.0));
         if witness.is_none() && improves(before, after) {
             witness = Some((user, row_to_vector(&br, game.n_channels())));
@@ -1689,7 +1923,7 @@ impl SpatialDynamics {
             s,
             nbr,
             heap_route: game.payoff_is_separable_monotone() && !game.may_idle_radios(),
-            scratch: SpatialScratch::default(),
+            scratch: SpatialScratch::new(game),
             br_row: Vec::new(),
             old_row: Vec::new(),
             cur: BinaryHeap::new(),
@@ -1740,7 +1974,8 @@ impl SpatialDynamics {
         self.cycle_detected
     }
 
-    /// Whether queries ride the branch-free marginal kernel.
+    /// Whether queries ride the [`RowKernel`] (the separable-monotone
+    /// route) rather than the knapsack DP.
     pub fn is_heap(&self) -> bool {
         self.heap_route
     }
@@ -1787,24 +2022,28 @@ impl SpatialDynamics {
     }
 
     /// Current utility and live best response of `u` against the
-    /// maintained neighborhood loads; the best-response row is left in
-    /// `self.br_row` for a possible [`commit`](Self::commit).
+    /// maintained neighborhood loads, dispatching exactly like
+    /// [`crate::br_fast::BrEngine`]: the [`RowKernel`] over the row's
+    /// nonzero cells when the payoff is separable-monotone with all
+    /// radios deployed, the knapsack DP over the row materialized by
+    /// [`NbrIndex::fill_view`] otherwise. Zero allocation either way; the
+    /// best-response row is left in `self.br_row` for a possible
+    /// [`commit`](Self::commit).
     fn live_query<G: ChannelGame>(&mut self, game: &SpatialGame<G>, u: u32) -> (f64, f64) {
         let uid = UserId(u as usize);
-        let before = spatial_utility(game, &self.s, &self.nbr, uid);
-        let mut br = std::mem::take(&mut self.br_row);
-        let after = spatial_best_response_into(
-            game,
-            self.s.row(uid),
-            &self.nbr,
-            u as usize,
-            game.radios_of(uid),
-            self.heap_route,
-            &mut self.scratch,
-            &mut br,
-        );
-        self.br_row = br;
-        (before, after)
+        let (row, k) = (self.s.row(uid), game.radios_of(uid));
+        let (nbr, scratch, out) = (&self.nbr, &mut self.scratch, &mut self.br_row);
+        out.clear();
+        if self.heap_route {
+            let kernel = &mut scratch.kernel;
+            nbr.for_each_load(uid.0, |c, l| kernel.push_cell(c as u32, l));
+            kernel.best_response_into(game, row, k, out)
+        } else {
+            nbr.fill_view(uid.0, &mut scratch.view);
+            let found = dp_best_response_into(game, row, k, scratch, out);
+            nbr.clear_view(uid.0, &mut scratch.view);
+            found
+        }
     }
 
     /// Round-boundary fingerprint of the strategy arena plus the
@@ -1919,6 +2158,11 @@ impl SpatialDynamics {
         max_rounds: usize,
         mut trace: Option<&mut Vec<(UserId, StrategyVector)>>,
     ) -> (bool, usize) {
+        #[cfg(feature = "paranoid-checks")]
+        debug_assert!(
+            self.scratch.kernel.is_ordered_for(game),
+            "stale zero-load order: a payoff changed without reprice_channel"
+        );
         self.cycles.clear();
         self.cycle_detected = false;
         for round in 1..=max_rounds {
@@ -1945,8 +2189,9 @@ impl SpatialDynamics {
     /// [`Error::InvalidConfig`] when the game reports fewer users than
     /// the driver holds (departures retire users, they never shrink the
     /// population), or when the graph's vertex count differs from the
-    /// game's user count (push the arrivals' vertices first); the driver
-    /// is left unchanged.
+    /// game's user count (push the arrivals' vertices first);
+    /// [`Error::ArenaOverflow`] when the arrivals' summed budgets do not
+    /// fit the strategy arena. Either way the driver is left unchanged.
     pub fn grow_users<G: ChannelGame>(&mut self, game: &SpatialGame<G>) -> Result<(), Error> {
         let old_n = self.s.n_users();
         let new_n = game.n_users();
@@ -1963,9 +2208,10 @@ impl SpatialDynamics {
                  push the arrivals' vertices before grow_users"
             )));
         }
+        let budgets: Vec<u32> = (old_n..new_n).map(|u| game.radios_of(UserId(u))).collect();
+        self.s.push_rows(&budgets)?;
         for u in old_n..new_n {
-            let uid = self.s.push_row(game.radios_of(UserId(u)))?;
-            self.cycles.push_row(u as u32, self.s.row(uid));
+            self.cycles.push_row(u as u32, self.s.row(UserId(u)));
             self.in_cur.push(false);
             self.in_pending.push(false);
         }
@@ -1991,10 +2237,13 @@ impl SpatialDynamics {
     }
 
     /// Rate-shift path: channel `c`'s payoff changed wholesale, so every
-    /// user's best response is suspect — schedule everyone and re-anchor
-    /// the potential (its ladders are payoff sums). Coarser than the
-    /// single-domain driver's occupant-index reprice, but exact.
+    /// user's best response is suspect — schedule everyone, re-anchor
+    /// the potential (its ladders are payoff sums) and rebuild the row
+    /// kernel's zero-load order, `O(|C| log |C|)`. Coarser than the
+    /// single-domain driver's occupant-index reprice, but exact. This is
+    /// the one payoff-change path: call it after every rate change.
     pub fn reprice_channel<G: ChannelGame>(&mut self, game: &SpatialGame<G>, _c: ChannelId) {
+        self.scratch.kernel.reorder(game);
         for u in 0..self.s.n_users() as u32 {
             self.schedule(u);
         }
@@ -2455,6 +2704,27 @@ mod tests {
         d.grow_users(&game).unwrap();
         assert_eq!(d.state().n_users(), 5);
         assert!(d.run(&game, 50, None).0);
+    }
+
+    /// Arrivals whose summed budgets overflow the strategy arena: the
+    /// first fits, the second does not, and the error must leave no
+    /// trace of the first — no state row without an index row.
+    #[test]
+    fn grow_users_overflow_leaves_the_driver_unchanged() {
+        let mut game = SpatialGame::clique(ChurnGame::uniform(3, 2, 3, 1.0));
+        let start = SparseStrategies::random_uniform(3, 2, 3, 1);
+        let mut d = SpatialDynamics::new(&game, start);
+        let before = books(&d);
+        for budget in [1, u32::MAX] {
+            game.inner_mut().push_user(budget);
+            let v = game.graph().n_vertices() as u32;
+            game.graph_mut().push_vertex(&(0..v).collect::<Vec<_>>());
+        }
+        let err = d.grow_users(&game);
+        assert!(matches!(err, Err(Error::ArenaOverflow { .. })), "{err:?}");
+        assert_eq!(d.state().n_users(), 3, "state rows");
+        assert_eq!(d.neighborhood_loads().n_users(), 3, "index rows");
+        assert_eq!(books(&d), before);
     }
 
     /// The paranoid oracle recomputes the fingerprint at every round

@@ -7,9 +7,8 @@
 //! property additionally drives random move sequences through the
 //! incremental repair logic and pins every intermediate state against
 //! freshly-built engines, so the `O(log |C|)` repairs can never drift
-//! from the oracle. A last pair of properties pins the branch-free
-//! marginal kernel the spatial driver runs against the lazy heap, bit
-//! for bit.
+//! from the oracle. A last pair of properties pins the row kernel the
+//! spatial driver runs against the lazy heap, bit for bit.
 //!
 //! Runs under the default case count per property; the nightly deep-fuzz
 //! CI job raises `PROPTEST_CASES` ~10x.
@@ -652,15 +651,16 @@ fn seeded_permuted_rounds_match_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// The branch-free marginal kernel vs the lazy heap
+// The row kernel vs the lazy heap
 // ---------------------------------------------------------------------------
 
-use mrca_core::br_fast::{KernelScratch, MarginalTable};
+use mrca_core::spatial::RowKernel;
 
-/// The branch-free kernel vs the lazy heap, bit for bit: same marginal
-/// multiset, same tie rule, same ascending-channel value association —
-/// so identical allocation and identical value on every query. The
-/// spatial driver answers every heap-route query through this kernel.
+/// The row kernel vs the lazy heap, bit for bit: same marginal multiset,
+/// same tie rule, same ascending-channel value association — so
+/// identical allocation and identical value on every query. The spatial
+/// driver answers every heap-route query through this kernel; here the
+/// row is the global load vector's nonzero cells.
 fn check_kernel_matches_heap<G: ChannelGame>(
     game: &G,
     m: &StrategyMatrix,
@@ -672,21 +672,17 @@ fn check_kernel_matches_heap<G: ChannelGame>(
     let loads = ChannelLoads::of_sparse(&sp);
     let mut engine = BrEngine::new(game, &loads);
     prop_assert!(engine.is_heap(), "engine routing");
-    let table = MarginalTable::build(game, &loads);
-    let mut scratch = KernelScratch::default();
+    let mut kernel = RowKernel::new(game);
     for u in UserId::all(game.n_users()) {
         let row = sp.row(u);
         let (hb, hv) = engine.best_response(game, row, &loads, u);
+        for (c, &l) in loads.as_slice().iter().enumerate() {
+            if l > 0 {
+                kernel.push_cell(c as u32, l);
+            }
+        }
         let mut kb = Vec::new();
-        let kv = br_fast::kernel_best_response_into(
-            game,
-            row,
-            &loads,
-            game.radios_of(u),
-            &table,
-            &mut scratch,
-            &mut kb,
-        );
+        let (_, kv) = kernel.best_response_into(game, row, game.radios_of(u), &mut kb);
         prop_assert_eq!(&kb, &hb, "kernel argmax, user {}", u);
         prop_assert_eq!(kv.to_bits(), hv.to_bits(), "kernel value, user {}", u);
     }
@@ -728,8 +724,8 @@ fn concave_hetero_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatri
 }
 
 proptest! {
-    /// The branch-free kernel is bit-identical to the lazy heap on every
-    /// query of every heap-eligible instance.
+    /// The row kernel is bit-identical to the lazy heap on every query of
+    /// every heap-eligible instance.
     #[test]
     fn kernel_is_bit_identical_to_heap(instance in constant_instance()) {
         let (game, m) = instance;
@@ -737,7 +733,7 @@ proptest! {
     }
 
     /// Same kernel pin under heterogeneous budgets (per-user `k` hits
-    /// differently-sized selections against one shared table).
+    /// differently-sized selections against one zero-load order).
     #[test]
     fn kernel_matches_heap_hetero(instance in concave_hetero_instance()) {
         let (game, m) = instance;

@@ -15,7 +15,8 @@
 //! — one small sweep cell plus both standalone cells. Either shape
 //! writes the per-cell `results/t11_spatial.csv` and prints a
 //! `spatial:` summary line the CI job asserts on (`cells > 0`,
-//! `unresolved == 0`, both standalone cells converged,
+//! `unresolved == 0`, `uncertified == 0` — every converged cell passes
+//! `nash_check_spatial` — both standalone cells converged,
 //! `smoke_mem_ratio >= 0.99` — the smoke cell's index at most dense
 //! size plus scratch — and `mem_ratio >= 8` at the wide cell); only
 //! the full shape writes the tracked `results/BENCH_spatial.json`, so a
@@ -96,6 +97,7 @@ fn csv_row(csv: &mut StreamingCsv, tag: &str, c: &CellReport) {
         c.n_channels.to_string(),
         format!("{:.3}", c.mean_degree),
         u8::from(c.converged).to_string(),
+        u8::from(c.certified).to_string(),
         u8::from(c.cycle).to_string(),
         c.rounds.to_string(),
         c.moves.to_string(),
@@ -108,6 +110,7 @@ fn csv_row(csv: &mut StreamingCsv, tag: &str, c: &CellReport) {
         c.graph_bytes.to_string(),
         format!("{:.2}", c.mem_ratio()),
         format!("{:.1}", c.ms),
+        format!("{:.1}", c.certify_ms),
     ]);
 }
 
@@ -137,6 +140,7 @@ fn main() {
             "n_channels",
             "mean_degree",
             "converged",
+            "certified",
             "cycle",
             "rounds",
             "moves",
@@ -149,6 +153,7 @@ fn main() {
             "graph_bytes",
             "mem_ratio",
             "ms",
+            "certify_ms",
         ],
     );
     for (i, c) in report.cells.iter().enumerate() {
@@ -162,13 +167,14 @@ fn main() {
     // The CI-parseable gate line (spatial-smoke parses the key=value
     // fields; the unprefixed index fields are the wide cell's).
     println!(
-        "spatial: cells={} cycles={} unresolved={} wide_users={} wide_converged={} \
+        "spatial: cells={} cycles={} unresolved={} uncertified={} wide_users={} wide_converged={} \
          index_bytes={} index_dense_bytes={} graph_bytes={} mem_ratio={:.2} \
          smoke_users={} smoke_converged={} smoke_rounds={} smoke_moves={} smoke_ms={:.0} \
          smoke_mem_ratio={:.6}",
         total,
         report.cycles(),
         report.unresolved(),
+        report.uncertified(),
         report.wide.n,
         u8::from(report.wide.converged),
         report.wide.index_bytes,
@@ -187,6 +193,11 @@ fn main() {
         report.unresolved(),
         0,
         "every cell must end in an explicit outcome (converged or detected cycle)"
+    );
+    assert_eq!(
+        report.uncertified(),
+        0,
+        "every converged cell must certify as a spatial Nash equilibrium"
     );
     assert!(smoke_ok, "the smoke cell must resolve");
     assert!(report.wide.converged, "the wide cell must converge");
@@ -211,7 +222,8 @@ fn main() {
         report.wide.index_dense_bytes,
     );
     println!(
-        "\nOK: {} cells resolved explicitly ({} detected cycles); wide cell of {} users \
+        "\nOK: {} cells resolved explicitly ({} detected cycles), every converged one \
+         certified; wide cell of {} users \
          at |C|={} holds the index in {} B vs {} B dense ({:.1}x); smoke cell of {} users {}.",
         total,
         report.cycles(),

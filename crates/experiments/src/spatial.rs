@@ -4,8 +4,9 @@
 //! The sweep crosses **density × conflict range × |C|** on seeded random
 //! geometric graphs. Each cell settles a random start through the
 //! spatial engine and records the *explicit outcome* (converged and
-//! certified, or a detected best-response cycle — never a silent round
-//! cap), the potential-decrease count (how non-monotone the trajectory
+//! certified by [`nash_check_spatial`], outside the timed settle, or a
+//! detected best-response cycle — never a silent round cap), the
+//! potential-decrease count (how non-monotone the trajectory
 //! was), and a welfare comparison against the greedy
 //! [`ColoringAllocator`](mrca_baselines::ColoringAllocator) baseline:
 //! per-user equilibrium rates vs the coloring allocation's implied
@@ -30,12 +31,14 @@
 //! `t11_spatial` drives this and writes the per-cell
 //! `results/t11_spatial.csv`, plus `results/BENCH_spatial.json` on a
 //! full run; the CI `spatial-smoke` job gates both standalone cells —
-//! convergence, the smoke cell's index at most dense size and the ≥8×
-//! wide-cell memory reduction — through the `spatial:` summary line.
+//! convergence, certification of every converged cell, the smoke cell's
+//! index at most dense size and the ≥8× wide-cell memory reduction —
+//! through the `spatial:` summary line.
 
 use mrca_core::churn::ChurnGame;
 use mrca_core::spatial::{
-    spatial_utility, spatial_welfare, ConflictGraph, NbrIndex, SpatialDynamics, SpatialGame,
+    nash_check_spatial, spatial_utility, spatial_welfare, ConflictGraph, NbrIndex, SpatialDynamics,
+    SpatialGame,
 };
 use mrca_core::{SparseStrategies, UserId};
 use std::time::Instant;
@@ -128,8 +131,11 @@ pub struct CellReport {
     pub n_channels: usize,
     /// Mean conflict-graph degree.
     pub mean_degree: f64,
-    /// Did the dynamics converge (and certify spatial-Nash)?
+    /// Did the dynamics converge?
     pub converged: bool,
+    /// Did [`nash_check_spatial`] certify the converged state a spatial
+    /// Nash equilibrium? False when the run did not converge.
+    pub certified: bool,
     /// Did the cycle detector fire instead?
     pub cycle: bool,
     /// Rounds to the outcome.
@@ -153,6 +159,9 @@ pub struct CellReport {
     pub graph_bytes: usize,
     /// Wall time for the settle.
     pub ms: f64,
+    /// Wall time of the certifying Nash scan (0 when the run did not
+    /// converge), outside [`ms`](Self::ms).
+    pub certify_ms: f64,
 }
 
 impl CellReport {
@@ -236,6 +245,13 @@ pub fn run_cell(
     let mut d = SpatialDynamics::new(&game, start);
     let (converged, rounds) = d.run(&game, cfg.max_rounds, None);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = Instant::now();
+    let certified = converged && nash_check_spatial(&game, d.state()).is_nash();
+    let certify_ms = if converged {
+        t1.elapsed().as_secs_f64() * 1e3
+    } else {
+        0.0
+    };
     let (moves, decreases, cycle) = (
         d.counters().moves,
         d.potential().decreases(),
@@ -273,6 +289,7 @@ pub fn run_cell(
         n_channels,
         mean_degree,
         converged,
+        certified,
         cycle,
         rounds,
         moves,
@@ -284,6 +301,7 @@ pub fn run_cell(
         index_dense_bytes,
         graph_bytes,
         ms,
+        certify_ms,
     }
 }
 
@@ -372,7 +390,7 @@ pub fn run_sweep(cfg: &SpatialConfig) -> SpatialReport {
         cfg.seed ^ 0x5100E,
     );
     println!(
-        "smoke: deg={:.2} {} rounds={} moves={} ({:.0} ms)",
+        "smoke: deg={:.2} {} rounds={} moves={} ({:.0} ms, certified in {:.0} ms)",
         smoke.mean_degree,
         if smoke.converged {
             "converged"
@@ -382,6 +400,7 @@ pub fn run_sweep(cfg: &SpatialConfig) -> SpatialReport {
         smoke.rounds,
         smoke.moves,
         smoke.ms,
+        smoke.certify_ms,
     );
     SpatialReport {
         cfg: cfg.clone(),
@@ -395,17 +414,18 @@ impl CellReport {
     fn to_json(&self) -> String {
         format!(
             "{{\"n\": {}, \"density\": {}, \"range\": {}, \"n_channels\": {}, \
-             \"mean_degree\": {:.3}, \"converged\": {}, \"cycle\": {}, \
+             \"mean_degree\": {:.3}, \"converged\": {}, \"certified\": {}, \"cycle\": {}, \
              \"rounds\": {}, \"moves\": {}, \"potential_decreases\": {}, \
              \"welfare_eq\": {:.6}, \"welfare_coloring\": {:.6}, \
              \"dominated\": {}, \"index_bytes\": {}, \"index_dense_bytes\": {}, \
-             \"graph_bytes\": {}, \"mem_ratio\": {:.2}, \"ms\": {:.1}}}",
+             \"graph_bytes\": {}, \"mem_ratio\": {:.2}, \"ms\": {:.1}, \"certify_ms\": {:.1}}}",
             self.n,
             self.density,
             self.range,
             self.n_channels,
             self.mean_degree,
             self.converged,
+            self.certified,
             self.cycle,
             self.rounds,
             self.moves,
@@ -418,6 +438,7 @@ impl CellReport {
             self.graph_bytes,
             self.mem_ratio(),
             self.ms,
+            self.certify_ms,
         )
     }
 }
@@ -431,6 +452,17 @@ impl SpatialReport {
             .iter()
             .chain([&self.smoke, &self.wide])
             .filter(|c| !c.converged && !c.cycle)
+            .count()
+    }
+
+    /// Converged cells the Nash scan did not certify — a converged run
+    /// that is not an equilibrium is an engine bug; the bin and the CI
+    /// gate both require zero.
+    pub fn uncertified(&self) -> usize {
+        self.cells
+            .iter()
+            .chain([&self.smoke, &self.wide])
+            .filter(|c| c.converged && !c.certified)
             .count()
     }
 
@@ -504,6 +536,8 @@ mod tests {
         cfg.wide_side = 60.0;
         let report = run_sweep(&cfg);
         assert_eq!(report.unresolved(), 0);
+        assert_eq!(report.uncertified(), 0);
+        assert!(report.smoke.certified && report.wide.certified);
         assert!(report.smoke.converged);
         assert!(report.wide.converged);
         // The memory accounting is live: nonzero index and graph bytes,
