@@ -1,4 +1,5 @@
-//! Bench: ablations called out in DESIGN.md §5 —
+//! Bench: two design ablations behind the experiments of the binary index
+//! in `crates/experiments/src/lib.rs` —
 //!
 //! * rate-model polymorphism: table-memoized DCF vs re-solving the Bianchi
 //!   fixed point on every `R(k)` evaluation;

@@ -1,5 +1,5 @@
 //! Bench: the large-N tentpole speedup — the `O(k log |C|)` lazy-heap
-//! best response versus the cached `O(|C|·k²)` DP, as a full
+//! best response versus the `O(|C|·k²)` DP, as a full
 //! best-response sweep over every user at the acceptance instance
 //! `(|N| = 10⁴, k = 4, |C| = 64)`.
 //!
@@ -41,14 +41,14 @@ fn bench_br_heap_vs_dp(c: &mut Criterion) {
     let sparse = SparseStrategies::random_uniform(N_USERS, RADIOS, N_CHANNELS, 7);
     let dense = sparse.to_dense();
     let loads = ChannelLoads::of_sparse(&sparse);
-    assert_eq!(loads, ChannelLoads::of(&dense), "sparse loads oracle");
+    assert_eq!(loads.as_slice(), dense.loads(), "sparse loads oracle");
 
     // Correctness first: the heap sweep must reproduce the DP's values
     // bit-for-bit on this instance before its speed means anything.
     let mut heap = HeapEngine::new(&game, &loads);
     for u in UserId::all(N_USERS) {
         let (_, hv) = heap.best_response(&game, sparse.row(u), &loads, u);
-        let (_, dv) = br_dp::best_response_cached(&game, &dense, &loads, u);
+        let (_, dv) = br_dp::best_response(&game, &dense, u);
         assert_eq!(hv.to_bits(), dv.to_bits(), "heap vs DP value, user {u}");
     }
     assert!(BrEngine::new(&game, &loads).is_heap(), "routing");
@@ -64,11 +64,11 @@ fn bench_br_heap_vs_dp(c: &mut Criterion) {
             acc
         })
     });
-    g.bench_function("dp_cached_full", |b| {
+    g.bench_function("dp_full", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for u in UserId::all(N_USERS) {
-                let (_, v) = br_dp::best_response_cached(&game, black_box(&dense), &loads, u);
+                let (_, v) = br_dp::best_response(&game, black_box(&dense), u);
                 acc += v;
             }
             acc
@@ -99,20 +99,20 @@ fn bench_br_heap_vs_dp(c: &mut Criterion) {
     let t_dp = timed(|| {
         let mut acc = 0.0;
         for u in UserId::all(N_USERS) {
-            acc += br_dp::best_response_cached(&game, &dense, &loads, u).1;
+            acc += br_dp::best_response(&game, &dense, u).1;
         }
         acc
     });
     let speedup = t_dp / t_heap;
     println!(
-        "heap vs cached-DP best-response sweep at ({N_USERS},{RADIOS},{N_CHANNELS}): \
+        "heap vs DP best-response sweep at ({N_USERS},{RADIOS},{N_CHANNELS}): \
          {speedup:.1}x ({:.2} ms vs {:.2} ms per sweep)",
         t_heap * 1e3,
         t_dp * 1e3
     );
     assert!(
         speedup >= 10.0,
-        "heap path must be ≥10x faster than the cached DP (got {speedup:.2}x)"
+        "heap path must be ≥10x faster than the DP (got {speedup:.2}x)"
     );
 
     // First BENCH_scale.json trajectory point (hand-rolled JSON: the

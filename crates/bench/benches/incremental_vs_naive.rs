@@ -1,6 +1,6 @@
-//! Bench: the tentpole speedup — incremental (cached-loads) evaluation of
-//! Eq. 7 and best-response sweeps versus the naive clone-and-recompute
-//! path, at the acceptance instance `(|N| = 10, k = 4, |C| = 8)`.
+//! Bench: incremental evaluation of Eq. 7 — the `O(1)` benefit of move
+//! against the loads the strategy matrix keeps — versus the naive
+//! clone-and-recompute path, at the instance `(|N| = 10, k = 4, |C| = 8)`.
 //!
 //! The run asserts (not just reports) a ≥ 5× advantage of the incremental
 //! benefit-of-move over the naive one on a full best-response sweep, so a
@@ -8,18 +8,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrca_bench::constant_game;
+use mrca_core::br_dp::benefit_of_move_naive;
 use mrca_core::dynamics::random_start;
-use mrca_core::loads::ChannelLoads;
 use mrca_core::{ChannelAllocationGame, ChannelId, StrategyMatrix, UserId};
 use std::time::Instant;
 
 /// Sum of Δ over every legal (user, b, c) move — the "one sweep" unit both
 /// arms perform.
-fn sweep_incremental(
-    game: &ChannelAllocationGame,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-) -> f64 {
+fn sweep_incremental(game: &ChannelAllocationGame, s: &StrategyMatrix) -> f64 {
     let cfg = game.config();
     let mut acc = 0.0;
     for u in UserId::all(cfg.n_users()) {
@@ -28,7 +24,7 @@ fn sweep_incremental(
                 continue;
             }
             for c in ChannelId::all(cfg.n_channels()) {
-                acc += game.benefit_of_move_cached(s, loads, u, b, c);
+                acc += game.benefit_of_move(s, u, b, c);
             }
         }
     }
@@ -44,7 +40,7 @@ fn sweep_naive(game: &ChannelAllocationGame, s: &StrategyMatrix) -> f64 {
                 continue;
             }
             for c in ChannelId::all(cfg.n_channels()) {
-                acc += game.benefit_of_move_naive(s, u, b, c);
+                acc += benefit_of_move_naive(game, s, u, b, c);
             }
         }
     }
@@ -68,11 +64,10 @@ fn timed<F: FnMut() -> f64>(mut f: F) -> f64 {
 fn bench_incremental_vs_naive(c: &mut Criterion) {
     let game = constant_game(10, 4, 8);
     let s = random_start(&game, 7);
-    let loads = ChannelLoads::of(&s);
 
     let mut g = c.benchmark_group("incremental_vs_naive/benefit_sweep_n10_k4_c8");
-    g.bench_function("incremental_cached", |b| {
-        b.iter(|| sweep_incremental(&game, black_box(&s), &loads))
+    g.bench_function("incremental", |b| {
+        b.iter(|| sweep_incremental(&game, black_box(&s)))
     });
     g.bench_function("naive_clone_recompute", |b| {
         b.iter(|| sweep_naive(&game, black_box(&s)))
@@ -80,7 +75,7 @@ fn bench_incremental_vs_naive(c: &mut Criterion) {
     g.finish();
 
     // Pin the speedup: the whole point of the refactor.
-    let t_inc = timed(|| sweep_incremental(&game, &s, &loads));
+    let t_inc = timed(|| sweep_incremental(&game, &s));
     let t_naive = timed(|| sweep_naive(&game, &s));
     let speedup = t_naive / t_inc;
     println!(
@@ -94,14 +89,9 @@ fn bench_incremental_vs_naive(c: &mut Criterion) {
         "incremental path must be ≥5x faster than naive (got {speedup:.2}x)"
     );
 
-    // Context: the full cached Nash check against the naive one.
+    // Context: the full Nash check on the same instance.
     let mut g = c.benchmark_group("incremental_vs_naive/nash_check_n10_k4_c8");
-    g.bench_function("nash_check_cached", |b| {
-        b.iter(|| game.nash_check_cached(black_box(&s), &loads))
-    });
-    g.bench_function("nash_check_recompute", |b| {
-        b.iter(|| game.nash_check(black_box(&s)))
-    });
+    g.bench_function("nash_check", |b| b.iter(|| game.nash_check(black_box(&s))));
     g.finish();
 }
 

@@ -1,7 +1,8 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
-//! Each bench target regenerates (a timed slice of) one experiment from
-//! `EXPERIMENTS.md`; this crate only hosts the common constructors.
+//! Each bench target regenerates (a timed slice of) one experiment of the
+//! binary index in `crates/experiments/src/lib.rs`; this crate only hosts
+//! the common constructors.
 
 use mrca_core::{ChannelAllocationGame, GameConfig};
 use mrca_mac::{ConstantRate, PhyParams, PracticalDcfRate, RateFunction};

@@ -122,26 +122,15 @@ pub fn algorithm1_cfg(cfg: &GameConfig, ordering: &Ordering) -> StrategyMatrix {
         _ => None,
     };
 
+    // The paper's algorithm only ever needs the current load vector,
+    // which the matrix keeps across placements.
     let mut s = StrategyMatrix::zeros(n, cfg.n_channels());
-    // Loads maintained incrementally via the shared cache type: the
-    // paper's algorithm only ever needs the current load vector, and
-    // recomputing it per placement would cost O(|N|·|C|) each time
-    // (measurably slow at 1000 users).
-    let mut loads = crate::loads::ChannelLoads::zeros(cfg.n_channels());
     for &u in &users {
         let user = UserId(u);
         for _ in 0..cfg.radios_per_user() {
-            let c = place_one(
-                cfg,
-                &s,
-                loads.as_slice(),
-                user,
-                ordering.tie_break,
-                rng.as_mut(),
-            );
+            let c = place_one(cfg, &s, user, ordering.tie_break, rng.as_mut());
             let cur = s.get(user, c);
             s.set(user, c, cur + 1);
-            loads.add_radio(c);
         }
     }
     s
@@ -151,11 +140,11 @@ pub fn algorithm1_cfg(cfg: &GameConfig, ordering: &Ordering) -> StrategyMatrix {
 fn place_one(
     cfg: &GameConfig,
     s: &StrategyMatrix,
-    loads: &[u32],
     user: UserId,
     tie: TieBreak,
     rng: Option<&mut StdRng>,
 ) -> ChannelId {
+    let loads = s.loads();
     let min = *loads.iter().min().expect("at least one channel");
     let max = *loads.iter().max().expect("at least one channel");
 
@@ -220,7 +209,7 @@ mod tests {
             assert_eq!(s.user_total(u), 3);
         }
         assert!(s.max_delta() <= 1);
-        let mut loads = s.loads();
+        let mut loads = s.loads().to_vec();
         loads.sort_unstable();
         let mut balanced = g.config().balanced_loads();
         balanced.sort_unstable();

@@ -24,16 +24,15 @@ pub struct AllocationStats {
     pub efficiency: f64,
 }
 
-/// Compute [`AllocationStats`] for `s` under `game` (one load pass feeds
-/// every metric).
+/// Compute [`AllocationStats`] for `s` under `game` (the matrix's kept
+/// loads feed every metric).
 pub fn allocation_stats(game: &ChannelAllocationGame, s: &StrategyMatrix) -> AllocationStats {
-    let cache = crate::loads::ChannelLoads::of(s);
-    let utilities = game.utilities_cached(s, &cache);
-    let total = game.total_utility_cached(&cache);
+    let utilities = game.utilities(s);
+    let total = game.total_utility(s);
     let opt = crate::pareto::optimal_total_rate(game.config(), game.rate());
-    let loads = cache.as_slice().to_vec();
+    let loads = s.loads().to_vec();
     AllocationStats {
-        max_delta: cache.max_delta(),
+        max_delta: s.max_delta(),
         jain_fairness: jain_fairness(&utilities),
         channel_usage: loads.iter().filter(|&&l| l > 0).count() as f64 / loads.len() as f64,
         efficiency: if opt > 0.0 { total / opt } else { 1.0 },

@@ -17,26 +17,28 @@
 //! [`ChannelGame`] — dimensions, per-user radio budgets, and the
 //! per-channel payoff closure — and gets, generically:
 //!
-//! * Eq.-3 utilities, naive and load-cached ([`utility`],
-//!   [`utility_cached`]);
-//! * the exact DP best response ([`best_response`],
-//!   [`best_response_cached`]) — the *single* `f[c][t]` + traceback
-//!   implementation in the workspace;
-//! * the Eq.-7 benefit of a single-radio move in `O(1)` against a load
-//!   cache ([`benefit_of_move_cached`]) plus its clone-and-recompute
-//!   oracle ([`benefit_of_move_naive`]);
-//! * the exact Nash check with witnesses ([`nash_check`],
-//!   [`nash_check_cached`], [`max_gain`], [`is_nash`]);
-//! * incremental best-response dynamics ([`best_response_dynamics`]);
+//! * Eq.-3 utilities in `O(|C|)` ([`utility`]);
+//! * the exact DP best response ([`best_response`]) — the *single*
+//!   `f[c][t]` + traceback implementation in the workspace;
+//! * the Eq.-7 benefit of a single-radio move in `O(1)`
+//!   ([`benefit_of_move`]) plus its clone-and-recompute oracle
+//!   ([`benefit_of_move_naive`]);
+//! * the exact Nash check with witnesses ([`nash_check`], [`max_gain`],
+//!   [`is_nash`]);
+//! * best-response dynamics ([`best_response_dynamics`]);
 //! * the Lemma-1/2/3/4 predicates and the Theorem-1 structural
 //!   certification (generic over [`ChannelGame`] in [`crate::nash`]).
 //!
+//! Every entry point reads the channel loads `k_c` the
+//! [`StrategyMatrix`] keeps beside its rows, so none of them scans a
+//! column or recounts a load.
+//!
 //! The `crates/core/tests/conformance.rs` property suite instantiates one
-//! generic harness for every implementor and pins (a) cached ≡ naive,
-//! (b) DP ≡ exhaustive enumeration, and (c) `is_nash ⇔ max_gain ≤ ε`.
+//! generic harness for every implementor and pins (a) the kept loads ≡ a
+//! recount and the `O(1)` Δ ≡ its clone-and-recompute oracle, (b) DP ≡
+//! exhaustive enumeration, and (c) `is_nash ⇔ max_gain ≤ ε`.
 
 use crate::game::{improvement_eps, improves, NashCheck};
-use crate::loads::ChannelLoads;
 use crate::rate_model::RateShape;
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::{ChannelId, UserId};
@@ -99,7 +101,7 @@ pub trait ChannelGame {
     /// non-increasing in `t` (diminishing returns per extra own radio on
     /// one channel). Under this property — and only under it — the greedy
     /// selection of the `k` best marginals is an exact best response, so
-    /// the engine may route [`best_response_cached`]-equivalent queries to
+    /// the engine may route [`best_response`]-equivalent queries to
     /// the `O(k log |C|)` heap path of [`crate::br_fast`] instead of the
     /// `O(|C|·k²)` DP. Declaring it falsely yields *wrong* best responses.
     ///
@@ -144,8 +146,8 @@ pub fn has_conflict<G: ChannelGame + ?Sized>(game: &G) -> bool {
     total_radios(game) > game.n_channels() as u64
 }
 
-/// Eq. 3 generalized: `U_i = Σ_{c: k_{i,c} > 0} f_c(k_{i,c})`, reading
-/// channel loads from the matrix (`O(|N|·|C|)` column scans).
+/// Eq. 3 generalized: `U_i = Σ_{c: k_{i,c} > 0} f_c(k_{i,c})`, in
+/// `O(|C|)` against the matrix's kept loads.
 pub fn utility<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix, user: UserId) -> f64 {
     let mut total = 0.0;
     for c in ChannelId::all(game.n_channels()) {
@@ -159,51 +161,10 @@ pub fn utility<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix, user: User
     total
 }
 
-/// Eq. 3 against a cached load vector: `O(|C|)`, no column scans.
-pub fn utility_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-    user: UserId,
-) -> f64 {
-    loads.paranoid_check(s);
-    let mut total = 0.0;
-    for c in ChannelId::all(game.n_channels()) {
-        let kic = s.get(user, c);
-        if kic == 0 {
-            continue;
-        }
-        let others = loads.load(c) - kic;
-        total += game.channel_payoff(c, others, kic);
-    }
-    total
-}
-
-/// Utilities of all users against a cached load vector.
-pub fn utilities_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-) -> Vec<f64> {
-    UserId::all(game.n_users())
-        .map(|u| utility_cached(game, s, loads, u))
-        .collect()
-}
-
 /// Exact best response of `user`: the strategy vector maximizing its
 /// utility given the other users' radios, with its utility value.
-/// Recomputes the load vector; inside hot loops use
-/// [`best_response_cached`].
-pub fn best_response<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    user: UserId,
-) -> (StrategyVector, f64) {
-    best_response_cached(game, s, &ChannelLoads::of(s), user)
-}
-
-/// The one knapsack DP + traceback of the workspace (`O(|C|·k²)`).
 ///
+/// The one knapsack DP + traceback of the workspace (`O(|C|·k²)`).
 /// `f[c][t] = channel_payoff(c, L_c, t)` is the value of placing `t`
 /// radios on channel `c` against the other users' load `L_c`; `dp[r]` is
 /// the best value over the channels seen so far using exactly `r` radios,
@@ -212,18 +173,16 @@ pub fn best_response<G: ChannelGame + ?Sized>(
 /// ([`ChannelGame::may_idle_radios`]) take the best over all `r ≤ k`
 /// (ties resolved toward more deployed radios, matching the historical
 /// energy-game behavior).
-pub fn best_response_cached<G: ChannelGame + ?Sized>(
+pub fn best_response<G: ChannelGame + ?Sized>(
     game: &G,
     s: &StrategyMatrix,
-    loads: &ChannelLoads,
     user: UserId,
 ) -> (StrategyVector, f64) {
-    loads.paranoid_check(s);
     let k = game.radios_of(user) as usize;
     let n_ch = game.n_channels();
     // Other users' loads.
     let loads_wo: Vec<u32> = ChannelId::all(n_ch)
-        .map(|c| loads.load(c) - s.get(user, c))
+        .map(|c| s.channel_load(c) - s.get(user, c))
         .collect();
 
     // Per-channel payoff of placing t radios: f[c][t] (f[c][0] = 0 by the
@@ -352,9 +311,7 @@ pub(crate) fn solve_knapsack_scratch<F: Fn(usize, usize) -> f64>(
 
 /// The paper's Eq. 7 generalized: benefit Δ for `user` moving one radio
 /// from channel `b` to channel `c`. Only the two touched channels change,
-/// so Δ reduces to four payoff terms. This entry point scans the two
-/// affected columns (`O(|N|)`); inside hot loops use
-/// [`benefit_of_move_cached`], which is `O(1)` against a load cache.
+/// so Δ reduces to four payoff terms, `O(1)` against the kept loads.
 ///
 /// # Panics
 ///
@@ -366,67 +323,14 @@ pub fn benefit_of_move<G: ChannelGame + ?Sized>(
     b: ChannelId,
     c: ChannelId,
 ) -> f64 {
-    if b == c {
-        assert!(s.get(user, b) > 0, "{user} has no radio on {b}");
-        return 0.0;
-    }
-    delta_terms(
-        game,
-        s.get(user, b),
-        s.channel_load(b),
-        s.get(user, c),
-        s.channel_load(c),
-        user,
-        b,
-        c,
-    )
-}
-
-/// Eq. 7 in `O(1)` against a cached load vector.
-///
-/// # Panics
-///
-/// Panics if the user has no radio on `b`.
-pub fn benefit_of_move_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-    user: UserId,
-    b: ChannelId,
-    c: ChannelId,
-) -> f64 {
-    loads.paranoid_check(s);
-    if b == c {
-        assert!(s.get(user, b) > 0, "{user} has no radio on {b}");
-        return 0.0;
-    }
-    delta_terms(
-        game,
-        s.get(user, b),
-        loads.load(b),
-        s.get(user, c),
-        loads.load(c),
-        user,
-        b,
-        c,
-    )
-}
-
-/// The four-term Δ shared by the two Eq.-7 entry points.
-#[allow(clippy::too_many_arguments)] // internal: the two callers above
-fn delta_terms<G: ChannelGame + ?Sized>(
-    game: &G,
-    kib: u32,
-    kb: u32,
-    kic: u32,
-    kc: u32,
-    user: UserId,
-    b: ChannelId,
-    c: ChannelId,
-) -> f64 {
+    let kib = s.get(user, b);
     assert!(kib > 0, "{user} has no radio on {b}");
-    let others_b = kb - kib;
-    let others_c = kc - kic;
+    if b == c {
+        return 0.0;
+    }
+    let kic = s.get(user, c);
+    let others_b = s.channel_load(b) - kib;
+    let others_c = s.channel_load(c) - kic;
     let before_b = game.channel_payoff(b, others_b, kib);
     let before_c = if kic == 0 {
         0.0
@@ -444,8 +348,8 @@ fn delta_terms<G: ChannelGame + ?Sized>(
 
 /// Ground-truth Eq. 7: clone the matrix, apply the move, recompute the
 /// two full utilities (`O(|N|·|C|)` plus an allocation per call). Kept as
-/// the oracle the incremental path is pinned against by the conformance
-/// and `incremental_equiv` property suites.
+/// the oracle the `O(1)` [`benefit_of_move`] is pinned against by the
+/// conformance and `incremental_equiv` property suites.
 ///
 /// # Panics
 ///
@@ -467,25 +371,15 @@ pub fn benefit_of_move_naive<G: ChannelGame + ?Sized>(
     utility(game, &moved, user) - before
 }
 
-/// Exact Nash check by best-response comparison (Definition 1):
-/// `O(|N|·|C|·k²)` total. Recomputes the loads; see
-/// [`nash_check_cached`].
+/// Exact Nash check by best-response comparison (Definition 1): one
+/// `O(|C|)` utility read plus the best-response DP per user,
+/// `O(|N|·|C|·k²)` total, zero matrix clones.
 pub fn nash_check<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> NashCheck {
-    nash_check_cached(game, s, &ChannelLoads::of(s))
-}
-
-/// [`nash_check`] against a cached load vector — one `O(|C|)` utility
-/// read plus the best-response DP per user, zero matrix clones.
-pub fn nash_check_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-) -> NashCheck {
     let mut gains = Vec::with_capacity(game.n_users());
     let mut witness = None;
     for user in UserId::all(game.n_users()) {
-        let current = utility_cached(game, s, loads, user);
-        let (best, best_u) = best_response_cached(game, s, loads, user);
+        let current = utility(game, s, user);
+        let (best, best_u) = best_response(game, s, user);
         let gain = (best_u - current).max(0.0);
         if improves(current, best_u) && witness.is_none() {
             witness = Some((user, best));
@@ -500,23 +394,14 @@ pub fn max_gain<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> f64 {
     nash_check(game, s).max_gain()
 }
 
-/// [`max_gain`] against a cached load vector.
-pub fn max_gain_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-) -> f64 {
-    nash_check_cached(game, s, loads).max_gain()
-}
-
 /// True when `s` is a Nash equilibrium (Definition 1) of `game`.
 pub fn is_nash<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> bool {
     nash_check(game, s).is_nash()
 }
 
 /// Round-robin best-response dynamics to a fixed point or `max_rounds`,
-/// with the load cache maintained incrementally across moves (zero matrix
-/// clones). Returns `(final matrix, converged, rounds)`.
+/// with the matrix's loads kept across moves (zero matrix clones).
+/// Returns `(final matrix, converged, rounds)`.
 pub fn best_response_dynamics<G: ChannelGame + ?Sized>(
     game: &G,
     s: StrategyMatrix,
@@ -537,15 +422,13 @@ pub fn best_response_dynamics_traced<G: ChannelGame + ?Sized>(
     max_rounds: usize,
 ) -> (StrategyMatrix, bool, usize, Vec<(UserId, StrategyVector)>) {
     let n = game.n_users();
-    let mut loads = ChannelLoads::of(&s);
     let mut trace = Vec::new();
     for round in 1..=max_rounds {
         let mut moved = false;
         for u in UserId::all(n) {
-            let before = utility_cached(game, &s, &loads, u);
-            let (br, after) = best_response_cached(game, &s, &loads, u);
+            let before = utility(game, &s, u);
+            let (br, after) = best_response(game, &s, u);
             if improves(before, after) {
-                loads.replace_row(&s.user_strategy(u), &br);
                 s.set_user_strategy(u, &br);
                 trace.push((u, br));
                 moved = true;
@@ -600,13 +483,8 @@ mod tests {
         let cfg = GameConfig::new(3, 2, 3).unwrap();
         let game = ChannelAllocationGame::new(cfg, Arc::new(LinearDecayRate::new(6.0, 1.0, 1.0)));
         let s = StrategyMatrix::from_rows(&[vec![2, 0, 0], vec![1, 1, 0], vec![0, 1, 1]]).unwrap();
-        let loads = ChannelLoads::of(&s);
         for u in UserId::all(3) {
             assert_eq!(utility(&game, &s, u), game.utility(&s, u));
-            assert_eq!(
-                utility_cached(&game, &s, &loads, u),
-                game.utility_cached(&s, &loads, u)
-            );
             assert_eq!(best_response(&game, &s, u), game.best_response(&s, u));
         }
         assert_eq!(nash_check(&game, &s), game.nash_check(&s));
@@ -638,7 +516,6 @@ mod tests {
             n_channels: 3,
         };
         let s = StrategyMatrix::from_rows(&[vec![2, 1, 0], vec![0, 1, 1]]).unwrap();
-        let loads = ChannelLoads::of(&s);
         for u in UserId::all(2) {
             for b in ChannelId::all(3) {
                 if s.get(u, b) == 0 {
@@ -646,9 +523,7 @@ mod tests {
                 }
                 for c in ChannelId::all(3) {
                     let fast = benefit_of_move(&g, &s, u, b, c);
-                    let cached = benefit_of_move_cached(&g, &s, &loads, u, b, c);
                     let naive = benefit_of_move_naive(&g, &s, u, b, c);
-                    assert_eq!(fast, cached);
                     assert!((fast - naive).abs() < 1e-12, "u={u} {b}->{c}");
                 }
             }

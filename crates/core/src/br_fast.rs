@@ -467,7 +467,7 @@ impl DpCache {
     /// own ≤ `k` channels get corrected columns (others-load excludes its
     /// radios), every other channel reads the shared column, and the
     /// shared knapsack recurrence does the rest. Bit-identical to
-    /// [`br_dp::best_response_cached`].
+    /// [`br_dp::best_response`].
     pub fn best_response<G: ChannelGame + ?Sized>(
         &self,
         game: &G,
@@ -574,7 +574,7 @@ impl BrEngine {
 
 /// Eq. 3 from a sparse row against a cached load vector: `O(k)` — only
 /// the user's occupied channels are read. Bit-identical to the dense
-/// [`br_dp::utility_cached`] (same ascending-channel summation).
+/// [`br_dp::utility`] (same ascending-channel summation).
 pub fn utility_sparse<G: ChannelGame + ?Sized>(
     game: &G,
     s: &SparseStrategies,
@@ -1625,7 +1625,9 @@ impl ActiveSetDynamics {
     ///
     /// [`Error::InvalidConfig`] when the game reports fewer users than
     /// the engine holds (departures retire users, they never shrink the
-    /// population); the engine is left unchanged.
+    /// population); [`Error::ArenaOverflow`] when the arrivals' summed
+    /// budgets overflow the slot arena. Either way the engine is left
+    /// unchanged: no arrival is absorbed unless all of them fit.
     pub fn grow_users<G: ChannelGame + ?Sized>(&mut self, game: &G) -> Result<(), Error> {
         let old_n = self.s.n_users();
         let new_n = game.n_users();
@@ -1635,9 +1637,11 @@ impl ActiveSetDynamics {
                  the population only grows in place"
             )));
         }
+        self.s
+            .check_room((old_n..new_n).map(|u| game.radios_of(UserId(u))))?;
         for u in old_n..new_n {
             let k = game.radios_of(UserId(u));
-            self.s.push_row(k)?;
+            self.s.push_row(k).expect("the summed demand fits");
             self.parked.push(false);
             self.in_cur.push(false);
             self.in_pending.push(false);
@@ -2473,26 +2477,18 @@ pub fn sweep_dynamics_traced<G: ChannelGame + ?Sized>(
 }
 
 /// Exact Nash check on the sparse representation (Definition 1): one
-/// `O(k)` utility read plus one engine best response per user. Returns
-/// the same [`NashCheck`] shape as the dense checkers.
+/// `O(Σ_i k_i)` load count, then one `O(k)` utility read plus one engine
+/// best response per user. Returns the same [`NashCheck`] shape as the
+/// dense checkers.
 pub fn nash_check_sparse<G: ChannelGame + ?Sized>(game: &G, s: &SparseStrategies) -> NashCheck {
     let loads = ChannelLoads::of_sparse(s);
-    nash_check_sparse_cached(game, s, &loads)
-}
-
-/// [`nash_check_sparse`] against a cached load vector.
-pub fn nash_check_sparse_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &SparseStrategies,
-    loads: &ChannelLoads,
-) -> NashCheck {
-    let mut engine = BrEngine::new(game, loads);
+    let mut engine = BrEngine::new(game, &loads);
     let n = game.n_users();
     let mut gains = Vec::with_capacity(n);
     let mut witness = None;
     for user in UserId::all(n) {
-        let current = utility_sparse(game, s, loads, user);
-        let (br, best_u) = engine.best_response(game, s.row(user), loads, user);
+        let current = utility_sparse(game, s, &loads, user);
+        let (br, best_u) = engine.best_response(game, s.row(user), &loads, user);
         let gain = (best_u - current).max(0.0);
         if improves(current, best_u) && witness.is_none() {
             witness = Some((user, row_to_vector(&br, game.n_channels())));
@@ -2542,16 +2538,16 @@ mod tests {
             vec![0, 1],
         ])
         .unwrap();
-        let loads = ChannelLoads::of(&s);
         // The tie is exact in value space.
         let v_stack = g.channel_payoff(ChannelId(0), 1, 2);
         let v_split = g.channel_payoff(ChannelId(0), 1, 1) + g.channel_payoff(ChannelId(1), 5, 1);
         assert_eq!(v_stack.to_bits(), v_split.to_bits(), "tie must be exact");
-        let (br, _) = br_dp::best_response_cached(&g, &s, &loads, UserId(0));
+        let (br, _) = br_dp::best_response(&g, &s, UserId(0));
         assert_eq!(br.counts(), &[2, 0], "DP must pack ties toward channel 0");
         // The heap sees the tie in marginal space, where rounding breaks
         // it toward the split — same value, legal alternative argmax.
         let sp = SparseStrategies::from_matrix(&g, &s);
+        let loads = ChannelLoads::of_sparse(&sp);
         let mut engine = BrEngine::new(&g, &loads);
         assert!(engine.is_heap());
         let (hrow, hval) = engine.best_response(&g, sp.row(UserId(0)), &loads, UserId(0));
@@ -2565,10 +2561,10 @@ mod tests {
     fn symmetric_ties_go_to_the_lowest_channel_on_both_paths() {
         let g = unit_game(2, 2, 4);
         let s = StrategyMatrix::zeros(2, 4);
-        let loads = ChannelLoads::of(&s);
-        let (br, _) = br_dp::best_response_cached(&g, &s, &loads, UserId(0));
+        let (br, _) = br_dp::best_response(&g, &s, UserId(0));
         assert_eq!(br.counts(), &[1, 1, 0, 0]);
         let sp = SparseStrategies::from_matrix(&g, &s);
+        let loads = ChannelLoads::of_sparse(&sp);
         let mut engine = BrEngine::new(&g, &loads);
         let (hrow, _) = engine.best_response(&g, sp.row(UserId(0)), &loads, UserId(0));
         assert_eq!(hrow, vec![(0, 1), (1, 1)]);
@@ -2608,10 +2604,9 @@ mod tests {
             assert!(dconv && sconv, "seed {seed}");
             assert!(g.nash_check(&dense).is_nash(), "seed {seed}");
             assert!(is_nash_sparse(&g, &sparse), "seed {seed}");
-            let dloads = ChannelLoads::of(&dense);
             let sloads = ChannelLoads::of_sparse(&sparse);
             assert!(sloads.max_delta() <= 1, "seed {seed}");
-            let dw = welfare_from_loads(&g, &dloads);
+            let dw = g.total_utility(&dense);
             let sw = welfare_from_loads(&g, &sloads);
             assert!((dw - sw).abs() <= 1e-9 * dw.abs().max(1.0), "seed {seed}");
         }
@@ -2631,7 +2626,7 @@ mod tests {
         let dense = end.to_dense();
         for u in UserId::all(12) {
             let (_, hv) = engine.best_response(&g, end.row(u), &loads, u);
-            let (_, dv) = br_dp::best_response_cached(&g, &dense, &loads, u);
+            let (_, dv) = br_dp::best_response(&g, &dense, u);
             assert_eq!(hv.to_bits(), dv.to_bits(), "user {u}");
         }
     }
@@ -2802,6 +2797,44 @@ mod tests {
         assert_eq!(d.counters().checks, counters.checks);
     }
 
+    /// Arrivals whose summed budgets overflow the slot arena are all or
+    /// none: the typed error comes back with no arrival absorbed, and
+    /// the driver then runs exactly like a twin that never saw them.
+    #[test]
+    fn grow_users_overflow_leaves_the_driver_unchanged() {
+        use crate::churn::ChurnGame;
+        let game = ChurnGame::uniform(3, 1, 4, 1.0);
+        let mut d = ActiveSetDynamics::new(&game, SparseStrategies::random_uniform(3, 1, 4, 7));
+        assert!(d.run(&game, 200, None).0);
+        let mut twin = d.clone();
+        let (state, loads, counters) = (d.state().clone(), d.loads().clone(), d.counters());
+        let mut grown = game.clone();
+        grown.push_user(1);
+        grown.push_user(u32::MAX);
+        let err = d.grow_users(&grown);
+        assert!(matches!(err, Err(Error::ArenaOverflow { .. })), "{err:?}");
+        assert_eq!(d.state().n_users(), 3, "no arrival is absorbed");
+        assert_eq!(d.state(), &state);
+        assert_eq!(d.loads(), &loads);
+        assert_eq!(d.counters(), counters);
+        // Perturb both drivers alike, then re-converge: same answer,
+        // same moves, same books.
+        let pile = [(0, 1)];
+        for e in [&mut d, &mut twin] {
+            e.apply_row(&game, UserId(0), &pile);
+            e.apply_row(&game, UserId(1), &pile);
+        }
+        let (mut trace, mut twin_trace) = (Vec::new(), Vec::new());
+        assert_eq!(
+            d.run(&game, 200, Some(&mut trace)),
+            twin.run(&game, 200, Some(&mut twin_trace))
+        );
+        assert_eq!(trace, twin_trace);
+        assert_eq!(d.state(), twin.state());
+        assert_eq!(d.loads(), twin.loads());
+        assert_eq!(d.counters(), twin.counters());
+    }
+
     /// A rate cut must not leave the heap engine answering from the
     /// channel's pre-cut key: the load is unchanged, so only the payoff
     /// epoch can tell the old entry from the fresh one.
@@ -2840,10 +2873,10 @@ mod tests {
     fn welfare_from_loads_matches_total_utility() {
         let g = unit_game(5, 2, 4);
         let s = crate::dynamics::random_start(&g, 3);
-        let loads = ChannelLoads::of(&s);
+        let loads = ChannelLoads::of_sparse(&SparseStrategies::from_matrix(&g, &s));
         assert_eq!(
             welfare_from_loads(&g, &loads).to_bits(),
-            g.total_utility_cached(&loads).to_bits()
+            g.total_utility(&s).to_bits()
         );
     }
 

@@ -90,18 +90,16 @@ pub fn run_protocol(
 
     for round in 1..=cfg.max_rounds {
         // Sensing snapshot: all best responses within a round are computed
-        // against the loads as they stood at the round boundary. Within
-        // the round only the activated user's own row matters beyond the
-        // loads, and rows of users yet to act are unchanged in `s`, so the
-        // stale-load cache alone realizes the snapshot — no matrix clone.
-        let snapshot_loads = crate::loads::ChannelLoads::of(&s);
+        // against the state as it stood at the round boundary. Movers are
+        // applied only after the scan, so `s` itself is the snapshot — no
+        // matrix clone.
         let mut movers: Vec<(UserId, crate::strategy::StrategyVector)> = Vec::new();
         for u in UserId::all(n) {
             if !rng.gen_bool(cfg.activation_prob) {
                 continue;
             }
-            let before = game.utility_cached(&s, &snapshot_loads, u);
-            let (br, after) = game.best_response_cached(&s, &snapshot_loads, u);
+            let before = game.utility(&s, u);
+            let (br, after) = game.best_response(&s, u);
             if improves(before, after) {
                 movers.push((u, br));
             }

@@ -22,7 +22,6 @@
 use crate::br_dp::ChannelGame;
 use crate::br_fast::{self, ActiveSetDynamics, DynCounters};
 use crate::game::{improves, ChannelAllocationGame};
-use crate::loads::ChannelLoads;
 use crate::sparse::SparseStrategies;
 use crate::strategy::StrategyMatrix;
 use crate::types::{ChannelId, UserId};
@@ -86,10 +85,9 @@ impl BestResponseDriver {
             Schedule::RandomPermutation { seed } => Some(StdRng::seed_from_u64(seed)),
             Schedule::RoundRobin => None,
         };
-        // One load pass up front; every evaluation below is O(1)/O(|C|)
-        // against the maintained cache — no matrix clones, no column scans.
-        let mut loads = ChannelLoads::of(&s);
-        let mut welfare = vec![game.total_utility_cached(&loads)];
+        // Every evaluation below is O(1)/O(|C|) against the matrix's kept
+        // loads — no matrix clones, no column scans.
+        let mut welfare = vec![game.total_utility(&s)];
         let mut moves = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
@@ -101,17 +99,16 @@ impl BestResponseDriver {
             let mut moved = false;
             for &u in &order {
                 let user = UserId(u);
-                let before = game.utility_cached(&s, &loads, user);
-                let (br, after) = game.best_response_cached(&s, &loads, user);
+                let before = game.utility(&s, user);
+                let (br, after) = game.best_response(&s, user);
                 if improves(before, after) {
-                    loads.replace_row(&s.user_strategy(user), &br);
                     s.set_user_strategy(user, &br);
                     moves += 1;
                     moved = true;
                 }
             }
             rounds += 1;
-            welfare.push(game.total_utility_cached(&loads));
+            welfare.push(game.total_utility(&s));
             if !moved {
                 converged = true;
                 break;
@@ -155,7 +152,7 @@ impl BestResponseDriver {
     /// every best response goes through the [`ActiveSetDynamics`]
     /// worklist over the [`crate::br_fast::BrEngine`] (lazy heap or
     /// incremental DP) and the state never leaves
-    /// [`SparseStrategies`] + [`ChannelLoads`] — rounds cost engine
+    /// [`SparseStrategies`] + [`crate::ChannelLoads`] — rounds cost engine
     /// queries only for users a move could have tempted. Works for any
     /// [`ChannelGame`]; the convergence-trace golden suite pins it to
     /// [`run`](Self::run) move-for-move on the paper's game.
@@ -242,8 +239,7 @@ impl RadioDynamics {
         let n_ch = cfg.n_channels();
         let mut s = start;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut loads = ChannelLoads::of(&s);
-        let mut welfare = vec![game.total_utility_cached(&loads)];
+        let mut welfare = vec![game.total_utility(&s)];
         let mut moves = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
@@ -283,7 +279,7 @@ impl RadioDynamics {
                 let current_share = match from {
                     None => 0.0,
                     Some(b) => {
-                        let kb = loads.load(b);
+                        let kb = s.channel_load(b);
                         game.rate().rate(kb) / kb as f64
                     }
                 };
@@ -295,7 +291,7 @@ impl RadioDynamics {
                     if Some(c) == from {
                         continue;
                     }
-                    let new_load = loads.load(c) + 1;
+                    let new_load = s.channel_load(c) + 1;
                     let share = game.rate().rate(new_load) / new_load as f64;
                     if best.is_none_or(|(_, b)| share > b) {
                         best = Some((c, share));
@@ -307,12 +303,8 @@ impl RadioDynamics {
                             None => {
                                 let cur = s.get(user, to);
                                 s.set(user, to, cur + 1);
-                                loads.add_radio(to);
                             }
-                            Some(b) => {
-                                s.move_radio(user, b, to);
-                                loads.apply_move(b, to);
-                            }
+                            Some(b) => s.move_radio(user, b, to),
                         }
                         moves += 1;
                         moved = true;
@@ -320,7 +312,7 @@ impl RadioDynamics {
                 }
             }
             rounds += 1;
-            welfare.push(game.total_utility_cached(&loads));
+            welfare.push(game.total_utility(&s));
             if !moved {
                 converged = true;
                 break;
@@ -341,7 +333,7 @@ impl RadioDynamics {
 /// increase it (see [`mrca_game::potential::rosenthal_potential`] for the
 /// generic form).
 pub fn rosenthal_potential(game: &ChannelAllocationGame, s: &StrategyMatrix) -> f64 {
-    mrca_game::potential::rosenthal_potential(&s.loads(), |k| game.rate().rate(k) / k as f64)
+    mrca_game::potential::rosenthal_potential(s.loads(), |k| game.rate().rate(k) / k as f64)
 }
 
 /// Log-linear (noisy best-response) radio dynamics.
@@ -389,7 +381,6 @@ impl LogLinearDynamics {
         let n_ch = cfg.n_channels();
         let mut s = start;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut loads = ChannelLoads::of(&s);
         // Flat radio index: (user, slot).
         let radios: Vec<UserId> = UserId::all(cfg.n_users())
             .flat_map(|u| std::iter::repeat_n(u, cfg.radios_per_user() as usize))
@@ -422,10 +413,10 @@ impl LogLinearDynamics {
             let mut total = 0.0f64;
             for c in ChannelId::all(n_ch) {
                 let share = if Some(c) == from {
-                    let kc = loads.load(c);
+                    let kc = s.channel_load(c);
                     game.rate().rate(kc) / kc as f64
                 } else {
-                    let kc = loads.load(c) + 1;
+                    let kc = s.channel_load(c) + 1;
                     game.rate().rate(kc) / kc as f64
                 };
                 let w = (share / self.temperature).exp();
@@ -442,14 +433,10 @@ impl LogLinearDynamics {
                 pick -= w;
             }
             match from {
-                Some(b) if b != dest => {
-                    s.move_radio(user, b, dest);
-                    loads.apply_move(b, dest);
-                }
+                Some(b) if b != dest => s.move_radio(user, b, dest),
                 None => {
                     let cur = s.get(user, dest);
                     s.set(user, dest, cur + 1);
-                    loads.add_radio(dest);
                 }
                 _ => {}
             }

@@ -5,7 +5,6 @@
 //! best-response check) and by Theorem 1, and require 100% agreement.
 
 use crate::config::GameConfig;
-use crate::loads::ChannelLoads;
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::UserId;
 
@@ -54,23 +53,12 @@ pub fn full_strategy_space(n_channels: usize, k: u32) -> Vec<StrategyVector> {
 ///
 /// The total count is `C(|C|+k, k)^{|N|}`; callers must keep instances
 /// small. Enumeration reuses a single matrix buffer, so `f` must not
-/// retain references.
+/// retain references. Each step replaces one user row, so the matrix's
+/// kept loads follow in `O(|C|)` and the callback's utilities and Nash
+/// checks never recount them.
 pub fn enumerate_allocations<F>(cfg: &GameConfig, mut f: F)
 where
     F: FnMut(&StrategyMatrix),
-{
-    enumerate_allocations_with_loads(cfg, |m, _| f(m));
-}
-
-/// [`enumerate_allocations`] with the channel-load cache threaded through:
-/// the enumeration mutates one user row per step, so the loads are
-/// maintained by `O(|C|)` diffs instead of recomputed from scratch, and
-/// the callback can evaluate utilities / Nash checks through the cached
-/// `O(1)`-per-candidate game entry points
-/// ([`crate::game::ChannelAllocationGame::nash_check_cached`] etc.).
-pub fn enumerate_allocations_with_loads<F>(cfg: &GameConfig, mut f: F)
-where
-    F: FnMut(&StrategyMatrix, &ChannelLoads),
 {
     let space = user_strategy_space(cfg.n_channels(), cfg.radios_per_user());
     let n = cfg.n_users();
@@ -79,9 +67,8 @@ where
     for i in 0..n {
         matrix.set_user_strategy(UserId(i), &space[0]);
     }
-    let mut loads = ChannelLoads::of(&matrix);
     loop {
-        f(&matrix, &loads);
+        f(&matrix);
         // Advance the mixed-radix counter over user strategies.
         let mut pos = n;
         loop {
@@ -91,11 +78,9 @@ where
             pos -= 1;
             indices[pos] += 1;
             if indices[pos] < space.len() {
-                loads.replace_row(&space[indices[pos] - 1], &space[indices[pos]]);
                 matrix.set_user_strategy(UserId(pos), &space[indices[pos]]);
                 break;
             }
-            loads.replace_row(&space[indices[pos] - 1], &space[0]);
             indices[pos] = 0;
             matrix.set_user_strategy(UserId(pos), &space[0]);
         }

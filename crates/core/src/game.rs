@@ -5,7 +5,6 @@ use crate::br_dp::{self, ChannelGame};
 use crate::config::GameConfig;
 use crate::enumerate::user_strategy_space;
 use crate::error::Error;
-use crate::loads::ChannelLoads;
 use crate::rate_model::{ConstantRate, RateModel, RateShape};
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::{ChannelId, UserId};
@@ -114,7 +113,8 @@ impl ChannelAllocationGame {
         s.validate(&self.config)
     }
 
-    /// The paper's Eq. 3: `U_i(S) = Σ_c (k_{i,c}/k_c)·R(k_c)`.
+    /// The paper's Eq. 3: `U_i(S) = Σ_c (k_{i,c}/k_c)·R(k_c)`, in
+    /// `O(|C|)` against the matrix's kept loads.
     pub fn utility(&self, s: &StrategyMatrix, user: UserId) -> f64 {
         let mut u = 0.0;
         for c in ChannelId::all(self.config.n_channels()) {
@@ -128,22 +128,10 @@ impl ChannelAllocationGame {
         u
     }
 
-    /// Eq. 3 against a cached load vector: `O(|C|)`, no column scans.
-    pub fn utility_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads, user: UserId) -> f64 {
-        br_dp::utility_cached(self, s, loads, user)
-    }
-
-    /// Utilities of all users (`O(|N|·|C|)` total: one load pass, then one
-    /// cached Eq.-3 evaluation per user).
+    /// Utilities of all users (`O(|N|·|C|)` total).
     pub fn utilities(&self, s: &StrategyMatrix) -> Vec<f64> {
-        let loads = ChannelLoads::of(s);
-        self.utilities_cached(s, &loads)
-    }
-
-    /// Utilities of all users against a cached load vector.
-    pub fn utilities_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> Vec<f64> {
         UserId::all(self.config.n_users())
-            .map(|i| self.utility_cached(s, loads, i))
+            .map(|i| self.utility(s, i))
             .collect()
     }
 
@@ -163,15 +151,6 @@ impl ChannelAllocationGame {
             .sum()
     }
 
-    /// Total utility from a cached load vector (`O(|C|)`).
-    pub fn total_utility_cached(&self, loads: &ChannelLoads) -> f64 {
-        loads
-            .as_slice()
-            .iter()
-            .map(|&kc| if kc == 0 { 0.0 } else { self.rate.rate(kc) })
-            .sum()
-    }
-
     /// The paper's Eq. 7: the benefit of change Δ for user `i` moving one
     /// radio from channel `b` to channel `c`.
     ///
@@ -183,13 +162,10 @@ impl ChannelAllocationGame {
     /// ```
     ///
     /// valid for any rate model (no algebraic simplification beyond
-    /// cancelling the untouched channels). This entry point scans the two
-    /// affected columns (`O(|N|)`); inside hot loops use
-    /// [`benefit_of_move_cached`](Self::benefit_of_move_cached), which is
-    /// `O(1)` against a [`ChannelLoads`] cache. Both are pinned against
-    /// the clone-and-recompute ground truth
-    /// ([`benefit_of_move_naive`](Self::benefit_of_move_naive)) by the
-    /// `incremental_equiv` property suite.
+    /// cancelling the untouched channels), `O(1)` against the matrix's
+    /// kept loads. Pinned against the clone-and-recompute ground truth
+    /// ([`br_dp::benefit_of_move_naive`]) by the `incremental_equiv`
+    /// property suite.
     ///
     /// # Panics
     ///
@@ -202,48 +178,6 @@ impl ChannelAllocationGame {
         c: ChannelId,
     ) -> f64 {
         br_dp::benefit_of_move(self, s, user, b, c)
-    }
-
-    /// Eq. 7 in `O(1)` against a cached load vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user has no radio on `b`.
-    pub fn benefit_of_move_cached(
-        &self,
-        s: &StrategyMatrix,
-        loads: &ChannelLoads,
-        user: UserId,
-        b: ChannelId,
-        c: ChannelId,
-    ) -> f64 {
-        br_dp::benefit_of_move_cached(self, s, loads, user, b, c)
-    }
-
-    /// Ground-truth Eq. 7: clone the matrix, apply the move, recompute the
-    /// two full utilities. `O(|N|·|C|)` plus an allocation per call — kept
-    /// (and exercised by tests and the `incremental_vs_naive` bench)
-    /// exactly so the incremental path has an oracle to be checked
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user has no radio on `b`.
-    pub fn benefit_of_move_naive(
-        &self,
-        s: &StrategyMatrix,
-        user: UserId,
-        b: ChannelId,
-        c: ChannelId,
-    ) -> f64 {
-        assert!(s.get(user, b) > 0, "{user} has no radio on {b}");
-        if b == c {
-            return 0.0;
-        }
-        let before = self.utility(s, user);
-        let mut moved = s.clone();
-        moved.move_radio(user, b, c);
-        self.utility(&moved, user) - before
     }
 
     /// Exact best response of `user` against the rest of `s`: the strategy
@@ -259,38 +193,17 @@ impl ChannelAllocationGame {
     /// The optimum always uses all `k` radios: placing an extra radio on a
     /// channel the user does not occupy strictly gains (`f_c(1) > 0` there)
     /// and never affects other channels — the constructive argument behind
-    /// the paper's Lemma 1. The DP therefore fixes `Σ t_c = k`.
+    /// the paper's Lemma 1. The DP therefore fixes `Σ t_c = k`; it is
+    /// the single shared DP of [`br_dp::best_response`].
     pub fn best_response(&self, s: &StrategyMatrix, user: UserId) -> (StrategyVector, f64) {
-        let loads = ChannelLoads::of(s);
-        self.best_response_cached(s, &loads, user)
-    }
-
-    /// [`best_response`](Self::best_response) against a cached load vector:
-    /// skips the `O(|N|·|C|)` load recomputation, leaving only the
-    /// `O(|C|·k²)` dynamic program of [`br_dp::best_response_cached`] —
-    /// the single shared DP implementation.
-    pub fn best_response_cached(
-        &self,
-        s: &StrategyMatrix,
-        loads: &ChannelLoads,
-        user: UserId,
-    ) -> (StrategyVector, f64) {
-        br_dp::best_response_cached(self, s, loads, user)
+        br_dp::best_response(self, s, user)
     }
 
     /// Exact Nash check by best-response comparison (Definition 1): for
     /// each user, compare the current utility with the exact best response.
     /// `O(|N|·|C|·k²)` — polynomial, unlike exhaustive profile scans.
     pub fn nash_check(&self, s: &StrategyMatrix) -> NashCheck {
-        let loads = ChannelLoads::of(s);
-        self.nash_check_cached(s, &loads)
-    }
-
-    /// [`nash_check`](Self::nash_check) against a cached load vector —
-    /// the per-user work drops to one `O(|C|)` utility read plus the
-    /// best-response DP, with zero matrix clones and zero column scans.
-    pub fn nash_check_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> NashCheck {
-        br_dp::nash_check_cached(self, s, loads)
+        br_dp::nash_check(self, s)
     }
 
     /// True when `s` is a Nash equilibrium (Definition 1).

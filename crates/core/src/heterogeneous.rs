@@ -21,7 +21,6 @@ use crate::algorithm::TieBreak;
 use crate::br_dp::{self, ChannelGame};
 use crate::error::Error;
 use crate::game::NashCheck;
-use crate::loads::ChannelLoads;
 use crate::rate_model::{ConstantRate, RateModel, RateShape};
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::{ChannelId, UserId};
@@ -171,21 +170,11 @@ impl HeteroGame {
         total
     }
 
-    /// Eq. 3 against a cached load vector (`O(|C|)`, no column scans).
-    pub fn utility_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads, user: UserId) -> f64 {
-        br_dp::utility_cached(self, s, loads, user)
-    }
-
     /// Utilities of all users.
     pub fn utilities(&self, s: &StrategyMatrix) -> Vec<f64> {
         UserId::all(self.config.n_users())
             .map(|u| self.utility(s, u))
             .collect()
-    }
-
-    /// Utilities of all users against a cached load vector.
-    pub fn utilities_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> Vec<f64> {
-        br_dp::utilities_cached(self, s, loads)
     }
 
     /// Total utility `Σ_c R(k_c)` over occupied channels.
@@ -202,21 +191,9 @@ impl HeteroGame {
             .sum()
     }
 
-    /// Total utility from a cached load vector (`O(|C|)`).
-    pub fn total_utility_cached(&self, loads: &ChannelLoads) -> f64 {
-        loads
-            .as_slice()
-            .iter()
-            .map(|&kc| if kc == 0 { 0.0 } else { self.rate.rate(kc) })
-            .sum()
-    }
-
     /// The paper's Eq. 7 for the heterogeneous game: benefit of moving
-    /// one of `user`'s radios from `b` to `c`. This uncached entry point
-    /// recomputes the two loads from the matrix and survives only as a
-    /// convenience for one-off queries — every loop in the workspace runs
-    /// [`benefit_of_move_cached`](Self::benefit_of_move_cached), which is
-    /// `O(1)` against a maintained [`ChannelLoads`].
+    /// one of `user`'s radios from `b` to `c`, `O(1)` against the
+    /// matrix's kept loads.
     ///
     /// # Panics
     ///
@@ -231,47 +208,16 @@ impl HeteroGame {
         br_dp::benefit_of_move(self, s, user, b, c)
     }
 
-    /// Eq. 7 in `O(1)` against a cached load vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user has no radio on `b`.
-    pub fn benefit_of_move_cached(
-        &self,
-        s: &StrategyMatrix,
-        loads: &ChannelLoads,
-        user: UserId,
-        b: ChannelId,
-        c: ChannelId,
-    ) -> f64 {
-        br_dp::benefit_of_move_cached(self, s, loads, user, b, c)
-    }
-
     /// Exact best response of `user` (the shared DP of
-    /// [`br_dp::best_response_cached`], with the user's own budget `k_i`).
+    /// [`br_dp::best_response`], with the user's own budget `k_i`).
     pub fn best_response(&self, s: &StrategyMatrix, user: UserId) -> (StrategyVector, f64) {
         br_dp::best_response(self, s, user)
-    }
-
-    /// [`best_response`](Self::best_response) against a cached load vector.
-    pub fn best_response_cached(
-        &self,
-        s: &StrategyMatrix,
-        loads: &ChannelLoads,
-        user: UserId,
-    ) -> (StrategyVector, f64) {
-        br_dp::best_response_cached(self, s, loads, user)
     }
 
     /// Exact Nash check with per-user gains and a deviation witness —
     /// the same [`NashCheck`] the homogeneous game returns.
     pub fn nash_check(&self, s: &StrategyMatrix) -> NashCheck {
         br_dp::nash_check(self, s)
-    }
-
-    /// [`nash_check`](Self::nash_check) against a cached load vector.
-    pub fn nash_check_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> NashCheck {
-        br_dp::nash_check_cached(self, s, loads)
     }
 
     /// Exact Nash check by per-user best responses (scale-relative
@@ -283,11 +229,6 @@ impl HeteroGame {
     /// Largest unilateral improvement available to any user.
     pub fn max_gain(&self, s: &StrategyMatrix) -> f64 {
         br_dp::max_gain(self, s)
-    }
-
-    /// [`max_gain`](Self::max_gain) against a cached load vector.
-    pub fn max_gain_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> f64 {
-        br_dp::max_gain_cached(self, s, loads)
     }
 
     /// Algorithm 1 generalized: users place their own `k_i` radios in
@@ -530,13 +471,13 @@ mod tests {
                     s.set(u, c, s.get(u, c) - 1);
                 }
             }
-            let loads = crate::loads::ChannelLoads::of(&s);
+            // The clamped matrix's kept loads against a fresh count.
+            let rows: Vec<Vec<u32>> = UserId::all(6).map(|u| s.row(u).to_vec()).collect();
+            let fresh = StrategyMatrix::from_rows(&rows).unwrap();
+            assert_eq!(s.loads(), fresh.loads());
             for u in UserId::all(6) {
-                assert_eq!(g.utility_cached(&s, &loads, u), g.utility(&s, u));
-                assert_eq!(
-                    g.best_response_cached(&s, &loads, u),
-                    g.best_response(&s, u)
-                );
+                assert_eq!(g.utility(&s, u), g.utility(&fresh, u));
+                assert_eq!(g.best_response(&s, u), g.best_response(&fresh, u));
             }
         }
     }

@@ -15,13 +15,15 @@
 //! This crate implements:
 //!
 //! * the strategy space and utility function (Eq. 3): [`strategy`],
-//!   [`game`];
+//!   [`game`] — the [`StrategyMatrix`] keeps its channel loads `k_c`
+//!   beside its rows, so every dense operation reads them in `O(1)`;
 //! * the unified best-response engine — one [`br_dp::ChannelGame`] trait
 //!   and one knapsack DP shared by the homogeneous game and every
 //!   extension (heterogeneous budgets, per-channel rates, energy costs):
 //!   [`br_dp`];
 //! * the large-N evaluation layer — sparse CSR strategy storage
-//!   ([`sparse`]) and the `O(k log |C|)` lazy-heap / incremental-DP best
+//!   ([`sparse`]) with the load vector its drivers keep beside it
+//!   ([`loads`]), and the `O(k log |C|)` lazy-heap / incremental-DP best
 //!   responses with sparse dynamics and Nash checks ([`br_fast`]),
 //!   pinned to the oracle DP by the `fast_path_equiv` and
 //!   `convergence_trace` differential suites; every dynamics driver is
@@ -126,9 +128,7 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::game::ChannelAllocationGame;
     pub use crate::loads::ChannelLoads;
-    pub use crate::nash::{
-        theorem1, theorem1_applicable, theorem1_cached, NashCheck, Theorem1Verdict,
-    };
+    pub use crate::nash::{theorem1, theorem1_applicable, NashCheck, Theorem1Verdict};
     pub use crate::pareto::{is_pareto_optimal_ne, is_system_optimal, optimal_total_rate};
     pub use crate::rate_model::{
         classify_rate_table, ConstantRate, MeasuredRate, RateFunction, RateModel, RateShape,

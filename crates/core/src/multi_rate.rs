@@ -22,7 +22,6 @@ use crate::br_dp::{self, ChannelGame};
 use crate::config::GameConfig;
 use crate::error::Error;
 use crate::game::NashCheck;
-use crate::loads::ChannelLoads;
 use crate::rate_model::{RateModel, RateShape};
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::{ChannelId, UserId};
@@ -79,21 +78,11 @@ impl MultiRateGame {
         total
     }
 
-    /// Eq. 3 with per-channel rates against a cached load vector.
-    pub fn utility_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads, user: UserId) -> f64 {
-        br_dp::utility_cached(self, s, loads, user)
-    }
-
     /// Utilities of all users.
     pub fn utilities(&self, s: &StrategyMatrix) -> Vec<f64> {
         UserId::all(self.config.n_users())
             .map(|u| self.utility(s, u))
             .collect()
-    }
-
-    /// Utilities of all users against a cached load vector.
-    pub fn utilities_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> Vec<f64> {
-        br_dp::utilities_cached(self, s, loads)
     }
 
     /// Total utility `Σ_c R_c(k_c)` over occupied channels.
@@ -115,22 +104,8 @@ impl MultiRateGame {
         br_dp::best_response(self, s, user)
     }
 
-    /// [`best_response`](Self::best_response) against a cached load vector.
-    pub fn best_response_cached(
-        &self,
-        s: &StrategyMatrix,
-        loads: &ChannelLoads,
-        user: UserId,
-    ) -> (StrategyVector, f64) {
-        br_dp::best_response_cached(self, s, loads, user)
-    }
-
     /// Eq. 7 with per-channel rates: benefit of moving one of `user`'s
-    /// radios from `b` to `c`. This uncached entry point recomputes the
-    /// two loads from the matrix and survives only as a convenience for
-    /// one-off queries — every loop in the workspace runs
-    /// [`benefit_of_move_cached`](Self::benefit_of_move_cached), which is
-    /// `O(1)` against a maintained [`ChannelLoads`].
+    /// radios from `b` to `c`, `O(1)` against the matrix's kept loads.
     ///
     /// # Panics
     ///
@@ -145,30 +120,9 @@ impl MultiRateGame {
         br_dp::benefit_of_move(self, s, user, b, c)
     }
 
-    /// Eq. 7 in `O(1)` against a cached load vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user has no radio on `b`.
-    pub fn benefit_of_move_cached(
-        &self,
-        s: &StrategyMatrix,
-        loads: &ChannelLoads,
-        user: UserId,
-        b: ChannelId,
-        c: ChannelId,
-    ) -> f64 {
-        br_dp::benefit_of_move_cached(self, s, loads, user, b, c)
-    }
-
     /// Exact Nash check with per-user gains and a deviation witness.
     pub fn nash_check(&self, s: &StrategyMatrix) -> NashCheck {
         br_dp::nash_check(self, s)
-    }
-
-    /// [`nash_check`](Self::nash_check) against a cached load vector.
-    pub fn nash_check_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> NashCheck {
-        br_dp::nash_check_cached(self, s, loads)
     }
 
     /// Exact Nash check.
@@ -179,11 +133,6 @@ impl MultiRateGame {
     /// Largest unilateral improvement available to any user.
     pub fn max_gain(&self, s: &StrategyMatrix) -> f64 {
         br_dp::max_gain(self, s)
-    }
-
-    /// [`max_gain`](Self::max_gain) against a cached load vector.
-    pub fn max_gain_cached(&self, s: &StrategyMatrix, loads: &ChannelLoads) -> f64 {
-        br_dp::max_gain_cached(self, s, loads)
     }
 
     /// Best-response dynamics to a fixed point, routed through the shared
@@ -401,14 +350,15 @@ mod tests {
         let g = two_tier(5, 2);
         let base = ChannelAllocationGame::with_constant_rate(*g.config(), 1.0);
         for seed in 0..10 {
+            // `random_start` places radios one `set` at a time; its kept
+            // loads against a fresh count.
             let s = random_start(&base, seed);
-            let loads = ChannelLoads::of(&s);
+            let rows: Vec<Vec<u32>> = UserId::all(5).map(|u| s.row(u).to_vec()).collect();
+            let fresh = StrategyMatrix::from_rows(&rows).unwrap();
+            assert_eq!(s.loads(), fresh.loads());
             for u in UserId::all(5) {
-                assert_eq!(g.utility_cached(&s, &loads, u), g.utility(&s, u));
-                assert_eq!(
-                    g.best_response_cached(&s, &loads, u),
-                    g.best_response(&s, u)
-                );
+                assert_eq!(g.utility(&s, u), g.utility(&fresh, u));
+                assert_eq!(g.best_response(&s, u), g.best_response(&fresh, u));
             }
         }
     }

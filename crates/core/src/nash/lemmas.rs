@@ -14,7 +14,6 @@
 //! non-increasing positive rate function.
 
 use crate::br_dp::{self, ChannelGame};
-use crate::loads::ChannelLoads;
 use crate::strategy::StrategyMatrix;
 use crate::types::{ChannelId, UserId};
 use serde::{Deserialize, Serialize};
@@ -66,7 +65,6 @@ pub fn lemma1_violations<G: ChannelGame + ?Sized>(
     game: &G,
     s: &StrategyMatrix,
 ) -> Vec<LemmaViolation> {
-    let loads = ChannelLoads::of(s);
     let mut out = Vec::new();
     for user in UserId::all(game.n_users()) {
         let used = s.user_total(user);
@@ -77,14 +75,14 @@ pub fn lemma1_violations<G: ChannelGame + ?Sized>(
         // channel without this user's radios; deploying there gains
         // R_{i,c} > 0. Only that channel's load changes, so the benefit is
         // exactly the newcomer's payoff f_c(1) — O(1) per channel against
-        // the cached loads. Pick the best such channel for a sharper
+        // the kept loads. Pick the best such channel for a sharper
         // witness.
         let mut best: Option<(ChannelId, f64)> = None;
         for c in ChannelId::all(game.n_channels()) {
             if s.get(user, c) > 0 {
                 continue;
             }
-            let benefit = game.channel_payoff(c, loads.load(c), 1);
+            let benefit = game.channel_payoff(c, s.channel_load(c), 1);
             if best.is_none_or(|(_, b)| benefit > b) {
                 best = Some((c, benefit));
             }
@@ -107,8 +105,8 @@ pub fn lemma2_violations<G: ChannelGame + ?Sized>(
     game: &G,
     s: &StrategyMatrix,
 ) -> Vec<LemmaViolation> {
-    collect_move_violations(game, s, 2, |s, loads, user, b, c| {
-        s.get(user, b) > 0 && s.get(user, c) == 0 && loads.load(b) as i64 - loads.load(c) as i64 > 1
+    collect_move_violations(game, s, 2, |s, user, b, c| {
+        s.get(user, b) > 0 && s.get(user, c) == 0 && s.delta(b, c) > 1
     })
 }
 
@@ -118,10 +116,8 @@ pub fn lemma3_violations<G: ChannelGame + ?Sized>(
     game: &G,
     s: &StrategyMatrix,
 ) -> Vec<LemmaViolation> {
-    collect_move_violations(game, s, 3, |s, loads, user, b, c| {
-        s.get(user, b) > 1
-            && s.get(user, c) == 0
-            && loads.load(b) as i64 - loads.load(c) as i64 == 1
+    collect_move_violations(game, s, 3, |s, user, b, c| {
+        s.get(user, b) > 1 && s.get(user, c) == 0 && s.delta(b, c) == 1
     })
 }
 
@@ -141,8 +137,8 @@ pub fn lemma4_violations<G: ChannelGame + ?Sized>(
     game: &G,
     s: &StrategyMatrix,
 ) -> Vec<LemmaViolation> {
-    collect_move_violations(game, s, 4, |s, loads, user, b, c| {
-        loads.load(b) == loads.load(c) && s.get(user, b) >= s.get(user, c) + 2
+    collect_move_violations(game, s, 4, |s, user, b, c| {
+        s.delta(b, c) == 0 && s.get(user, b) >= s.get(user, c) + 2
     })
 }
 
@@ -161,9 +157,8 @@ fn collect_move_violations<G, F>(
 ) -> Vec<LemmaViolation>
 where
     G: ChannelGame + ?Sized,
-    F: Fn(&StrategyMatrix, &ChannelLoads, UserId, ChannelId, ChannelId) -> bool,
+    F: Fn(&StrategyMatrix, UserId, ChannelId, ChannelId) -> bool,
 {
-    let loads = ChannelLoads::of(s);
     let mut out = Vec::new();
     for user in UserId::all(game.n_users()) {
         for b in ChannelId::all(game.n_channels()) {
@@ -171,12 +166,12 @@ where
                 continue;
             }
             for c in ChannelId::all(game.n_channels()) {
-                if b == c || !applies(s, &loads, user, b, c) {
+                if b == c || !applies(s, user, b, c) {
                     continue;
                 }
-                // O(1) Eq. 7 against the cached loads: the scan over
+                // O(1) Eq. 7 against the kept loads: the scan over
                 // (user, b, c) triples dominates, not the Δ evaluations.
-                let benefit = br_dp::benefit_of_move_cached(game, s, &loads, user, b, c);
+                let benefit = br_dp::benefit_of_move(game, s, user, b, c);
                 out.push(LemmaViolation {
                     lemma,
                     user,

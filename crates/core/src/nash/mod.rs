@@ -24,7 +24,7 @@ pub use lemmas::{
     lemma1_violations, lemma2_violations, lemma3_violations, lemma4_violations, proposition1_holds,
     LemmaViolation,
 };
-pub use theorem1::{theorem1, theorem1_cached, Theorem1Verdict};
+pub use theorem1::{theorem1, Theorem1Verdict};
 
 use crate::br_dp::{self, ChannelGame};
 use crate::rate_model::RateShape;

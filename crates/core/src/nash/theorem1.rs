@@ -32,7 +32,6 @@
 //! surface disagreements in T1 rather than silently "fixing" the theorem.
 
 use crate::br_dp::{self, ChannelGame};
-use crate::loads::ChannelLoads;
 use crate::strategy::StrategyMatrix;
 use crate::types::{ChannelId, UserId};
 use serde::{Deserialize, Serialize};
@@ -113,23 +112,8 @@ impl Theorem1Verdict {
 /// as a theorem), and the per-channel-rate game gets the *structural*
 /// verdict, which genuinely diverges from the exact NE check there
 /// (equilibria water-fill; the T1-style sweeps surface the disagreement
-/// rather than hiding it). Recomputes the loads; certification loops
-/// should use [`theorem1_cached`].
+/// rather than hiding it). `O(|N|·|C|)` against the matrix's kept loads.
 pub fn theorem1<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> Theorem1Verdict {
-    theorem1_cached(game, s, &ChannelLoads::of(s))
-}
-
-/// [`theorem1`] against a cached load vector: the whole certification
-/// drops to `O(|N|·|C|)` with zero column scans, so incremental drivers
-/// (T1's enumeration, the suite pipelines) can certify every visited
-/// profile against the loads they already maintain.
-pub fn theorem1_cached<G: ChannelGame + ?Sized>(
-    game: &G,
-    s: &StrategyMatrix,
-    loads: &ChannelLoads,
-) -> Theorem1Verdict {
-    loads.paranoid_check(s);
-
     // Condition 0 (Lemma 1): every user deploys all its radios.
     for user in UserId::all(game.n_users()) {
         let used = s.user_total(user);
@@ -138,7 +122,7 @@ pub fn theorem1_cached<G: ChannelGame + ?Sized>(
         }
     }
 
-    let loads = loads.as_slice();
+    let loads = s.loads();
     let max = *loads.iter().max().expect("at least one channel");
     let min = *loads.iter().min().expect("at least one channel");
 
@@ -448,9 +432,15 @@ mod tests {
     fn cached_verdict_matches_uncached_on_the_paper_figures() {
         let g4 = unit_game(7, 4, 6);
         let g5 = unit_game(4, 4, 6);
-        for (g, s) in [(&g4, figure4()), (&g5, figure5())] {
-            let loads = ChannelLoads::of(&s);
-            assert_eq!(theorem1(g, &s), theorem1_cached(g, &s, &loads));
+        for (g, fresh) in [(&g4, figure4()), (&g5, figure5())] {
+            // The figure rebuilt one row at a time, so its loads are the
+            // kept ones, against the fresh count of `from_rows`.
+            let mut kept = StrategyMatrix::zeros(fresh.n_users(), fresh.n_channels());
+            for u in UserId::all(fresh.n_users()) {
+                kept.set_user_strategy(u, &fresh.user_strategy(u));
+            }
+            assert_eq!(kept.loads(), fresh.loads());
+            assert_eq!(theorem1(g, &kept), theorem1(g, &fresh));
         }
     }
 

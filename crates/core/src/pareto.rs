@@ -100,11 +100,11 @@ pub fn is_system_optimal(game: &ChannelAllocationGame, s: &StrategyMatrix) -> bo
 pub fn is_pareto_optimal_ne(game: &ChannelAllocationGame, s: &StrategyMatrix) -> bool {
     let mine = game.utilities(s);
     let mut dominated = false;
-    crate::enumerate::enumerate_allocations_with_loads(game.config(), |other, loads| {
+    crate::enumerate::enumerate_allocations(game.config(), |other| {
         if dominated {
             return;
         }
-        let theirs = game.utilities_cached(other, loads);
+        let theirs = game.utilities(other);
         if mrca_game::pareto::dominates(&theirs, &mine) {
             dominated = true;
         }

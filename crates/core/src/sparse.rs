@@ -51,27 +51,31 @@ impl SparseStrategies {
     ///
     /// # Panics
     ///
-    /// Panics if `budgets` is empty, `n_channels == 0`, or the summed slot
-    /// capacity overflows the arena's `u32` index space — use
-    /// [`try_with_budgets`](Self::try_with_budgets) when overflow must be
-    /// handled instead of aborting.
+    /// Panics with the error's text where
+    /// [`try_with_budgets`](Self::try_with_budgets) returns one: empty
+    /// `budgets`, `n_channels == 0`, or a summed slot capacity that
+    /// overflows the arena's `u32` index space.
     pub fn with_budgets(budgets: &[u32], n_channels: usize) -> Self {
         Self::try_with_budgets(budgets, n_channels).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`with_budgets`](Self::with_budgets) with the arena-overflow case
-    /// surfaced as [`Error::ArenaOverflow`] instead of a panic. The check
-    /// runs *before* any allocation: a hostile or miscomputed budget sum
-    /// fails in `O(|N|)` without attempting a multi-gigabyte `Vec`.
+    /// [`with_budgets`](Self::with_budgets) with its failures returned as
+    /// typed errors. The checks run *before* any allocation: a hostile or
+    /// miscomputed budget sum fails in `O(|N|)` without attempting a
+    /// multi-gigabyte `Vec`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Still panics on the construction bugs (`budgets` empty,
-    /// `n_channels == 0`) — those are contract violations, not runtime
-    /// conditions.
+    /// [`Error::InvalidConfig`] when `budgets` is empty or
+    /// `n_channels == 0`; [`Error::ArenaOverflow`] when the summed slot
+    /// capacity exceeds the arena's `u32` index space.
     pub fn try_with_budgets(budgets: &[u32], n_channels: usize) -> Result<Self, Error> {
-        assert!(!budgets.is_empty(), "need at least one user");
-        assert!(n_channels > 0, "need at least one channel");
+        if budgets.is_empty() {
+            return Err(Error::config("need at least one user"));
+        }
+        if n_channels == 0 {
+            return Err(Error::config("need at least one channel"));
+        }
         let mut starts = Vec::with_capacity(budgets.len() + 1);
         let mut acc: u32 = 0;
         starts.push(0);
@@ -112,14 +116,22 @@ impl SparseStrategies {
     /// the summed demand is checked before the first row is pushed, so an
     /// [`Error::ArenaOverflow`] leaves the structure unchanged.
     pub fn push_rows(&mut self, budgets: &[u32]) -> Result<(), Error> {
-        let end = *self.starts.last().expect("starts always holds n+1 offsets");
-        budgets.iter().try_fold(end, |acc, &k| {
-            acc.checked_add(k)
-                .ok_or_else(|| Error::arena_overflow(acc as u64, k as u64))
-        })?;
+        self.check_room(budgets.iter().copied())?;
         for &k in budgets {
             self.push_row(k).expect("the summed demand fits");
         }
+        Ok(())
+    }
+
+    /// Whether rows of slot capacities `budgets` fit after the current
+    /// ones, checked without pushing any: the all-or-none guard of
+    /// [`push_rows`](Self::push_rows) and of the churn driver's arrivals.
+    pub(crate) fn check_room(&self, budgets: impl IntoIterator<Item = u32>) -> Result<(), Error> {
+        let end = *self.starts.last().expect("starts always holds n+1 offsets");
+        budgets.into_iter().try_fold(end, |acc, k| {
+            acc.checked_add(k)
+                .ok_or_else(|| Error::arena_overflow(acc as u64, k as u64))
+        })?;
         Ok(())
     }
 
@@ -301,8 +313,8 @@ impl SparseStrategies {
         self.n_users() * self.n_channels * std::mem::size_of::<u32>()
     }
 
-    /// Feature-gated stale-cache assertion, the sparse counterpart of
-    /// [`ChannelLoads::paranoid_check`]: recompute-and-compare in
+    /// Feature-gated stale-cache assertion for the [`ChannelLoads`] a
+    /// sparse driver keeps beside this state: recompute-and-compare in
     /// `O(Σ_i k_i)`, compiled in only under `paranoid-checks` +
     /// `debug_assertions`.
     #[inline]
@@ -552,8 +564,8 @@ mod tests {
     fn sparse_loads_match_dense_loads() {
         let m = figure2();
         let s = SparseStrategies::from(&m);
-        assert_eq!(s.loads(), ChannelLoads::of(&m));
-        assert_eq!(ChannelLoads::of_sparse(&s), ChannelLoads::of(&m));
+        assert_eq!(s.loads().as_slice(), m.loads());
+        assert_eq!(ChannelLoads::of_sparse(&s).as_slice(), m.loads());
     }
 
     #[test]
@@ -648,6 +660,26 @@ mod tests {
     fn try_with_budgets_errors_before_allocating() {
         let err = SparseStrategies::try_with_budgets(&[u32::MAX, 1], 2).unwrap_err();
         assert!(err.to_string().contains("slot arena overflow"), "{err}");
+    }
+
+    #[test]
+    fn try_with_budgets_rejects_empty_shapes_with_a_typed_error() {
+        let no_users = SparseStrategies::try_with_budgets(&[], 3).unwrap_err();
+        assert!(
+            matches!(&no_users, Error::InvalidConfig { reason } if reason.contains("user")),
+            "{no_users}"
+        );
+        let no_channels = SparseStrategies::try_with_budgets(&[2], 0).unwrap_err();
+        assert!(
+            matches!(&no_channels, Error::InvalidConfig { reason } if reason.contains("channel")),
+            "{no_channels}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid game configuration: need at least one user")]
+    fn with_budgets_panics_with_the_error_text() {
+        SparseStrategies::with_budgets(&[], 3);
     }
 
     #[test]

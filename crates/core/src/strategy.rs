@@ -77,6 +77,15 @@ impl fmt::Display for StrategyVector {
 /// The joint strategy matrix `S` (paper Eq. 2, Figure 2): row `i` is user
 /// `i`'s strategy vector.
 ///
+/// Every quantity of the game reads `S` only through the channel loads
+/// `k_c = Σ_i k_{i,c}` and the acting user's row, so the matrix keeps its
+/// load vector beside the rows: every mutation ([`set`](Self::set),
+/// [`move_radio`](Self::move_radio),
+/// [`set_user_strategy`](Self::set_user_strategy)) updates it, and
+/// [`channel_load`](Self::channel_load) is an `O(1)` read. The loads are
+/// derived data: the serialized form is the rows only, and a deserialized
+/// matrix recounts them.
+///
 /// ```
 /// use mrca_core::{StrategyMatrix, UserId, ChannelId};
 ///
@@ -91,10 +100,40 @@ impl fmt::Display for StrategyVector {
 /// assert_eq!(s.channel_load(ChannelId(0)), 4);   // everyone is on c1
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(from = "Cells")]
 pub struct StrategyMatrix {
     data: Vec<u32>,
     n_users: usize,
     n_channels: usize,
+    /// `loads[c] = Σ_i data[i·|C| + c]`, kept exact by every mutation.
+    #[serde(skip_serializing)]
+    loads: Vec<u32>,
+}
+
+/// The serialized form of a [`StrategyMatrix`]: its cells without the
+/// derived loads, which [`From`] recounts.
+#[derive(Deserialize)]
+struct Cells {
+    data: Vec<u32>,
+    n_users: usize,
+    n_channels: usize,
+}
+
+impl From<Cells> for StrategyMatrix {
+    fn from(cells: Cells) -> Self {
+        let mut loads = vec![0u32; cells.n_channels];
+        for row in cells.data.chunks(cells.n_channels.max(1)) {
+            for (l, &v) in loads.iter_mut().zip(row) {
+                *l += v;
+            }
+        }
+        StrategyMatrix {
+            data: cells.data,
+            n_users: cells.n_users,
+            n_channels: cells.n_channels,
+            loads,
+        }
+    }
 }
 
 impl StrategyMatrix {
@@ -104,6 +143,7 @@ impl StrategyMatrix {
             data: vec![0; n_users * n_channels],
             n_users,
             n_channels,
+            loads: vec![0; n_channels],
         }
     }
 
@@ -131,11 +171,12 @@ impl StrategyMatrix {
             }
             data.extend_from_slice(row);
         }
-        Ok(StrategyMatrix {
+        Ok(Cells {
             data,
             n_users: rows.len(),
             n_channels,
-        })
+        }
+        .into())
     }
 
     /// Number of users (rows).
@@ -157,11 +198,14 @@ impl StrategyMatrix {
         self.data[user.0 * self.n_channels + channel.0]
     }
 
-    /// Set `k_{i,c}`.
+    /// Set `k_{i,c}` (and the load `k_c` with it).
     #[inline]
     pub fn set(&mut self, user: UserId, channel: ChannelId, value: u32) {
         debug_assert!(user.0 < self.n_users && channel.0 < self.n_channels);
-        self.data[user.0 * self.n_channels + channel.0] = value;
+        let cell = &mut self.data[user.0 * self.n_channels + channel.0];
+        let load = &mut self.loads[channel.0];
+        *load = *load - *cell + value;
+        *cell = value;
     }
 
     /// Move one radio of `user` from channel `b` to channel `c` in place.
@@ -204,7 +248,11 @@ impl StrategyMatrix {
             "strategy vector has wrong channel count"
         );
         let start = user.0 * self.n_channels;
-        self.data[start..start + self.n_channels].copy_from_slice(strategy.counts());
+        let row = &mut self.data[start..start + self.n_channels];
+        for ((cell, load), &value) in row.iter_mut().zip(&mut self.loads).zip(strategy.counts()) {
+            *load = *load - *cell + value;
+            *cell = value;
+        }
     }
 
     /// Total radios of `user` in use (the paper's `k_i`).
@@ -213,25 +261,16 @@ impl StrategyMatrix {
         self.data[start..start + self.n_channels].iter().sum()
     }
 
-    /// Radios on `channel` across all users (the paper's `k_c`).
+    /// Radios on `channel` across all users (the paper's `k_c`), `O(1)`.
+    #[inline]
     pub fn channel_load(&self, channel: ChannelId) -> u32 {
-        (0..self.n_users)
-            .map(|i| self.data[i * self.n_channels + channel.0])
-            .sum()
+        self.loads[channel.0]
     }
 
-    /// Load vector `(k_{c_1}, …, k_{c_|C|})`, computed in one row-major
-    /// pass (cache-friendlier than a column scan per channel; this is the
-    /// single source of truth [`crate::loads::ChannelLoads::of`] builds
-    /// its cache from).
-    pub fn loads(&self) -> Vec<u32> {
-        let mut loads = vec![0u32; self.n_channels];
-        for row in self.data.chunks_exact(self.n_channels) {
-            for (l, &v) in loads.iter_mut().zip(row) {
-                *l += v;
-            }
-        }
-        loads
+    /// Load vector `(k_{c_1}, …, k_{c_|C|})`, borrowed.
+    #[inline]
+    pub fn loads(&self) -> &[u32] {
+        &self.loads
     }
 
     /// `δ_{b,c} = k_b − k_c` (paper Eq. 6), as a signed value.

@@ -12,38 +12,51 @@ use mrca_core::game::{improvement_eps, improves};
 use mrca_core::rate_model::{
     ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, StepRate,
 };
-use mrca_core::{ChannelId, ChannelLoads, GameConfig, StrategyMatrix, UserId};
+use mrca_core::{ChannelId, GameConfig, StrategyMatrix, UserId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The generic invariant harness. `naive_utility` must be an
 /// *independent* implementation of the game's utility (the concrete
-/// games' column-scanning `utility`), so (a) actually cross-checks two
-/// bookkeeping schemes rather than one function against itself.
+/// games' own Eq.-3 `utility`), so (a) cross-checks the generic engine
+/// against it. The two load bookkeeping schemes are cross-checked too:
+/// `s`'s loads, kept through every mutation that built it, against a
+/// column-by-column recount and against `from_rows`' fresh count.
 pub fn check_conformance<G: ChannelGame>(
     game: &G,
     naive_utility: &dyn Fn(&StrategyMatrix, UserId) -> f64,
     s: &StrategyMatrix,
 ) -> Result<(), TestCaseError> {
-    let loads = ChannelLoads::of(s);
     let n = game.n_users();
     let n_ch = game.n_channels();
+    let recount: Vec<u32> = ChannelId::all(n_ch)
+        .map(|c| UserId::all(n).map(|u| s.get(u, c)).sum())
+        .collect();
+    prop_assert_eq!(s.loads(), &recount[..], "kept loads vs a recount");
+    let rows: Vec<Vec<u32>> = UserId::all(n).map(|u| s.row(u).to_vec()).collect();
+    let fresh = StrategyMatrix::from_rows(&rows).expect("a matrix's own rows");
 
     for u in UserId::all(n) {
-        // (a) utilities: generic naive == generic cached == concrete naive.
+        // (a) utilities: generic on kept loads == generic on fresh loads
+        // == concrete.
         let nu = naive_utility(s, u);
-        prop_assert_eq!(br_dp::utility(game, s, u), nu, "naive utility, user {}", u);
         prop_assert_eq!(
-            br_dp::utility_cached(game, s, &loads, u),
+            br_dp::utility(game, s, u),
             nu,
-            "cached utility, user {}",
+            "generic utility, user {}",
+            u
+        );
+        prop_assert_eq!(
+            br_dp::utility(game, &fresh, u),
+            nu,
+            "fresh-load utility, user {}",
             u
         );
 
-        // (a) best responses: cached == uncached, and the traceback's
-        // vector really achieves the DP's claimed value.
-        let (br_c, u_c) = br_dp::best_response_cached(game, s, &loads, u);
-        let (br_n, u_n) = br_dp::best_response(game, s, u);
+        // (a) best responses: kept loads == fresh loads, and the
+        // traceback's vector really achieves the DP's claimed value.
+        let (br_c, u_c) = br_dp::best_response(game, s, u);
+        let (br_n, u_n) = br_dp::best_response(game, &fresh, u);
         prop_assert_eq!(u_c, u_n);
         prop_assert_eq!(&br_c, &br_n);
         let mut replayed = s.clone();
@@ -75,16 +88,17 @@ pub fn check_conformance<G: ChannelGame>(
             best
         );
 
-        // (a) Eq.-7 benefits: direct == cached == clone-and-recompute.
+        // (a) Eq.-7 benefits: kept loads == fresh loads ==
+        // clone-and-recompute.
         for b in ChannelId::all(n_ch) {
             if s.get(u, b) == 0 {
                 continue;
             }
             for c in ChannelId::all(n_ch) {
                 let fast = br_dp::benefit_of_move(game, s, u, b, c);
-                let cached = br_dp::benefit_of_move_cached(game, s, &loads, u, b, c);
+                let fresh_delta = br_dp::benefit_of_move(game, &fresh, u, b, c);
                 let naive = br_dp::benefit_of_move_naive(game, s, u, b, c);
-                prop_assert_eq!(fast, cached, "direct vs cached Δ must be identical");
+                prop_assert_eq!(fast, fresh_delta, "kept vs fresh Δ must be identical");
                 let scale = naive.abs().max(fast.abs()).max(1.0);
                 prop_assert!(
                     (fast - naive).abs() <= 1e-9 * scale,
@@ -103,14 +117,14 @@ pub fn check_conformance<G: ChannelGame>(
     // scale-relative epsilon, and the witness is consistent.
     let check = br_dp::nash_check(game, s);
     let relative_nash = UserId::all(n).all(|u| {
-        let before = br_dp::utility_cached(game, s, &loads, u);
-        let (_, after) = br_dp::best_response_cached(game, s, &loads, u);
+        let before = br_dp::utility(game, s, u);
+        let (_, after) = br_dp::best_response(game, s, u);
         !improves(before, after)
     });
     prop_assert_eq!(check.is_nash(), relative_nash);
     prop_assert_eq!(check.gains.len(), n);
     if let Some((witness, ref better)) = check.witness {
-        let before = br_dp::utility_cached(game, s, &loads, witness);
+        let before = br_dp::utility(game, s, witness);
         let gain = check.gains[witness.0];
         prop_assert!(gain > improvement_eps(before, before + gain));
         let mut improved = s.clone();
@@ -121,9 +135,9 @@ pub fn check_conformance<G: ChannelGame>(
         );
     }
     prop_assert_eq!(
-        br_dp::max_gain_cached(game, s, &loads),
+        br_dp::max_gain(game, &fresh),
         check.max_gain(),
-        "cached max_gain"
+        "fresh-load max_gain"
     );
     Ok(())
 }

@@ -2,9 +2,11 @@
 //! every [`ChannelGame`] implementor, pinning the invariants the unified
 //! best-response engine must preserve for *all* of them:
 //!
-//! (a) **cached ≡ naive** — utilities, best responses and Eq.-7 benefits
-//!     computed against a [`ChannelLoads`] cache agree with the
-//!     column-scanning / clone-and-recompute paths;
+//! (a) **kept ≡ fresh ≡ naive** — the loads a matrix keeps through its
+//!     mutations equal a recount, and utilities, best responses and
+//!     Eq.-7 benefits read through them agree with a freshly counted
+//!     matrix, the concrete games' own utilities and the
+//!     clone-and-recompute Δ;
 //! (b) **DP ≡ enumeration** — the shared knapsack DP's best response is
 //!     optimal against brute-force enumeration of the user's whole
 //!     strategy space (and its traceback achieves its claimed value);
@@ -25,7 +27,7 @@ use mrca_core::br_dp;
 use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
 use mrca_core::multi_rate::MultiRateGame;
 use mrca_core::rate_model::RateModel;
-use mrca_core::{ChannelLoads, GameConfig, StrategyMatrix, UserId};
+use mrca_core::{GameConfig, StrategyMatrix, UserId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -108,7 +110,7 @@ proptest! {
     #[test]
     fn lemma_witnesses_are_profitable_on_every_variant(instance in hetero_instance()) {
         use mrca_core::nash::{lemma1_violations, lemma2_violations, lemma3_violations,
-                              lemma4_violations, theorem1, theorem1_cached};
+                              lemma4_violations, theorem1};
         let (game, s) = instance;
         for v in lemma1_violations(&game, &s) {
             prop_assert!(v.benefit > 0.0, "{}", v);
@@ -120,8 +122,9 @@ proptest! {
         {
             prop_assert!(v.benefit > 0.0, "{}", v);
         }
-        let loads = ChannelLoads::of(&s);
-        prop_assert_eq!(theorem1(&game, &s), theorem1_cached(&game, &s, &loads));
+        let rows: Vec<Vec<u32>> = UserId::all(s.n_users()).map(|u| s.row(u).to_vec()).collect();
+        let fresh = StrategyMatrix::from_rows(&rows).unwrap();
+        prop_assert_eq!(theorem1(&game, &s), theorem1(&game, &fresh));
     }
 }
 

@@ -3,7 +3,7 @@
 //! incremental (two-column-repair) DP and the full DP must agree with
 //! each other and with exhaustive enumeration — in utility exactly (to
 //! rounding), in argmax up to exact ties — and the sparse-path
-//! [`ChannelLoads`] must equal the dense-path one. A maintenance
+//! [`ChannelLoads`] must equal the loads the dense matrix keeps. A maintenance
 //! property additionally drives random move sequences through the
 //! incremental repair logic and pins every intermediate state against
 //! freshly-built engines, so the `O(log |C|)` repairs can never drift
@@ -27,18 +27,18 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The cross-engine invariant harness. `naive_utility` is the concrete
-/// game's independent column-scanning utility, used both as the replay
-/// oracle and for the exhaustive enumeration.
+/// game's own Eq.-3 utility, used both as the replay oracle and for the
+/// exhaustive enumeration.
 fn check_fast_paths<G: ChannelGame>(
     game: &G,
     naive_utility: &dyn Fn(&StrategyMatrix, UserId) -> f64,
     m: &StrategyMatrix,
 ) -> Result<(), TestCaseError> {
-    let loads = ChannelLoads::of(m);
     let sp = SparseStrategies::from_matrix(game, m);
+    let loads = ChannelLoads::of_sparse(&sp);
 
-    // Sparse-path loads == dense-path loads, and the bridge round-trips.
-    prop_assert_eq!(&ChannelLoads::of_sparse(&sp), &loads, "sparse loads");
+    // Sparse-path loads == dense kept loads, and the bridge round-trips.
+    prop_assert_eq!(loads.as_slice(), m.loads(), "sparse loads");
     prop_assert_eq!(&sp.to_dense(), m, "sparse round trip");
 
     let mut engine = BrEngine::new(game, &loads);
@@ -48,11 +48,11 @@ fn check_fast_paths<G: ChannelGame>(
 
     for u in UserId::all(game.n_users()) {
         // Oracle: the full DP.
-        let (full_br, full_v) = br_dp::best_response_cached(game, m, &loads, u);
-        // Sparse Eq.-3 reader == dense cached reader, bit-for-bit.
+        let (full_br, full_v) = br_dp::best_response(game, m, u);
+        // Sparse Eq.-3 reader == dense reader, bit-for-bit.
         prop_assert_eq!(
             br_fast::utility_sparse(game, &sp, &loads, u).to_bits(),
-            br_dp::utility_cached(game, m, &loads, u).to_bits(),
+            br_dp::utility(game, m, u).to_bits(),
             "sparse utility, user {}",
             u
         );

@@ -1,22 +1,30 @@
-//! The tentpole's safety net: the incremental (cached-loads) evaluation
-//! path is pinned to the naive recompute-from-scratch path across random
-//! games, rate models and (possibly under-deployed) strategy matrices.
+//! The incremental evaluation path is pinned to the
+//! recompute-from-scratch path across random games, rate models and
+//! (possibly under-deployed) strategy matrices.
 //!
-//! * `utility_cached` / `best_response_cached` / `nash_check_cached` read
-//!   the same loads the naive path recomputes, so they must agree
-//!   *exactly* (identical arithmetic, different bookkeeping).
+//! * A matrix built or changed by `set` / `set_user_strategy` keeps its
+//!   loads through every mutation; `StrategyMatrix::from_rows` of the
+//!   same rows counts them fresh. Utilities, best responses and the Nash
+//!   check read the same loads either way, so they must agree *exactly*
+//!   (identical arithmetic, different bookkeeping).
 //! * `benefit_of_move` (four-term Δ) versus `benefit_of_move_naive`
 //!   (clone + two full Eq.-3 evaluations) differ in summation order, so
 //!   they are compared to a tight relative tolerance.
-//! * A load cache maintained across a whole best-response-dynamics run
-//!   must stay consistent with the matrix it tracks.
+//! * The loads a matrix keeps across a whole best-response-dynamics run
+//!   must equal a fresh count of its final rows.
+//! * Under random streams of `set`, `move_radio` and `set_user_strategy`,
+//!   on matrices from every constructor, the kept loads equal a
+//!   column-by-column recount after every single step.
 
+use mrca_core::br_dp::benefit_of_move_naive;
 use mrca_core::dynamics::{random_start, BestResponseDriver, Schedule};
-use mrca_core::loads::ChannelLoads;
 use mrca_core::rate_model::{
     ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, StepRate,
 };
-use mrca_core::{ChannelAllocationGame, ChannelId, GameConfig, StrategyMatrix, UserId};
+use mrca_core::{
+    ChannelAllocationGame, ChannelId, GameConfig, SparseStrategies, StrategyMatrix, StrategyVector,
+    UserId,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -66,6 +74,68 @@ fn matrix_strategy(cfg: GameConfig) -> impl Strategy<Value = StrategyMatrix> {
     )
 }
 
+/// `s` rebuilt from its rows: the same profile with freshly counted
+/// loads.
+fn fresh(s: &StrategyMatrix) -> StrategyMatrix {
+    let rows: Vec<Vec<u32>> = UserId::all(s.n_users())
+        .map(|u| s.row(u).to_vec())
+        .collect();
+    StrategyMatrix::from_rows(&rows).unwrap()
+}
+
+/// The load vector of `s` recounted column by column from its cells.
+fn recount(s: &StrategyMatrix) -> Vec<u32> {
+    ChannelId::all(s.n_channels())
+        .map(|c| UserId::all(s.n_users()).map(|u| s.get(u, c)).sum())
+        .collect()
+}
+
+/// One matrix mutation: `(kind, (user, channel a, channel b), value,
+/// row)`, decoded by [`apply_op`].
+type Op = (usize, (usize, usize, usize), u32, Vec<u32>);
+
+/// A random starting matrix from one of the three constructors (`zeros`,
+/// `from_rows`, the sparse bridge's `to_dense`) plus a stream of
+/// mutations to apply to it.
+fn mutation_stream() -> impl Strategy<Value = (StrategyMatrix, Vec<Op>)> {
+    (1usize..=5, 1usize..=5, 0usize..3)
+        .prop_flat_map(|(n, c, origin)| {
+            (
+                proptest::collection::vec(proptest::collection::vec(0u32..=3, c), n),
+                Just(origin),
+                proptest::collection::vec(
+                    (
+                        0usize..3,
+                        (0usize..n, 0usize..c, 0usize..c),
+                        0u32..=4,
+                        proptest::collection::vec(0u32..=3, c),
+                    ),
+                    0..40,
+                ),
+            )
+        })
+        .prop_map(|(rows, origin, ops)| {
+            let s = match origin {
+                0 => StrategyMatrix::zeros(rows.len(), rows[0].len()),
+                1 => StrategyMatrix::from_rows(&rows).unwrap(),
+                _ => SparseStrategies::from(&StrategyMatrix::from_rows(&rows).unwrap()).to_dense(),
+            };
+            (s, ops)
+        })
+}
+
+/// Apply one [`Op`]: `set`, `move_radio` (skipped when channel `a` holds
+/// none of the user's radios) or `set_user_strategy`.
+fn apply_op(s: &mut StrategyMatrix, (kind, (u, a, b), value, row): &Op) {
+    let (u, a, b) = (UserId(*u), ChannelId(*a), ChannelId(*b));
+    match kind {
+        0 => s.set(u, a, *value),
+        1 if s.get(u, a) > 0 => s.move_radio(u, a, b),
+        1 => {}
+        _ => s.set_user_strategy(u, &StrategyVector::from_counts(row.clone())),
+    }
+}
+
 /// A full random instance: config, rate model and a (possibly
 /// under-deployed) matrix for it.
 fn game_and_matrix() -> impl Strategy<Value = (GameConfig, Arc<dyn RateModel>, StrategyMatrix)> {
@@ -80,17 +150,17 @@ proptest! {
         std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
     ))]
 
-    /// Cached utility ≡ naive utility, exactly.
+    /// Utility on kept loads ≡ utility on fresh loads, exactly.
     #[test]
     fn utility_cached_equals_naive(cfg in config_strategy(), rate in rate_strategy(), seed in 0u64..1000) {
         let game = ChannelAllocationGame::new(cfg, rate);
         let s = random_start(&game, seed);
-        let loads = ChannelLoads::of(&s);
+        let f = fresh(&s);
         for u in UserId::all(cfg.n_users()) {
-            prop_assert_eq!(game.utility_cached(&s, &loads, u), game.utility(&s, u));
+            prop_assert_eq!(game.utility(&s, u), game.utility(&f, u));
         }
-        prop_assert_eq!(game.total_utility_cached(&loads), game.total_utility(&s));
-        prop_assert_eq!(game.utilities_cached(&s, &loads), game.utilities(&s));
+        prop_assert_eq!(game.total_utility(&s), game.total_utility(&f));
+        prop_assert_eq!(game.utilities(&s), game.utilities(&f));
     }
 
     /// Incremental Eq. 7 ≡ clone-and-recompute Eq. 7 for every legal
@@ -99,7 +169,7 @@ proptest! {
     fn benefit_of_move_matches_naive(instance in game_and_matrix()) {
         let (cfg, rate, s) = instance;
         let game = ChannelAllocationGame::new(cfg, rate);
-        let loads = ChannelLoads::of(&s);
+        let f = fresh(&s);
         for u in UserId::all(cfg.n_users()) {
             for b in ChannelId::all(cfg.n_channels()) {
                 if s.get(u, b) == 0 {
@@ -107,9 +177,9 @@ proptest! {
                 }
                 for c in ChannelId::all(cfg.n_channels()) {
                     let fast = game.benefit_of_move(&s, u, b, c);
-                    let cached = game.benefit_of_move_cached(&s, &loads, u, b, c);
-                    let naive = game.benefit_of_move_naive(&s, u, b, c);
-                    prop_assert_eq!(fast, cached, "direct vs cached must be identical");
+                    let fresh_delta = game.benefit_of_move(&f, u, b, c);
+                    let naive = benefit_of_move_naive(&game, &s, u, b, c);
+                    prop_assert_eq!(fast, fresh_delta, "kept vs fresh loads must be identical");
                     let scale = naive.abs().max(fast.abs()).max(1.0);
                     prop_assert!(
                         (fast - naive).abs() <= 1e-9 * scale,
@@ -121,33 +191,47 @@ proptest! {
         }
     }
 
-    /// Cached best response and Nash check ≡ their naive counterparts.
+    /// Best response and Nash check on kept loads ≡ on fresh loads.
     #[test]
     fn nash_check_cached_equals_naive(cfg in config_strategy(), rate in rate_strategy(), seed in 0u64..1000) {
         let game = ChannelAllocationGame::new(cfg, rate);
         let s = random_start(&game, seed);
-        let loads = ChannelLoads::of(&s);
+        let f = fresh(&s);
         for u in UserId::all(cfg.n_users()) {
-            let (brc, uc) = game.best_response_cached(&s, &loads, u);
-            let (brn, un) = game.best_response(&s, u);
+            let (brc, uc) = game.best_response(&s, u);
+            let (brn, un) = game.best_response(&f, u);
             prop_assert_eq!(uc, un);
             prop_assert_eq!(brc, brn);
         }
-        let cached = game.nash_check_cached(&s, &loads);
-        let naive = game.nash_check(&s);
-        prop_assert_eq!(cached, naive);
+        prop_assert_eq!(game.nash_check(&s), game.nash_check(&f));
     }
 
-    /// A load cache maintained through a full dynamics run stays exact,
-    /// and the run lands on a NE the naive checker confirms.
+    /// The loads a matrix keeps through a full dynamics run stay exact,
+    /// and the run lands on a NE the fresh-load checker confirms.
     #[test]
     fn maintained_cache_survives_dynamics(cfg in config_strategy(), rate in rate_strategy(), seed in 0u64..200) {
         let game = ChannelAllocationGame::new(cfg, rate);
         let out = BestResponseDriver::new(Schedule::RoundRobin)
             .run(&game, random_start(&game, seed), 400);
         prop_assert!(out.converged);
-        let loads = ChannelLoads::of(&out.matrix);
-        prop_assert!(loads.is_consistent_with(&out.matrix));
-        prop_assert!(game.nash_check(&out.matrix).is_nash());
+        let f = fresh(&out.matrix);
+        prop_assert_eq!(out.matrix.loads(), f.loads());
+        prop_assert!(game.nash_check(&f).is_nash());
+    }
+
+    /// The loads a matrix keeps equal a recount of its cells after every
+    /// step of a random mutation stream, whichever constructor built it.
+    #[test]
+    fn kept_loads_match_a_recount_under_random_mutations(instance in mutation_stream()) {
+        let (mut s, ops) = instance;
+        prop_assert_eq!(s.loads(), &recount(&s)[..], "as constructed");
+        for (step, op) in ops.iter().enumerate() {
+            apply_op(&mut s, op);
+            let counted = recount(&s);
+            prop_assert_eq!(s.loads(), &counted[..], "after step {}: {:?}", step, op);
+            for c in ChannelId::all(s.n_channels()) {
+                prop_assert_eq!(s.channel_load(c), counted[c.0], "channel {}", c);
+            }
+        }
     }
 }

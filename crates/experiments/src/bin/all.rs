@@ -1,5 +1,6 @@
 //! Run every experiment binary in sequence (the one-shot regeneration of
-//! all figures/tables; see EXPERIMENTS.md) — or, as `all merge`,
+//! all figures/tables; the binary index is in `crates/experiments/src/lib.rs`)
+//! — or, as `all merge`,
 //! deterministically recombine shard CSVs into the canonical artifact:
 //!
 //! ```text

@@ -8,15 +8,13 @@
 //! stacking ≥ 3 radios on a min channel) where the literal statement
 //! over-approximates — the table shows exactly how often that occurs.
 //!
-//! Instance × rate cells run in parallel through `ScenarioSuite`; the
-//! per-profile classification uses the loads-threaded enumeration and the
-//! cached Nash check, so the exact-deviation side does no matrix clone or
-//! load recomputation per profile — and `theorem1_cached` certifies each
-//! profile against the same maintained loads, so the enumeration never
-//! recomputes a load vector at all.
+//! Instance × rate cells run in parallel through `ScenarioSuite`. The
+//! enumeration replaces one row per step and the matrix keeps its loads
+//! across the change, so neither the exact-deviation side nor
+//! `theorem1` clones a matrix or recounts a load vector per profile.
 
-use mrca_core::enumerate::{allocation_count, enumerate_allocations_with_loads};
-use mrca_core::nash::theorem1_cached;
+use mrca_core::enumerate::{allocation_count, enumerate_allocations};
+use mrca_core::nash::theorem1;
 use mrca_experiments::{cells, write_result};
 use mrca_experiments::{OrderingSpec, RateSpec, ScenarioSuite};
 
@@ -75,10 +73,10 @@ fn main() {
         let mut thm_only = 0u64;
         let mut brute_only = 0u64;
         let mut total = 0u64;
-        enumerate_allocations_with_loads(&cfg, |s, loads| {
+        enumerate_allocations(&cfg, |s| {
             total += 1;
-            let brute = game.nash_check_cached(s, loads).is_nash();
-            let thm = theorem1_cached(&game, s, loads).is_nash();
+            let brute = game.nash_check(s).is_nash();
+            let thm = theorem1(&game, s).is_nash();
             if brute {
                 n_brute += 1;
             }
@@ -122,6 +120,7 @@ fn main() {
         "(the paper's Theorem 1 predicts 0; the known corner case needs an\n\
          exception user with ≥3 radios stacked on a min channel, which\n\
          requires larger instances than the enumerable grid — see\n\
-         mrca_core::nash::theorem1 docs and EXPERIMENTS.md)"
+         mrca_core::nash::theorem1 docs and the binary index in\n\
+         crates/experiments/src/lib.rs)"
     );
 }

@@ -1,7 +1,7 @@
 //! # mrca-experiments — figure/table regeneration harness
 //!
-//! One binary per artifact of the paper (see `DESIGN.md` §3 and
-//! `EXPERIMENTS.md` for the index):
+//! One binary per artifact of the paper. This table is the binary index
+//! the other crates' docs point to:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -19,11 +19,12 @@
 //! | `t9_scale` | large-N sparse+heap sweep, 10⁵–10⁶ users, streamed CSV |
 //! | `t10_churn` | churn service: seeded event replay vs a standing equilibrium |
 //! | `t11_spatial` | spatial interference sweep on geometric conflict graphs |
+//! | `t12_measured` | measured DCF/Aloha rate tables: harvest → classify → converge |
 //! | `all` | run everything |
 //!
 //! Each binary prints an ASCII table/plot and writes a CSV to `results/`
-//! (workspace root), so the repository regenerates every number quoted in
-//! `EXPERIMENTS.md` with `cargo run --release -p mrca-experiments --bin all`.
+//! (workspace root), so the repository regenerates every table above with
+//! `cargo run --release -p mrca-experiments --bin all`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

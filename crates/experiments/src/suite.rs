@@ -31,7 +31,7 @@ use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
 use mrca_core::br_dp::ChannelGame;
 use mrca_core::br_fast;
 use mrca_core::dynamics::{random_start, BestResponseDriver, Schedule};
-use mrca_core::nash::{theorem1, theorem1_cached};
+use mrca_core::nash::theorem1;
 use mrca_core::par;
 use mrca_core::rate_model::{
     ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, RateShape, ScaledRate,
@@ -768,15 +768,14 @@ fn evaluate_cell(cell: &ScenarioCell, max_rounds: usize) -> CellOutcome {
         SparseStrategies::from_matrix(&game, &start),
         max_rounds,
     );
-    let end_loads = ChannelLoads::of_sparse(&out.strategies);
     CellOutcome {
         algo1_nash: game.nash_check(&algo1).is_nash(),
         algo1_theorem1: theorem1(&game, &algo1).is_nash(),
         algo1_delta: algo1.max_delta(),
         br_converged: out.converged,
         br_rounds: out.rounds,
-        br_nash: br_fast::nash_check_sparse_cached(&game, &out.strategies, &end_loads).is_nash(),
-        br_welfare: game.total_utility_cached(&end_loads),
+        br_nash: br_fast::nash_check_sparse(&game, &out.strategies).is_nash(),
+        br_welfare: br_fast::welfare_from_loads(&game, &ChannelLoads::of_sparse(&out.strategies)),
         start_welfare,
         cell: cell.clone(),
     }
@@ -881,16 +880,6 @@ impl AxisGame {
     /// Per-user budgets.
     pub fn budgets(&self) -> &[u32] {
         &self.budgets
-    }
-
-    /// Total utility `Σ_c R_c(k_c)` from a cached load vector.
-    pub fn total_utility(&self, loads: &ChannelLoads) -> f64 {
-        loads
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(c, &kc)| if kc == 0 { 0.0 } else { self.rates[c].rate(kc) })
-            .sum()
     }
 }
 
@@ -1248,18 +1237,18 @@ fn evaluate_extended_cell(cell: &ExtendedCell, max_rounds: usize) -> ExtendedOut
     let (end, converged, rounds) =
         br_fast::best_response_dynamics_sparse(&game, sparse_start, max_rounds);
     let loads = ChannelLoads::of_sparse(&end);
-    let check = br_fast::nash_check_sparse_cached(&game, &end, &loads);
+    let check = br_fast::nash_check_sparse(&game, &end);
     // Theorem 1 reads per-user rows structurally; extended cells are
     // small, so the dense view is cheap here (t9's scale path never
     // certifies Theorem 1).
-    let thm1_nash = theorem1_cached(&game, &end.to_dense(), &loads).is_nash();
+    let thm1_nash = theorem1(&game, &end.to_dense()).is_nash();
     ExtendedOutcome {
         converged,
         rounds,
         nash: check.is_nash(),
         max_gain: check.max_gain(),
         delta: loads.max_delta(),
-        welfare: game.total_utility(&loads),
+        welfare: br_fast::welfare_from_loads(&game, &loads),
         thm1_nash,
         cell: cell.clone(),
     }
@@ -1579,15 +1568,11 @@ mod tests {
         );
         let hetero = HeteroGame::with_unit_rate(HeteroConfig::new(budgets.clone(), 4).unwrap());
         let s = random_budget_start(&budgets, 4, 99);
-        let loads = ChannelLoads::of(&s);
         for u in UserId::all(3) {
+            assert_eq!(br_dp::utility(&axis, &s, u), hetero.utility(&s, u));
             assert_eq!(
-                br_dp::utility_cached(&axis, &s, &loads, u),
-                hetero.utility_cached(&s, &loads, u)
-            );
-            assert_eq!(
-                br_dp::best_response_cached(&axis, &s, &loads, u),
-                hetero.best_response_cached(&s, &loads, u)
+                br_dp::best_response(&axis, &s, u),
+                hetero.best_response(&s, u)
             );
         }
         assert_eq!(br_dp::nash_check(&axis, &s), hetero.nash_check(&s));

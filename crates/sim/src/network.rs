@@ -198,7 +198,8 @@ impl Scenario {
         let max_k = self
             .allocation
             .loads()
-            .into_iter()
+            .iter()
+            .copied()
             .max()
             .unwrap_or(1)
             .max(1);

@@ -65,7 +65,7 @@ fn algorithm1_matches_paper_figure_settings() {
         let game =
             ChannelAllocationGame::with_constant_rate(GameConfig::new(n, k, c).unwrap(), 1.0);
         let s = algorithm1(&game, &Ordering::default());
-        let mut loads = s.loads();
+        let mut loads = s.loads().to_vec();
         loads.sort_unstable();
         expected_loads.sort_unstable();
         assert_eq!(loads, expected_loads, "({n},{k},{c})");

@@ -131,15 +131,23 @@ fn indexed_nash_matches_matrix_nash_for_decreasing_rate() {
     }
 }
 
+/// `s` rebuilt from its rows: the same profile with freshly counted
+/// loads, against the loads `s` kept through its mutations.
+fn fresh(s: &StrategyMatrix) -> StrategyMatrix {
+    let rows: Vec<Vec<u32>> = UserId::all(s.n_users())
+        .map(|u| s.row(u).to_vec())
+        .collect();
+    StrategyMatrix::from_rows(&rows).unwrap()
+}
+
 #[test]
 fn theorem1_cached_matches_theorem1_on_randomized_instances() {
-    // The cached certification path must render the identical verdict —
-    // not merely the same is_nash bit — on randomized instances covering
-    // every verdict variant: full and under-deployed matrices, balanced
-    // and stacked loads, conflict and Fact-1 regimes.
+    // Certification on the loads a matrix kept through its mutations must
+    // render the identical verdict to a freshly counted rebuild of its
+    // rows — not merely the same is_nash bit — on randomized instances
+    // covering every verdict variant: full and under-deployed matrices,
+    // balanced and stacked loads, conflict and Fact-1 regimes.
     use multi_radio_alloc::core::dynamics::random_start;
-    use multi_radio_alloc::core::loads::ChannelLoads;
-    use multi_radio_alloc::core::nash::theorem1_cached;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -163,11 +171,10 @@ fn theorem1_cached_matches_theorem1_on_randomized_instances() {
                 }
             }
         }
-        let loads = ChannelLoads::of(&s);
-        let uncached = theorem1(&game, &s);
-        let cached = theorem1_cached(&game, &s, &loads);
-        assert_eq!(uncached, cached, "trial {trial}: N={n},k={k},C={c} {s}");
-        verdict_kinds.insert(std::mem::discriminant(&cached));
+        let on_fresh = theorem1(&game, &fresh(&s));
+        let on_kept = theorem1(&game, &s);
+        assert_eq!(on_fresh, on_kept, "trial {trial}: N={n},k={k},C={c} {s}");
+        verdict_kinds.insert(std::mem::discriminant(&on_kept));
     }
     assert!(
         verdict_kinds.len() >= 3,
@@ -179,9 +186,7 @@ fn theorem1_cached_matches_theorem1_on_randomized_instances() {
 #[test]
 fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
     use multi_radio_alloc::core::heterogeneous::{HeteroConfig, HeteroGame};
-    use multi_radio_alloc::core::loads::ChannelLoads;
     use multi_radio_alloc::core::multi_rate::MultiRateGame;
-    use multi_radio_alloc::core::nash::theorem1_cached;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -199,10 +204,9 @@ fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
                 s.set(UserId(u), ch, s.get(UserId(u), ch) + 1);
             }
         }
-        let loads = ChannelLoads::of(&s);
         assert_eq!(
+            theorem1(&hg, &fresh(&s)),
             theorem1(&hg, &s),
-            theorem1_cached(&hg, &s, &loads),
             "hetero trial {trial}"
         );
 
@@ -220,10 +224,9 @@ fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
         .unwrap();
         let base = constant_game(n, k, c);
         let sm = multi_radio_alloc::core::dynamics::random_start(&base, rng.gen());
-        let loads_m = ChannelLoads::of(&sm);
         assert_eq!(
+            theorem1(&mg, &fresh(&sm)),
             theorem1(&mg, &sm),
-            theorem1_cached(&mg, &sm, &loads_m),
             "multi-rate trial {trial}"
         );
     }
