@@ -118,13 +118,11 @@ pub trait ChannelGame {
 /// (`!improves(before, best)`, else the user would have moved), the
 /// slack is how much the best attainable deviation value must still
 /// *rise* — with `before` fixed — before a move clears the
-/// (scale-relative, [`improvement_eps`]) improvement tolerance. This is
-/// the quantity the active-set dynamics of [`crate::br_fast`] record at
-/// every no-op check, on both engine routes (the lazy heap and the
-/// incremental DP report the same `best` up to the pinned
-/// tie-breaking): a parked user provably cannot move until the
-/// cumulative payoff-column improvements since its check reach its
-/// slack.
+/// (scale-relative, [`improvement_eps`]) improvement tolerance. The
+/// active-set dynamics of [`crate::br_fast`] compute it at every no-op
+/// check; on the heap route it sets the exact-load park threshold
+/// `m* + slack/k`, so a parked user provably cannot move until some
+/// channel's entry payoff clears that threshold.
 ///
 /// Clamped at zero so floating-point noise in `best ≈ before + ε` never
 /// produces a negative threshold.

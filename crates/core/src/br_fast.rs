@@ -44,12 +44,11 @@
 //!   certificate holds over, so a load change visits only the occupants
 //!   whose interval it leaves; each is re-validated in `O(k)` when its
 //!   rank comes up, before it may pay a best-response query — and
-//! * parked users whose recorded best-response **slack**
-//!   ([`crate::br_dp::park_slack`]) could have been overcome by the
-//!   cumulative payoff-column improvements since their last check —
-//!   tracked by per-channel first-entry-payoff horizons (or, on the
-//!   generic route, a cumulative improvement clock) feeding one
-//!   **lazy temptation index** (a min segment tree over park
+//! * parked users whose park threshold the **entry horizon** now
+//!   reaches — the most one radio can earn by entering some channel at
+//!   the current loads (the first-entry payoff on the heap route, the
+//!   best per-radio entry payoff on the generic route) — found through
+//!   one **lazy temptation index** (a min segment tree over park
 //!   thresholds), so re-activation is an `O(log |N|)` rank-order query
 //!   against the horizon *currently* in force, not an eager pop of
 //!   everyone a transient spike once tempted.
@@ -68,7 +67,7 @@
 //! # Tie-breaking (pinned)
 //!
 //! Both engines break exact ties toward the **lowest channel index**
-//! (see [`crate::br_dp::solve_knapsack`] for the DP side: radios pack
+//! (on the DP side the shared knapsack in [`crate::br_dp`] packs radios
 //! toward low-indexed channels). The heap resolves equal marginals the
 //! same way. A unit test below constructs an exact floating-point tie and
 //! pins both paths; the `fast_path_equiv` differential suite pins heap ≡
@@ -647,14 +646,10 @@ pub struct DynCounters {
     /// Re-activations delivered through the temptation index (lazy
     /// rank-order discovery or an eager drain, per the calling path).
     pub temptation_wakeups: u64,
-    /// Generic-route deliveries resolved by the per-channel column-delta
-    /// refinement instead of a full engine query: the walk over the
-    /// column log since the park proved every channel's net rise —
-    /// healed excursions contribute zero, net-changed channels an exact
-    /// recompute — sums (over the user's best `k` channels) to less
-    /// than the park gap, so the certificate is provably intact and the
-    /// user re-parks under a rebased threshold. A subset of
-    /// `revalidated`; booked under `skipped_checks` like every
+    /// Generic-route deliveries that the filed certificate re-parks
+    /// without a full engine query: every own load is back at its park
+    /// value and the threshold still clears the entry horizon. A subset
+    /// of `revalidated`, booked under `skipped_checks` like every
     /// re-validation.
     pub refined_reparks: u64,
     /// Always zero: every dynamics driver applies one move at a time, so
@@ -990,11 +985,11 @@ fn exchange_cert<G: ChannelGame + ?Sized>(
 ///
 /// * **scheduled** — in the in-flight round's worklist (`in_cur`) or the
 ///   next epoch's (`in_pending`); it will be checked.
-/// * **parked** — its last check found no improving deviation, and its
-///   slack ([`park_slack`]) was recorded against the temptation clock.
+/// * **parked** — its last check found no improving deviation, and it
+///   filed a park certificate: a threshold in the temptation index and,
+///   under each of its channels, a load interval in the occupant index.
 ///   (A mover is parked too: immediately after its move it sits exactly
-///   at its best response, so its slack is the improvement epsilon at
-///   its new value.)
+///   at its best response.)
 ///
 /// # Why skipped checks are provably no-ops
 ///
@@ -1003,15 +998,18 @@ fn exchange_cert<G: ChannelGame + ?Sized>(
 /// environment changes. Two exhaustive cases:
 ///
 /// * `current` (or a *corrected* own-channel payoff column) changes only
-///   when the load of a channel `u` occupies changes. Every park files,
-///   under each of `u`'s channels, the **load interval** its certificate
-///   holds over in the **threshold-ordered occupant index**
-///   ([`ChannelIndex`], the worklist's specialization of the
+///   when the load or the payoff of a channel `u` occupies changes.
+///   Every park files, under each of `u`'s channels, the **load
+///   interval** its certificate holds over in the **threshold-ordered
+///   occupant index** (one `ChannelIndex` per channel, the worklist's
+///   specialization of the
 ///   [`ChannelOccupants`](crate::sparse::ChannelOccupants) channel→users
 ///   reverse index), and a load change delivers exactly the occupants
-///   whose interval it leaves. Filing is `O(k)`, and an occupant whose
-///   interval still holds the load is never visited. The intervals per
-///   route:
+///   whose interval it leaves; a payoff change
+///   ([`reprice_channel`](Self::reprice_channel)) delivers every
+///   occupant and voids its certificate through the channel's payoff
+///   generation. Filing is `O(k)`, and an occupant whose interval still
+///   holds the load is never visited. The intervals per route:
 ///
 ///   **Separable-monotone route — the exchange bound.** With concave
 ///   per-channel payoffs and all `k` radios deployed, a deviation trades
@@ -1021,7 +1019,7 @@ fn exchange_cert<G: ChannelGame + ?Sized>(
 ///   removed loses at least the smallest *kept* marginal `K = min κ`,
 ///   `κ = f(t) − f(t−1)` of `u`'s last radio on a channel. So
 ///   `best − current ≤ k · max(0, E − K)`. Concavity also gives
-///   `current ≥ Σ t_c κ_c ≥ k·K`. The certificate ([`exchange_cert`])
+///   `current ≥ Σ t_c κ_c ≥ k·K`. The certificate (`exchange_cert`)
 ///   takes `K` at the park-time loads and the threshold
 ///   `thr = K·(1 + τ/2)` (`τ` the relative tolerance of
 ///   [`improvement_eps`]). While every own `κ` stays `≥ K` and every own
@@ -1032,17 +1030,16 @@ fn exchange_cert<G: ChannelGame + ?Sized>(
 ///   hold over a contiguous range of loads around the park load — the
 ///   interval: `lo` the lightest load whose deepening marginal stays
 ///   under `thr`, `hi` the heaviest whose kept marginal stays at or
-///   above `K`, scanned up to [`SPAN_STEPS`] per side. The temptation
+///   above `K`, scanned up to `SPAN_STEPS` per side. The temptation
 ///   index below enforces `φ_max < thr`. A load change that leaves an
 ///   interval schedules the user and withdraws its intervals; when its
 ///   rank comes up, delivery re-derives the certificate at the then
-///   current loads in `O(k)` ([`ActiveSetDynamics::revalidate`]) and
-///   re-files it when it holds, so every crossing since the wake
-///   coalesces into one test, and only a failure pays the full check.
-///   At an exact equilibrium
-///   the front-line entry payoff equals the weakest kept marginal bit
-///   for bit, and the `τ/2` margin keeps the indifferent users parked.
-///   When the bound does not hold at park time (a row within `ε` of a
+///   current loads in `O(k)` and re-files it when it holds, so every
+///   crossing since the wake coalesces into one test, and only a
+///   failure pays the full check. At an exact equilibrium the
+///   front-line entry payoff equals the weakest kept marginal bit for
+///   bit, and the `τ/2` margin keeps the indifferent users parked. When
+///   the bound does not hold at park time (a row within `ε` of a
 ///   different best response, or a horizon already above `thr`), the
 ///   user files the exact-load certificate below instead.
 ///
@@ -1057,54 +1054,70 @@ fn exchange_cert<G: ChannelGame + ?Sized>(
 ///   A woken occupant, in turn, is not condemned to a full re-check:
 ///   wakes are often *transient* (the next taker in rank order restores
 ///   the load before the woken rank comes up), so delivery first tests
-///   the filed certificate in O(k) ([`ActiveSetDynamics::cert_holds`])
-///   and re-files it without an engine query when it still holds; on
-///   the concave route it then tries the exchange bound at the
-///   delivery-time loads.
+///   the filed certificate in `O(k)` and re-files it without an engine
+///   query when it still holds; on the concave route it then tries the
+///   exchange bound at the delivery-time loads.
 /// * `best` rises only through *shared* columns of channels `u` does not
 ///   occupy. Re-activation for this case is a query against the **lazy
-///   temptation index** ([`TemptIndex`]), with the per-user threshold
-///   depending on the engine route:
+///   temptation index** (a min segment tree over park thresholds): a
+///   parked user is tempted only while the **entry horizon**
+///   `H = max_c η_c` — the most one radio can earn by entering channel
+///   `c` at the *current* loads, maximized over channels — reaches its
+///   threshold. Both routes keep every `η_c` and `H` current at each
+///   load or payoff change, and both routes' thresholds are computed at
+///   park from the user's own channels alone, so the test reads only the
+///   current state:
 ///
 ///   **Separable-monotone route** (the lazy heap's regime — concave
 ///   per-channel marginals, all radios deployed). By concavity a
 ///   channel's entering marginals are bounded by its **first-entry
-///   payoff** `φ_c = f(c, k_c, 1)`, so a parked user cannot move unless
-///   the global horizon `φ_max = max_c φ_c` over the *current* loads
-///   reaches its threshold: the exchange bound's `thr`, or — for an
-///   exact-load certificate — `m* + g/k` with `m*` the weakest marginal
-///   of its park-time best response and `g = current + ε − best` its
-///   slack (an improvement must route an entering marginal of a changed
-///   channel into the greedy top `k`, displacing a marginal `≥ m*`, so
-///   it needs some `k·(φ_c − m*) > g`). The crucial property making the
-///   test **lazy-safe** is that the certificate is *history-free*: a
-///   parked user's own channels sit inside their intervals (a load
-///   leaving one delivers it through the occupant index), so its
-///   own-channel premises are still live, and at any later moment it can
-///   move only if some channel's current `φ_c` exceeds its threshold —
-///   the identical-rank round scan therefore delivers a tempted user
-///   exactly when its check would run, and a horizon spike that subsided
-///   before that rank (a vacated channel the next taker in rank order
-///   refills) provably wakes nobody. The eager heap popped every user
-///   under the spike — `O(|N|)` futile re-checks per move during a
-///   rebalancing trickle, the thundering herd that made large-population
-///   departures and rate shifts quadratic.
-///   At an exact equilibrium the front-line entry payoff equals the
-///   weakest kept marginal bit-for-bit, and the threshold's margin keeps
-///   indifferent users parked — a move that merely restores balance
-///   wakes nobody beyond the occupants whose intervals it leaves, which
-///   is what makes equilibrium maintenance `O(occupants)` instead of
-///   `O(|N|)`.
+///   payoff** `η_c = φ_c = f(c, k_c, 1)`, so a parked user cannot move
+///   unless the global horizon `φ_max = max_c φ_c` over the *current*
+///   loads reaches its threshold: the exchange bound's `thr`, or — for
+///   an exact-load certificate — `m* + g/k` with `m*` the weakest
+///   marginal of its park-time best response and `g = current + ε −
+///   best` its slack (an improvement must route an entering marginal of
+///   a changed channel into the greedy top `k`, displacing a marginal
+///   `≥ m*`, so it needs some `k·(φ_c − m*) > g`).
 ///
-///   **Generic (DP) route.** No concavity is assumed, so the engine falls
-///   back to a union bound in payoff-delta space: a single column change
-///   shifts any allocation's value by at most
-///   `D_c = max_t (f_new(c,t) − f_old(c,t))⁺`; the global clock
-///   accumulates `T = Σ D_c` over all moves and channels, and a
-///   user parked with slack `g` at clock `T₀` is filed at `T₀ + g` —
-///   correct for arbitrary payoffs, but conservative near equilibria
-///   (where `g ≈ ε`, any improvement anywhere wakes the world; the
-///   route is exact, just less output-sensitive).
+///   **Generic (DP) route.** No concavity is assumed, so the horizon
+///   bounds entry per radio: `η_c = max_{1≤t≤k_max} f(c, k_c, t)/t`,
+///   and `t` radios entering `c` earn at most `t·η_c ≤ t·H`. (Where
+///   `f(t)/t` does not rise with `t` — every game in this workspace —
+///   `η_c` is the first-entry payoff again; the max over `t` keeps the
+///   bound sound for any [`ChannelGame`].) At park the user solves a
+///   knapsack over its own `≤ k` channels in `O(k²·|row|)`: `own_j`, the
+///   best value of its own channels holding `j` radios at their
+///   own-corrected loads (at most `j` in a game that may idle radios).
+///   Its threshold is `θ = min_{0≤j<k} (U + ε/2 − own_j)/(k − j)`, `U`
+///   its utility and `ε` the improvement epsilon at `U`. A deviation
+///   that places `m ≥ 1` radios on foreign channels keeps (at most)
+///   `k − m` on its own channels, so it is worth at most
+///   `own_{k−m} + m·H`, which stays `≤ U + ε/2` while `H ≤ θ`; the other
+///   half of `ε` absorbs rounding, as `τ/2` does on the heap route. The
+///   check that parked the user ruled out every deviation that stays on
+///   its own channels, and the exact-load intervals and payoff
+///   generations keep those channels as they were. A user whose `θ`
+///   does not clear `H` at park files it anyway: each round after a
+///   mutation delivers, checks and re-parks it until `H` drops.
+///
+///   The crucial property making the test **lazy-safe** is that the
+///   certificate is *history-free*: a parked user's own channels sit
+///   inside their intervals (a load leaving one delivers it through the
+///   occupant index), so its own-channel premises are still live, and at
+///   any later moment it can move only if the current `H` exceeds its
+///   threshold — the identical-rank round scan therefore delivers a
+///   tempted user exactly when its check would run, and a horizon spike
+///   that subsided before that rank (a vacated channel the next taker in
+///   rank order refills) provably wakes nobody. An eager wake would pop
+///   every user under the spike — `O(|N|)` futile re-checks per move
+///   during a rebalancing trickle, the thundering herd that made
+///   large-population departures and rate shifts quadratic. At an exact
+///   equilibrium the front-line entry payoff equals the weakest kept
+///   marginal bit for bit, and the threshold's margin keeps indifferent
+///   users parked — a move that merely restores balance wakes nobody
+///   beyond the occupants whose intervals it leaves, which is what makes
+///   equilibrium maintenance `O(occupants)` instead of `O(|N|)`.
 ///
 /// Both routes test thresholds with a small relative epsilon so
 /// floating-point rounding can only cause extra (harmless) wake-ups,
@@ -1141,33 +1154,15 @@ pub struct ActiveSetDynamics {
     /// [`reprice_channel`](Self::reprice_channel): a filed certificate
     /// records its channels' generations and is void once one moves.
     price_gen: Vec<u32>,
-    /// DP route: global temptation clock `T` — the cumulative sum of
-    /// per-channel column improvements across all moves (monotone).
-    clock: f64,
-    /// DP route: append-only log of the per-channel column events behind
-    /// every clock advance — `(channel, load before the event, the
-    /// advance `D_c`, was it a reprice)`. Zero-rise events (load
-    /// increases, pure price drops) are logged too: the *first* entry
-    /// for a channel since a user's park then always carries that
-    /// channel's exact park-time load, which is what lets the delivery
-    /// refinement tell a healed excursion (current load back at the
-    /// first entry's `old_load` — contributes nothing) from a net change
-    /// (exact two-column recompute). Compacted by halves once it exceeds
-    /// a cap; parks older than the retained window fall back to the
-    /// coarse clock. Empty on the concave route.
-    col_log: Vec<ColEvent>,
-    /// Global index of `col_log[0]`: the event epoch is
-    /// `log_base + col_log.len()`, monotone across compactions.
-    log_base: u64,
-    /// Concave route: per-channel first-entry payoff `φ_c = f(c, load_c,
-    /// 1)` at the *current* loads (empty on the generic route),
-    /// maintained at every load or rate mutation.
+    /// Per-channel entry horizon at the *current* loads, maintained at
+    /// every load or rate mutation ([`Self::entry_horizon`]): the
+    /// first-entry payoff `φ_c = f(c, load_c, 1)` on the concave route,
+    /// `η_c = max_{t ≤ k_max} f(c, load_c, t)/t` on the generic one.
     phi: Vec<f64>,
     /// Cached `max_c φ_c` — the global temptation horizon the lazy scan
     /// and the eager drain test park thresholds against.
     phi_max: f64,
-    /// Lazy temptation index over parked users (first-entry-payoff or
-    /// clock keyed, per the route).
+    /// Lazy temptation index over parked users, keyed by park threshold.
     tempt: TemptIndex,
     /// Whether every parked threshold at or under the current horizon
     /// has been verified futile against the **current** state — set by
@@ -1183,7 +1178,8 @@ pub struct ActiveSetDynamics {
     /// Next-epoch worklist (unordered; ranked at round start).
     pending: Vec<u32>,
     in_pending: Vec<bool>,
-    /// Largest radio budget (depth of the `D_c` column maxima).
+    /// Largest radio budget (the certificate stride, and the depth of
+    /// the generic route's entry horizons).
     k_max: u32,
     counters: DynCounters,
     /// The filed certificate's own-channel terms, `k_max`-strided per
@@ -1200,34 +1196,20 @@ pub struct ActiveSetDynamics {
     /// While set, the filed certificate describes nothing, and only the
     /// full check the new row is owed can park the user.
     cert_stale: Vec<bool>,
-    /// DP route: the column-log epoch each user's park certificate is
-    /// anchored at (`log_base + col_log.len()` at filing time). Empty on
-    /// the concave route.
-    park_epoch: Vec<u64>,
-    /// DP route: `threshold − clock` at filing time — the slack the
-    /// coarse clock must climb before the coarse wake fires, and the
-    /// budget the refined walk's top-k column rises are tested against.
-    /// A non-positive gap simply fails the refinement into the full
-    /// check. Empty on the concave route.
-    park_gap: Vec<f64>,
-    /// Whether generic-route deliveries run the per-channel column-delta
-    /// refinement before paying a full engine query. On by default;
-    /// [`set_refined`](Self::set_refined) exists so benchmarks can
-    /// measure the coarse clock.
+    /// Whether generic-route parks file the entry-horizon threshold
+    /// ([`dp_park_threshold`]). On by default; off, every generic-route
+    /// park is always tempted, a twin that re-checks like a sweep
+    /// ([`set_refined`](Self::set_refined)).
     refined: bool,
     scratch_old: Vec<SparseEntry>,
     scratch_touched: Vec<ChannelId>,
-    scratch_old_loads: Vec<u32>,
     /// Certificate intervals of the park being filed.
     scratch_spans: Vec<(u32, u32)>,
     /// Index entries a load change crossed.
     scratch_crossed: Vec<(u32, u32)>,
-    /// Refinement walk scratch: per distinct touched channel since the
-    /// park, `(channel, first old_load, Σ logged deltas, any reprice)`.
-    scratch_walk: Vec<(u32, u32, f64, bool)>,
-    /// Refinement scratch: positive per-channel contributions, for the
-    /// top-k selection.
-    scratch_contrib: Vec<f64>,
+    /// Generic-route park scratch: the own-channel knapsack and payoff
+    /// column of [`dp_park_threshold`].
+    scratch_own: Vec<f64>,
 }
 
 /// One own-channel term of a filed park certificate: the certificate
@@ -1257,21 +1239,6 @@ impl Default for OwnCert {
     }
 }
 
-/// One generic-route column event (see
-/// [`ActiveSetDynamics::col_log`]): channel, its load *before* the
-/// event, the clock advance `D_c = max_t (f_new(t) − f_old(t))⁺` it
-/// contributed (possibly zero), and whether it was a reprice (payoffs
-/// changed under an unchanged load — the refinement must not recompute
-/// park-time columns with post-reprice rates, so repriced channels fall
-/// back to the logged delta sum).
-#[derive(Debug, Clone, Copy)]
-struct ColEvent {
-    chan: u32,
-    old_load: u32,
-    delta: f64,
-    reprice: bool,
-}
-
 impl ActiveSetDynamics {
     /// Build the worklist engine over `s`: loads, [`BrEngine`] and the
     /// occupant index are constructed, and **every** user starts
@@ -1284,18 +1251,10 @@ impl ActiveSetDynamics {
         let k_max = UserId::all(n).map(|u| game.radios_of(u)).max().unwrap_or(0);
         let n_channels = s.n_channels();
         let concave = engine.is_heap();
-        let phi: Vec<f64> = if concave {
-            (0..n_channels)
-                .map(|c| game.channel_payoff(ChannelId(c), loads.load(ChannelId(c)), 1))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let phi_max = phi.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
         let occ = ChannelId::all(n_channels)
             .map(|c| ChannelIndex::new(loads.load(c)))
             .collect();
-        ActiveSetDynamics {
+        let mut d = ActiveSetDynamics {
             s,
             loads,
             engine,
@@ -1303,11 +1262,8 @@ impl ActiveSetDynamics {
             parked: vec![false; n],
             occ,
             price_gen: vec![0; n_channels],
-            clock: 0.0,
-            col_log: Vec::new(),
-            log_base: 0,
-            phi,
-            phi_max,
+            phi: Vec::new(),
+            phi_max: f64::NEG_INFINITY,
             tempt: TemptIndex::new(n),
             quiet: false,
             cur: BinaryHeap::new(),
@@ -1322,17 +1278,15 @@ impl ActiveSetDynamics {
             cert: vec![OwnCert::default(); n * k_max as usize],
             last_thr: vec![f64::INFINITY; n],
             cert_stale: vec![true; n],
-            park_epoch: if concave { Vec::new() } else { vec![0; n] },
-            park_gap: if concave { Vec::new() } else { vec![0.0; n] },
             refined: true,
             scratch_old: Vec::new(),
             scratch_touched: Vec::new(),
-            scratch_old_loads: Vec::new(),
             scratch_spans: Vec::new(),
             scratch_crossed: Vec::new(),
-            scratch_walk: Vec::new(),
-            scratch_contrib: Vec::new(),
-        }
+            scratch_own: Vec::new(),
+        };
+        d.rebuild_phi(game);
+        d
     }
 
     /// The current strategy state.
@@ -1493,21 +1447,6 @@ impl ActiveSetDynamics {
             if self.concave && self.revalidate(game, u as usize) {
                 continue;
             }
-            // Generic-route refinement: before paying the full DP query,
-            // walk the column log since the park and bound what the
-            // delivered user could actually gain — healed excursions
-            // contribute nothing, net-changed channels an exact
-            // two-column recompute, repriced ones their logged delta
-            // sums. If the user's best `k` contributions sum below its
-            // park gap the certificate is provably intact and the user
-            // re-parks under a rebased threshold; the sweep's check here
-            // would find nothing, so the trace is unchanged. Applies to
-            // pops and tempted deliveries alike (a tempted user's coarse
-            // threshold is under the horizon, but the per-channel walk
-            // frequently proves the cumulative clock overcounted).
-            if !self.concave && self.refined && self.refined_intact_repark(game, u as usize) {
-                continue;
-            }
             let user = UserId(u as usize);
             checks += 1;
             let before = utility_sparse(game, &self.s, &self.loads, user);
@@ -1550,19 +1489,13 @@ impl ActiveSetDynamics {
     }
 
     /// The horizon park thresholds are tested against: the largest
-    /// current first-entry payoff `max_c φ_c` (concave route) or the
-    /// temptation clock (generic route), plus the purely-relative pop
+    /// current entry horizon `max_c φ_c`, plus the purely-relative pop
     /// margin (see [`drain_tempted`](Self::drain_tempted) for why the
     /// margin has no absolute floor). With no channels at all `φ_max`
     /// is `−∞` and the expression is NaN — which every threshold
     /// comparison rejects, correctly: nothing can tempt anyone.
     fn pop_horizon(&self) -> f64 {
-        let h = if self.concave {
-            self.phi_max
-        } else {
-            self.clock
-        };
-        h + 1e-12 * h.abs()
+        self.phi_max + 1e-12 * self.phi_max.abs()
     }
 
     /// Best response of `user` against the *current* state without
@@ -1617,7 +1550,8 @@ impl ActiveSetDynamics {
     /// service's arrival path. No other repair is needed: an empty row
     /// changes no load, so existing certificates stay valid. On the
     /// generic route a budget above the cached DP column depth rebuilds
-    /// the cache. Call between rounds (like
+    /// the cache and deepens every channel's entry horizon. Call between
+    /// rounds (like
     /// [`apply_row`](Self::apply_row)); the game must already report the
     /// grown population.
     ///
@@ -1648,10 +1582,6 @@ impl ActiveSetDynamics {
             self.tempt.push();
             self.last_thr.push(f64::INFINITY);
             self.cert_stale.push(true);
-            if !self.concave {
-                self.park_epoch.push(0);
-                self.park_gap.push(0.0);
-            }
             if k > self.k_max {
                 // The filed certificates are `k_max`-strided: lay them
                 // out again at the deeper stride. Rare (the first
@@ -1665,9 +1595,11 @@ impl ActiveSetDynamics {
                 self.cert = cert;
                 self.k_max = k;
                 if !self.concave {
-                    // The DP cache's column depth is `k_max + 1`; a
-                    // deeper budget needs a rebuild.
+                    // The DP cache's column depth is `k_max + 1`, and
+                    // the entry horizons maximize over `t ≤ k_max`: a
+                    // deeper budget rebuilds both.
                     self.engine = BrEngine::new(game, &self.loads);
+                    self.rebuild_phi(game);
                 }
             }
             self.cert
@@ -1707,11 +1639,10 @@ impl ActiveSetDynamics {
     /// (its intervals were derived from the old payoff), wake the
     /// channel's parked occupants (their utilities changed, in either
     /// direction — each is re-validated in O(k) when its rank comes up),
-    /// and raise the temptation horizon — the
-    /// channel's new first-entry payoff enters `φ` (concave route) or
-    /// the clock advances by `max_t (f_new(t) − f_old(t))⁺` (generic
-    /// route), where `old_payoff(t)` must return the channel's payoff at
-    /// the *current* load for `t` own radios under the pre-change rates.
+    /// and refresh the channel's entry horizon under the new payoff.
+    /// `old_payoff` is ignored: every park threshold is tested against
+    /// the current horizon alone, so the pre-change payoff is never
+    /// needed (the parameter stays for existing callers).
     /// Tempted non-occupants are **not** scheduled here: the next
     /// [`run`](Self::run)'s lazy scan discovers them in rank order under
     /// the horizon in force when their rank comes up, so a price spike
@@ -1721,17 +1652,16 @@ impl ActiveSetDynamics {
     /// observe settledness directly must use
     /// [`apply_row`](Self::apply_row), which drains eagerly.)
     ///
-    /// Soundness mirrors the load-change wake rule: a payoff drop cannot
-    /// raise any non-occupant's best response (and parked certificates
-    /// survive drops on their recorded best-response channels — the
-    /// exchange argument in the module docs uses the park-time marginals
-    /// regardless of later drops), while a rise is covered by the φ/clock
-    /// horizon exactly like a vacated channel. Call between rounds.
+    /// Soundness mirrors the load-change wake rule: the occupants'
+    /// certificates are void, and a non-occupant's certificate reads the
+    /// channel only through the horizon, which now carries the new
+    /// payoff — a rise tempts exactly like a vacated channel. Call
+    /// between rounds.
     pub fn reprice_channel<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
         c: ChannelId,
-        old_payoff: &dyn Fn(u32) -> f64,
+        _old_payoff: &dyn Fn(u32) -> f64,
     ) {
         self.quiet = false;
         self.engine.reprice(game, &self.loads, c);
@@ -1744,33 +1674,7 @@ impl ActiveSetDynamics {
             self.counters.occupant_wakeups += 1;
             self.wake(v, None);
         }
-        if self.concave {
-            self.refresh_phi(game, &[c]);
-        } else {
-            let load = self.loads.load(c);
-            let mut d = 0.0f64;
-            for t in 1..=self.k_max {
-                let diff = game.channel_payoff(c, load, t) - old_payoff(t);
-                if diff > d {
-                    d = diff;
-                }
-            }
-            // Log even a zero-rise reprice: the refinement walk must see
-            // that the channel's payoff function changed (an exact
-            // recompute against post-reprice rates would not describe
-            // the park-time column), so repriced channels contribute
-            // their logged delta sums instead.
-            self.col_log.push(ColEvent {
-                chan: c.0 as u32,
-                old_load: load,
-                delta: d,
-                reprice: true,
-            });
-            self.log_compact();
-            if d > 0.0 {
-                self.clock += d;
-            }
-        }
+        self.refresh_phi(game, &[c]);
     }
 
     /// Replace `user`'s row, maintaining loads, occupant index and
@@ -1790,9 +1694,6 @@ impl ActiveSetDynamics {
         old.extend_from_slice(self.s.row(user));
         let mut touched = std::mem::take(&mut self.scratch_touched);
         touched_channels_into(&old, new_row, &mut touched);
-        let mut old_loads = std::mem::take(&mut self.scratch_old_loads);
-        old_loads.clear();
-        old_loads.extend(touched.iter().map(|&c| self.loads.load(c)));
 
         self.quiet = false;
         // The subject's row is about to change: its certificate (if any)
@@ -1808,7 +1709,7 @@ impl ActiveSetDynamics {
         self.s.set_row(user, new_row);
         self.engine.repair(game, &self.loads, &touched);
         self.refresh_phi(game, &touched);
-        self.wake_occupants(game, &touched, &old_loads, route);
+        self.wake_occupants(&touched, route);
         if was_parked {
             // A parked subject is an occupant like any other: it is
             // delivered when the change leaves one of its intervals.
@@ -1825,21 +1726,43 @@ impl ActiveSetDynamics {
 
         self.scratch_old = old;
         self.scratch_touched = touched;
-        self.scratch_old_loads = old_loads;
     }
 
-    /// Refresh the cached first-entry payoffs (and their max) for the
-    /// touched channels — concave route only; call after the loads and
-    /// the engine are current. When a touched channel held the old max
-    /// and dropped, the max is recomputed over all channels: O(C), paid
-    /// only on the (rare) moves that lower the global horizon.
-    fn refresh_phi<G: ChannelGame + ?Sized>(&mut self, game: &G, touched: &[ChannelId]) {
-        if !self.concave {
-            return;
+    /// Channel `c`'s entry horizon at its current load: the most one
+    /// radio can earn by entering `c`. On the concave route that is the
+    /// first-entry payoff `φ_c = f(c, load, 1)`; on the generic route,
+    /// where `f(t)/t` may rise with `t`, it is
+    /// `η_c = max_{1 ≤ t ≤ k_max} f(c, load, t)/t`, so `t` radios
+    /// entering `c` earn at most `t·η_c`.
+    fn entry_horizon<G: ChannelGame + ?Sized>(&self, game: &G, c: ChannelId) -> f64 {
+        let load = self.loads.load(c);
+        let mut eta = game.channel_payoff(c, load, 1);
+        let depth = if self.concave { 1 } else { self.k_max };
+        for t in 2..=depth {
+            eta = eta.max(game.channel_payoff(c, load, t) / t as f64);
         }
+        eta
+    }
+
+    /// Recompute every channel's entry horizon and their max
+    /// (`O(|C|·k_max)`): at construction, and when an arrival deepens
+    /// the generic route's horizons.
+    fn rebuild_phi<G: ChannelGame + ?Sized>(&mut self, game: &G) {
+        self.phi = ChannelId::all(self.s.n_channels())
+            .map(|c| self.entry_horizon(game, c))
+            .collect();
+        self.phi_max = self.phi.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    }
+
+    /// Refresh the cached entry horizons (and their max) for the
+    /// touched channels; call after the loads and the engine are
+    /// current. When a touched channel held the old max and dropped, the
+    /// max is recomputed over all channels: O(C), paid only on the
+    /// (rare) moves that lower the global horizon.
+    fn refresh_phi<G: ChannelGame + ?Sized>(&mut self, game: &G, touched: &[ChannelId]) {
         let mut dropped_max = false;
         for &c in touched {
-            let new = game.channel_payoff(c, self.loads.load(c), 1);
+            let new = self.entry_horizon(game, c);
             let old = self.phi[c.0];
             self.phi[c.0] = new;
             if new >= self.phi_max {
@@ -1854,18 +1777,12 @@ impl ActiveSetDynamics {
     }
 
     /// Deliver every parked occupant of a touched channel whose
-    /// certificate interval the new load leaves, and (generic route)
-    /// advance the temptation clock. `old_loads[i]` is channel
-    /// `touched[i]`'s load *before* the change — the loads themselves
-    /// must already be current, and every changed channel must be listed:
-    /// all are aligned with their new loads before anyone is woken.
-    /// Non-occupant temptation is covered by the `φ`/clock horizon,
-    /// tested lazily (the round scan, [`drain_tempted`]): a changed
-    /// channel can tempt a non-occupant only up to its *current*
-    /// first-entry payoff (concave route — `refresh_phi` has already
-    /// folded it into the horizon), or up to the clock's cumulative
-    /// column improvement (generic route, advanced here channel by
-    /// channel).
+    /// certificate interval the new load leaves. The loads must already
+    /// be current, and every changed channel must be listed: all are
+    /// aligned with their new loads before anyone is woken.
+    /// Non-occupant temptation is covered by the entry horizon, which
+    /// `refresh_phi` has already updated and which the round's lazy scan
+    /// (or [`drain_tempted`](Self::drain_tempted)) tests.
     ///
     /// An occupant whose interval still contains the new load is never
     /// visited: its certificate holds verbatim. One the load pushed out
@@ -1875,13 +1792,7 @@ impl ActiveSetDynamics {
     /// generic route files exact-load certificates (the degenerate
     /// interval `[P, P]`), so its wake set is that of an exact park-load
     /// comparison, bit for bit.
-    fn wake_occupants<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        touched: &[ChannelId],
-        old_loads: &[u32],
-        route: Option<(u32, Option<&[u32]>)>,
-    ) {
+    fn wake_occupants(&mut self, touched: &[ChannelId], route: Option<(u32, Option<&[u32]>)>) {
         let mut crossed = std::mem::take(&mut self.scratch_crossed);
         crossed.clear();
         for &c in touched {
@@ -1901,62 +1812,6 @@ impl ActiveSetDynamics {
             self.wake(v, route);
         }
         self.scratch_crossed = crossed;
-        if !self.concave {
-            for (i, &c) in touched.iter().enumerate() {
-                let new_l = self.loads.load(c);
-                if new_l != old_loads[i] {
-                    self.advance_clock(game, c, old_loads[i], new_l);
-                }
-            }
-        }
-    }
-
-    /// Advance channel `c`'s temptation clock by
-    /// `D_c = max_{1 ≤ t ≤ k_max} (f(c, new, t) − f(c, old, t))⁺` (the
-    /// generic-route union bound), logging the event — including
-    /// zero-rise ones (load increases), which carry the heal-detection
-    /// information the delivery refinement needs.
-    fn advance_clock<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        c: ChannelId,
-        old_load: u32,
-        new_load: u32,
-    ) {
-        let mut d = 0.0f64;
-        for t in 1..=self.k_max {
-            let diff = game.channel_payoff(c, new_load, t) - game.channel_payoff(c, old_load, t);
-            if diff > d {
-                d = diff;
-            }
-        }
-        self.col_log.push(ColEvent {
-            chan: c.0 as u32,
-            old_load,
-            delta: d,
-            reprice: false,
-        });
-        self.log_compact();
-        if d > 0.0 {
-            self.clock += d;
-        }
-    }
-
-    /// Halve the column log once it exceeds the retention cap, advancing
-    /// `log_base` so epochs stay monotone. Parks anchored before the
-    /// retained window fall back to the coarse clock at delivery.
-    fn log_compact(&mut self) {
-        const LOG_CAP: usize = 1 << 16;
-        if self.col_log.len() > LOG_CAP {
-            let half = self.col_log.len() / 2;
-            self.col_log.drain(..half);
-            self.log_base += half as u64;
-        }
-    }
-
-    /// The current column-log epoch (`log_base + len`).
-    fn log_epoch(&self) -> u64 {
-        self.log_base + self.col_log.len() as u64
     }
 
     /// Eagerly wake every parked user the **current** horizon tempts.
@@ -2054,13 +1909,14 @@ impl ActiveSetDynamics {
 
     /// Park `u` after a check. `br` is the best-response row the check
     /// just computed (equal to the live row for a freshly-applied mover)
-    /// and `slack` its recorded slack. On the concave route the user
-    /// files the exchange-bound certificate of its live row
-    /// ([`exchange_cert`]) when that holds under the current horizon, and
-    /// otherwise the exact-load one: the weakest marginal `m*` of `br`
-    /// anchors the threshold `m* + slack/k`, valid only at the park-time
-    /// loads. On the generic route the threshold is `clock + slack`, also
-    /// at the exact park-time loads.
+    /// and `slack` its recorded slack ([`park_slack`]). On the concave
+    /// route the user files the exchange-bound certificate of its live
+    /// row ([`exchange_cert`]) when that holds under the current horizon,
+    /// and otherwise the exact-load one: the weakest marginal `m*` of
+    /// `br` anchors the threshold `m* + slack/k`, valid only at the
+    /// park-time loads. On the generic route the threshold is
+    /// [`dp_park_threshold`]'s `θ` (`−∞`, always tempted, with the
+    /// certificate switched off), also at the exact park-time loads.
     fn park_user<G: ChannelGame + ?Sized>(
         &mut self,
         game: &G,
@@ -2069,7 +1925,14 @@ impl ActiveSetDynamics {
         slack: f64,
     ) {
         if !self.concave {
-            self.file_parked(u, self.clock + slack, None);
+            let thr = if self.refined {
+                let user = UserId(u as usize);
+                let row = self.s.row(user);
+                dp_park_threshold(game, user, row, &self.loads, &mut self.scratch_own)
+            } else {
+                f64::NEG_INFINITY
+            };
+            self.file_parked(u, thr, None);
         } else if !self.exchange_park(game, u as usize) {
             let user = UserId(u as usize);
             let row = self.s.row(user);
@@ -2124,15 +1987,6 @@ impl ActiveSetDynamics {
         }
         self.last_thr[ui] = threshold;
         self.cert_stale[ui] = false;
-        if !self.concave {
-            // Anchor the refinement certificate: the walk at delivery
-            // covers exactly the events filed after this epoch, and the
-            // gap is the clock headroom the threshold encodes *at filing
-            // time* — the single anchoring point every park path goes
-            // through.
-            self.park_epoch[ui] = self.log_epoch();
-            self.park_gap[ui] = threshold - self.clock;
-        }
         self.index_parked(ui);
     }
 
@@ -2172,8 +2026,7 @@ impl ActiveSetDynamics {
     /// O(k) delivery test: does the certificate `u` was last filed under
     /// still hold at the **current** state — it covers the live row and
     /// loads ([`Self::cert_covers`]) and its threshold clears the horizon
-    /// (`φ_max`/clock with the pop margin, the test the lazy scan
-    /// applies)? Then a full check would provably find nothing and the
+    /// (`φ_max` with the pop margin, the test the lazy scan applies)? Then a full check would provably find nothing and the
     /// user is re-filed in place ([`Self::refile`]).
     ///
     /// This is what makes a transient wake cheap: an excursion that the
@@ -2192,6 +2045,9 @@ impl ActiveSetDynamics {
             "re-park a scheduled user"
         );
         self.counters.revalidated += 1;
+        // The generic route's share of the re-files (the heap route adds
+        // zero).
+        self.counters.refined_reparks += u64::from(!self.concave);
         self.index_parked(u);
     }
 
@@ -2210,134 +2066,12 @@ impl ActiveSetDynamics {
         true
     }
 
-    /// Generic-route per-channel refinement of the cumulative wake
-    /// clock. The coarse clock charges a parked user *every* column
-    /// rise anywhere in the system; a deviation can touch at most
-    /// `k_u` foreign channels, and excursions that healed contribute
-    /// nothing. Replaying the column log since the user's park epoch
-    /// yields the tighter per-channel bound:
-    ///
-    /// * **healed** (current load == park-time load, no reprice): `0` —
-    ///   every column the deviation could price is back to its
-    ///   park-time value;
-    /// * **net-changed**: the exact two-column rise
-    ///   `max_t (f(c, l_now, t) − f(c, l_park, t))⁺`, which the coarse
-    ///   clock over-approximated by a sum over intermediate steps;
-    /// * **repriced**: the logged delta sum — the rate function itself
-    ///   changed, so park-time columns are unrecoverable and only the
-    ///   coarse per-step charge is sound.
-    ///
-    /// Own channels are excluded: the filed certificate still covers
-    /// the user ([`Self::cert_covers`] — same row, no own-channel
-    /// reprice, every own load at its park value, the generic route's
-    /// interval being the exact park load), so the others-load on own
-    /// channels — hence the own columns and the user's utility — are
-    /// unchanged. If the
-    /// top-`k_u` foreign contributions sum strictly below the user's
-    /// remaining park gap, no deviation can close its shortfall: the
-    /// check is provably futile and the user re-parks in place under
-    /// the rebased gap. Rebasing is sound because per-channel rises are
-    /// subadditive across consecutive windows
-    /// (`D_c(park→τ₂) ≤ D_c(park→τ₁) + D_c(τ₁→τ₂)` termwise for any
-    /// fixed `t`). Any doubt — stale certificate, log compacted past
-    /// the epoch, over-long walk, own-load drift, a non-positive gap, or
-    /// a rebased threshold at or under the pop horizon — declines into
-    /// the full engine check.
-    ///
-    /// Trace-safe: only checks the sweep oracle would find improving
-    /// nothing on are skipped, so move sequences stay bit-identical.
-    fn refined_intact_repark<G: ChannelGame + ?Sized>(&mut self, game: &G, u: usize) -> bool {
-        const WALK_CAP: usize = 128;
-        debug_assert!(!self.concave);
-        if !self.cert_covers(u) {
-            return false;
-        }
-        let epoch = self.park_epoch[u];
-        if epoch < self.log_base {
-            return false; // compaction dropped part of the window
-        }
-        let start = (epoch - self.log_base) as usize;
-        if self.col_log.len() - start > WALK_CAP {
-            return false; // long window: the walk would cost more than the check
-        }
-        let gap = self.park_gap[u];
-        // Group the window per channel: (chan, park-time load, delta
-        // sum, repriced). Every load change is logged — including
-        // zero-rise ones — so the first event's `old_load` is exactly
-        // the channel's load when the user parked (or re-parked here).
-        let mut walk = std::mem::take(&mut self.scratch_walk);
-        walk.clear();
-        for ev in &self.col_log[start..] {
-            match walk.iter_mut().find(|e| e.0 == ev.chan) {
-                Some(e) => {
-                    e.2 += ev.delta;
-                    e.3 |= ev.reprice;
-                }
-                None => walk.push((ev.chan, ev.old_load, ev.delta, ev.reprice)),
-            }
-        }
-        let mut contrib = std::mem::take(&mut self.scratch_contrib);
-        contrib.clear();
-        let row = self.s.row(UserId(u));
-        for &(chan, park_load, delta_sum, repriced) in &walk {
-            if row.iter().any(|&(c, _)| c == chan) {
-                continue; // own channel: columns unchanged, see above
-            }
-            let gain = if repriced {
-                delta_sum
-            } else {
-                let now = self.loads.load(ChannelId(chan as usize));
-                if now == park_load {
-                    0.0 // healed: the excursion cancels exactly
-                } else {
-                    let cid = ChannelId(chan as usize);
-                    let mut best = 0.0f64;
-                    for t in 1..=self.k_max {
-                        let d = game.channel_payoff(cid, now, t)
-                            - game.channel_payoff(cid, park_load, t);
-                        if d > best {
-                            best = d;
-                        }
-                    }
-                    best
-                }
-            };
-            if gain > 0.0 {
-                contrib.push(gain);
-            }
-        }
-        // A deviation occupies at most k_u distinct foreign channels.
-        contrib.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
-        let k_u = game.radios_of(UserId(u)) as usize;
-        let topk: f64 = contrib.iter().take(k_u).sum();
-        self.scratch_walk = walk;
-        self.scratch_contrib = contrib;
-        let provably_below = matches!(
-            (topk * (1.0 + 1e-12)).partial_cmp(&gap),
-            Some(std::cmp::Ordering::Less)
-        );
-        if !provably_below {
-            return false; // also catches NaN and non-positive gaps
-        }
-        let new_gap = gap - topk;
-        let new_thr = self.clock + new_gap;
-        if new_thr <= self.pop_horizon() {
-            return false; // would pop right back: run the real check
-        }
-        // Re-park in place: the same intervals (verified above), a
-        // rebased threshold, gap and epoch.
-        self.counters.refined_reparks += 1;
-        self.last_thr[u] = new_thr;
-        self.park_gap[u] = new_gap;
-        self.park_epoch[u] = self.log_epoch();
-        self.refile(u);
-        true
-    }
-
-    /// Toggle the generic-route wake-clock refinement (on by default).
-    /// Off, every delivery pays the full engine check — used by the
-    /// differential suites and the measured-pipeline speedup arm to
-    /// compare against the coarse cumulative clock, move-for-move.
+    /// Toggle the generic route's park certificate (on by default).
+    /// Off, every generic-route park files threshold `−∞`, so each round
+    /// after a mutation delivers and re-checks every parked user, as a
+    /// sweep would, and no certificate re-files anyone — the twin the
+    /// differential suites and the measured-pipeline speedup arm compare
+    /// against, move for move. Takes effect at each user's next park.
     pub fn set_refined(&mut self, refined: bool) {
         self.refined = refined;
     }
@@ -2398,6 +2132,61 @@ fn concave_park_threshold<G: ChannelGame + ?Sized>(
     }
     let k = game.radios_of(user).max(1) as f64;
     m_star + slack / k
+}
+
+/// The generic-route park threshold `θ` of a user holding `row`, each
+/// entry's others-load read from `loads` with the user's own radios
+/// excluded — the certificate [`ActiveSetDynamics`] files on the DP
+/// route, tested against the entry horizon `H`.
+///
+/// `own_j` is the best value of the user's own channels holding `j`
+/// radios at their own-corrected loads (at most `j` when the game may
+/// idle radios): a knapsack over the row's `≤ k` channels, `O(k·|row|)`
+/// payoff calls and `O(k²·|row|)` additions. With `U` the row's utility
+/// and `ε` the improvement epsilon at `U`,
+/// `θ = min_{0 ≤ j < k} (U + ε/2 − own_j)/(k − j)`. A deviation placing
+/// `m ≥ 1` radios off the user's own channels is worth at most
+/// `own_{k−m} + m·H`, so while `H ≤ θ` none beats `U + ε/2`; the other
+/// half of `ε` absorbs rounding. `+∞` for a zero budget. `scratch` is
+/// reused across calls.
+fn dp_park_threshold<G: ChannelGame + ?Sized>(
+    game: &G,
+    user: UserId,
+    row: &[SparseEntry],
+    loads: &ChannelLoads,
+    scratch: &mut Vec<f64>,
+) -> f64 {
+    let k = game.radios_of(user) as usize;
+    scratch.clear();
+    scratch.resize(2 * (k + 1), f64::NEG_INFINITY);
+    let (own, col) = scratch.split_at_mut(k + 1);
+    own[0] = 0.0;
+    let mut utility = 0.0;
+    for &(c, t) in row {
+        let cid = ChannelId(c as usize);
+        let others = loads.load(cid) - t;
+        // Ascending-channel sum: bit-identical to `utility_sparse`.
+        utility += game.channel_payoff(cid, others, t);
+        for (s, f) in col.iter_mut().enumerate().skip(1) {
+            *f = game.channel_payoff(cid, others, s as u32);
+        }
+        // Fold the channel in, heaviest `j` first so each reads the
+        // values before this channel.
+        for j in (1..=k).rev() {
+            for s in 1..=j {
+                own[j] = own[j].max(own[j - s] + col[s]);
+            }
+        }
+    }
+    if game.may_idle_radios() {
+        for j in 1..=k {
+            own[j] = own[j].max(own[j - 1]);
+        }
+    }
+    let top = utility + 0.5 * improvement_eps(utility, utility);
+    (0..k)
+        .map(|j| (top - own[j]) / (k - j) as f64)
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// [`best_response_dynamics_sparse`] with the run's [`DynCounters`]
@@ -2506,10 +2295,18 @@ pub fn is_nash_sparse<G: ChannelGame + ?Sized>(game: &G, s: &SparseStrategies) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnGame;
     use crate::config::GameConfig;
     use crate::game::ChannelAllocationGame;
     use crate::heterogeneous::{HeteroConfig, HeteroGame};
+    use crate::multi_rate::MultiRateGame;
+    use crate::rate_model::{ExponentialDecayRate, LinearDecayRate, RateModel, StepRate};
     use crate::strategy::StrategyMatrix;
+    use crate::utility_models::EnergyCostGame;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn unit_game(n: usize, k: u32, c: usize) -> ChannelAllocationGame {
         ChannelAllocationGame::with_constant_rate(GameConfig::new(n, k, c).unwrap(), 1.0)
@@ -2878,6 +2675,195 @@ mod tests {
             welfare_from_loads(&g, &loads).to_bits(),
             g.total_utility(&s).to_bits()
         );
+    }
+
+    /// A test-local game whose per-radio payoff `f(t)/t = w_c·t/(L + t)`
+    /// rises with `t`. No workspace game has that shape, so only this
+    /// one tells the entry horizon's max over `t` from its first term.
+    struct RisingGame {
+        budgets: Vec<u32>,
+        weights: Vec<f64>,
+    }
+
+    impl ChannelGame for RisingGame {
+        fn n_users(&self) -> usize {
+            self.budgets.len()
+        }
+        fn n_channels(&self) -> usize {
+            self.weights.len()
+        }
+        fn radios_of(&self, user: UserId) -> u32 {
+            self.budgets[user.0]
+        }
+        fn channel_payoff(&self, c: ChannelId, others: u32, t: u32) -> f64 {
+            if t == 0 {
+                return 0.0;
+            }
+            let t = f64::from(t);
+            self.weights[c.0] * t * t / (f64::from(others) + t)
+        }
+    }
+
+    /// A decaying rate curve: linear, exponential or a random step table
+    /// (all generic-route shapes).
+    fn decaying_rate(rng: &mut StdRng) -> Arc<dyn RateModel> {
+        match rng.gen_range(0..3usize) {
+            0 => Arc::new(LinearDecayRate::new(
+                rng.gen_range(2.0..10.0),
+                rng.gen_range(0.1..1.5),
+                0.5,
+            )),
+            1 => Arc::new(ExponentialDecayRate::new(
+                rng.gen_range(2.0..10.0),
+                rng.gen_range(0.5..0.95),
+            )),
+            _ => {
+                let mut r = rng.gen_range(5.0..50.0);
+                let table = (0..16)
+                    .map(|_| {
+                        let v = r;
+                        r = (r - rng.gen_range(0.0..r / 4.0)).max(0.5);
+                        v
+                    })
+                    .collect();
+                Arc::new(StepRate::new("prop", table))
+            }
+        }
+    }
+
+    /// Up to its budget per user (under-deployment included), on random
+    /// channels, as a sparse row of ascending channels.
+    fn random_row(rng: &mut StdRng, k: u32, n_channels: usize) -> Vec<SparseEntry> {
+        let mut counts = vec![0u32; n_channels];
+        for _ in 0..rng.gen_range(0..=k) {
+            counts[rng.gen_range(0..n_channels)] += 1;
+        }
+        (0..n_channels as u32)
+            .zip(counts)
+            .filter(|&(_, t)| t > 0)
+            .collect()
+    }
+
+    /// The best value `user` can reach with an allocation that puts a
+    /// radio on a channel its row leaves empty (`−∞` if none exists):
+    /// every count vector of its budget (at most its budget when radios
+    /// may idle), each summed in ascending channel order as the DP sums.
+    fn best_foreign_deviation<G: ChannelGame>(
+        game: &G,
+        d: &ActiveSetDynamics,
+        user: UserId,
+    ) -> f64 {
+        let row = d.state().row(user);
+        let own = |c: usize| row.iter().find(|e| e.0 as usize == c).map_or(0, |e| e.1);
+        let k = game.radios_of(user);
+        let mut best = f64::NEG_INFINITY;
+        // (next channel, radios placed, value so far, any radio foreign)
+        let mut stack = vec![(0, 0, 0.0, false)];
+        while let Some((c, placed, value, foreign)) = stack.pop() {
+            if c == game.n_channels() {
+                if foreign && (placed == k || game.may_idle_radios()) {
+                    best = best.max(value);
+                }
+                continue;
+            }
+            let (cid, o) = (ChannelId(c), own(c));
+            stack.push((c + 1, placed, value, foreign));
+            for t in 1..=k - placed {
+                let v = value + game.channel_payoff(cid, d.loads().load(cid) - o, t);
+                stack.push((c + 1, placed + t, v, foreign || o == 0));
+            }
+        }
+        best
+    }
+
+    /// The generic route's park certificate, pinned directly: whenever a
+    /// user's threshold `θ` clears the engine's entry horizon (pop
+    /// margin included), no allocation that puts a radio off the user's
+    /// own channels improves on its utility. Checked over every user at
+    /// a random start, after each of three random row replacements
+    /// (which move the horizon through `refresh_phi`, checked against a
+    /// rebuild) and after a run. The property holds at any state, not
+    /// only at parked ones: the own-channel deviations a park rules out
+    /// are left out of it.
+    fn check_dp_certificate<G: ChannelGame>(game: &G, seed: u64) -> Result<(), TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, n_ch) = (game.n_users(), game.n_channels());
+        let budgets: Vec<u32> = UserId::all(n).map(|u| game.radios_of(u)).collect();
+        let mut start = SparseStrategies::with_budgets(&budgets, n_ch);
+        for (u, &k) in budgets.iter().enumerate() {
+            start.set_row(UserId(u), &random_row(&mut rng, k, n_ch));
+        }
+        let mut d = ActiveSetDynamics::new(game, start);
+        prop_assert!(!d.is_heap(), "a generic-route instance");
+        let mut own = Vec::new();
+        for step in 0..5 {
+            if step == 4 {
+                d.run(game, 50, None);
+            } else if step > 0 {
+                let u = UserId(rng.gen_range(0..n));
+                d.apply_row(game, u, &random_row(&mut rng, budgets[u.0], n_ch));
+            }
+            let rebuilt = ActiveSetDynamics::new(game, d.state().clone()).phi_max;
+            prop_assert_eq!(d.phi_max.to_bits(), rebuilt.to_bits(), "step {}", step);
+            let h = d.pop_horizon();
+            for user in UserId::all(n) {
+                let row = d.state().row(user);
+                let theta = dp_park_threshold(game, user, row, d.loads(), &mut own);
+                let u = utility_sparse(game, d.state(), d.loads(), user);
+                let best = best_foreign_deviation(game, &d, user);
+                prop_assert!(
+                    theta <= h || !improves(u, best),
+                    "step {}: {} has θ {} over H {} yet {} beats {}",
+                    step,
+                    user,
+                    theta,
+                    h,
+                    best,
+                    u
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The workspace games the DP route serves, all five per case:
+        /// one decaying rate curve (linear, exponential or a step table),
+        /// the same under energy costs (radios may idle, payoffs go
+        /// negative), per-user budgets, per-channel curves, and constant
+        /// rates forced onto the DP route with budgets up to |C| + 1.
+        #[test]
+        fn dp_certificate_holds_on_workspace_games(seed in 0u64..1 << 48) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, n_ch) = (rng.gen_range(1..=6usize), rng.gen_range(1..=4usize));
+            let cfg = GameConfig::new(n, rng.gen_range(1..=n_ch as u32), n_ch).unwrap();
+            let mut budgets = |max: u32| (0..n).map(|_| rng.gen_range(1..=max)).collect();
+            let (hetero_k, churn_k) = (budgets(n_ch as u32), budgets(n_ch as u32 + 1));
+            let paper = ChannelAllocationGame::new(cfg, decaying_rate(&mut rng));
+            check_dp_certificate(&paper, seed)?;
+            let energy = EnergyCostGame::new(paper, rng.gen_range(0.0..3.0));
+            check_dp_certificate(&energy, seed)?;
+            let hetero_cfg = HeteroConfig::new(hetero_k, n_ch).unwrap();
+            check_dp_certificate(&HeteroGame::new(hetero_cfg, decaying_rate(&mut rng)), seed)?;
+            let rates = (0..n_ch).map(|_| decaying_rate(&mut rng)).collect();
+            check_dp_certificate(&MultiRateGame::new(cfg, rates).unwrap(), seed)?;
+            let rates = (0..n_ch).map(|_| rng.gen_range(0.2..4.0)).collect();
+            check_dp_certificate(&ChurnGame::new(churn_k, rates).force_generic_route(), seed)?;
+        }
+
+        /// A per-radio payoff that rises with `t`: only the horizon's max
+        /// over `t`, and the `(k − j)` divisor, keep the bound sound.
+        /// Budgets start at 2, where both begin to matter.
+        #[test]
+        fn dp_certificate_holds_on_a_rising_per_radio_payoff(seed in 0u64..1 << 48) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, n_ch) = (rng.gen_range(1..=6usize), rng.gen_range(1..=4usize));
+            let game = RisingGame {
+                budgets: (0..n).map(|_| rng.gen_range(2..=n_ch as u32 + 1)).collect(),
+                weights: (0..n_ch).map(|_| rng.gen_range(0.5..2.0)).collect(),
+            };
+            check_dp_certificate(&game, seed)?;
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Mutable-population game for the churn service.
 //!
-//! Every [`ChannelGame`](crate::br_dp::ChannelGame) implementor so far
+//! Every [`ChannelGame`] implementor so far
 //! froze its population and rates at construction — the paper's game is
 //! one-shot. The churn workload (ROADMAP item 1) needs the opposite: a
 //! standing equilibrium absorbing **arrival**, **departure**,
@@ -114,9 +114,7 @@ impl ChurnGame {
 
     /// Rate shift: set channel `c`'s rate, returning the old one. The
     /// engine counterpart is
-    /// [`reprice_channel`](crate::br_fast::ActiveSetDynamics::reprice_channel),
-    /// whose `old_payoff` closure the caller builds from the returned
-    /// rate (see [`payoff_at_rate`](Self::payoff_at_rate)).
+    /// [`reprice_channel`](crate::br_fast::ActiveSetDynamics::reprice_channel).
     ///
     /// # Panics
     ///
@@ -131,9 +129,11 @@ impl ChurnGame {
 
     /// The sharing payoff `t/(L+t) · rate` — what
     /// [`channel_payoff`](ChannelGame::channel_payoff) computes with the
-    /// channel's current rate, exposed with an explicit rate so a
-    /// rate-shift caller can describe the *pre-change* column to
-    /// [`reprice_channel`](crate::br_fast::ActiveSetDynamics::reprice_channel).
+    /// channel's current rate, exposed with an explicit rate so a caller
+    /// can evaluate a rate the game no longer holds (rate-shift callers
+    /// build the pre-change column from it for
+    /// [`reprice_channel`](crate::br_fast::ActiveSetDynamics::reprice_channel),
+    /// which ignores it).
     pub fn payoff_at_rate(others_load: u32, slots: u32, rate: f64) -> f64 {
         if slots == 0 {
             return 0.0;

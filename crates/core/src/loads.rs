@@ -8,13 +8,9 @@
 //! [`SparseStrategies`](crate::sparse::SparseStrategies) does not, so its
 //! drivers keep a [`ChannelLoads`] beside it, built once by
 //! [`ChannelLoads::of_sparse`] (`O(Σ_i k_i)`) and kept exact under the
-//! mutations the engine performs, each in `O(1)`–`O(k)`:
-//!
-//! * [`add_radio`](ChannelLoads::add_radio) /
-//!   [`remove_radio`](ChannelLoads::remove_radio) — a radio is deployed or
-//!   parked (`O(1)`),
-//! * [`replace_sparse_row`](ChannelLoads::replace_sparse_row) — a user
-//!   swaps its whole sparse row (`O(k)`).
+//! one mutation the engine performs:
+//! [`replace_sparse_row`](ChannelLoads::replace_sparse_row), a user
+//! swapping its whole sparse row (`O(k)`).
 //!
 //! The spatial engine ([`crate::spatial`]) reuses the type as a scratch
 //! view of one user's neighborhood loads, so the knapsack DP reads the
@@ -39,9 +35,9 @@ impl ChannelLoads {
         s.loads()
     }
 
-    /// Wrap an explicit load vector (used by the sparse constructor; the
-    /// caller vouches for consistency).
-    pub(crate) fn from_vec(loads: Vec<u32>) -> Self {
+    /// Wrap an explicit per-channel count vector, `loads[c] = k_c`. The
+    /// caller vouches that it matches the strategies it is used with.
+    pub fn from_vec(loads: Vec<u32>) -> Self {
         ChannelLoads { loads }
     }
 
@@ -105,28 +101,6 @@ impl ChannelLoads {
         &self.loads
     }
 
-    /// Total deployed radios `Σ_c k_c`.
-    pub fn total(&self) -> u32 {
-        self.loads.iter().sum()
-    }
-
-    /// Record a radio deployed on `c` (`O(1)`).
-    #[inline]
-    pub fn add_radio(&mut self, c: ChannelId) {
-        self.loads[c.0] += 1;
-    }
-
-    /// Record a radio parked from `c` (`O(1)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` carries no radio.
-    #[inline]
-    pub fn remove_radio(&mut self, c: ChannelId) {
-        assert!(self.loads[c.0] > 0, "no radio on {c} to remove");
-        self.loads[c.0] -= 1;
-    }
-
     /// Record a user replacing its sparse row `old → new` (`O(k)` — only
     /// the occupied entries are touched).
     ///
@@ -180,17 +154,16 @@ mod tests {
         let s = figure2();
         let loads = ChannelLoads::of_sparse(&SparseStrategies::from(&s));
         assert_eq!(loads.as_slice(), s.loads());
-        assert_eq!(loads.total(), 13);
+        assert_eq!(loads.as_slice().iter().sum::<u32>(), 13);
         assert_eq!(loads.max_delta(), s.max_delta());
     }
 
     #[test]
-    fn add_remove_radio() {
-        let mut loads = ChannelLoads::zeros(3);
-        loads.add_radio(ChannelId(1));
-        loads.add_radio(ChannelId(1));
-        loads.remove_radio(ChannelId(1));
-        assert_eq!(loads.as_slice(), &[0, 1, 0]);
+    fn replace_sparse_row_tracks_a_row_swap() {
+        let mut loads = ChannelLoads::from_vec(vec![0, 2, 1]);
+        loads.replace_sparse_row(&[(1, 2)], &[(0, 1), (2, 1)]);
+        assert_eq!(loads.load(ChannelId(0)), 1);
+        assert_eq!(loads.as_slice(), &[1, 0, 2]);
     }
 
     /// The paranoid gate must be callable (and silent on a consistent
@@ -214,8 +187,8 @@ mod tests {
     #[should_panic(expected = "stale load cache")]
     fn paranoid_check_catches_stale_cache_when_enabled() {
         let s = SparseStrategies::from(&figure2());
-        let mut loads = ChannelLoads::of_sparse(&s);
-        loads.add_radio(ChannelId(0)); // drift the cache
-        s.paranoid_check(&loads);
+        let mut drifted = ChannelLoads::of_sparse(&s).as_slice().to_vec();
+        drifted[0] += 1; // drift the cache
+        s.paranoid_check(&ChannelLoads::from_vec(drifted));
     }
 }

@@ -35,7 +35,7 @@ use crate::strategy::StrategyMatrix;
 ///
 /// The theorem is stated for the paper's constant-rate sharing games:
 /// concave-sharing payoffs with no idle radios. On other games
-/// ([`theorem1`] stays *available* — sweeps deliberately measure the
+/// ([`theorem1()`] stays *available* — sweeps deliberately measure the
 /// structural/exact divergence on multi-rate and measured tables) the
 /// verdict is a heuristic, not a certificate. Measured rate tables
 /// propagate their CI-aware classification here: a table whose intervals

@@ -701,7 +701,7 @@ mod tests {
         for u in UserId::all(50) {
             assert_eq!(a.user_total(u), 3);
         }
-        assert_eq!(a.loads().total(), 150);
+        assert_eq!(a.loads().as_slice().iter().sum::<u32>(), 150);
     }
 
     #[test]

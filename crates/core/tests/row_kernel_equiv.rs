@@ -63,15 +63,9 @@ fn row_case() -> impl Strategy<Value = RowCase> {
             )
         })
         .prop_map(|(rate_ix, budgets, foreign, picks)| {
-            let c_n = rate_ix.len();
             let rates = rate_ix.iter().map(|&i| RATES[i]).collect();
             // Seven draws in ten leave a channel without foreign radios.
-            let mut loads = ChannelLoads::zeros(c_n);
-            for (c, &d) in foreign.iter().enumerate() {
-                for _ in 0..d.saturating_sub(6) {
-                    loads.add_radio(ChannelId(c));
-                }
-            }
+            let mut counts: Vec<u32> = foreign.iter().map(|&d| d.saturating_sub(6)).collect();
             // At most a budget's worth of radios; zero picks is an empty row.
             let rows: Vec<Vec<SparseEntry>> = picks
                 .iter()
@@ -79,13 +73,11 @@ fn row_case() -> impl Strategy<Value = RowCase> {
                 .map(|(p, &k)| row_of(p.iter().copied().take(k as usize)))
                 .collect();
             for &(c, t) in rows.iter().flatten() {
-                for _ in 0..t {
-                    loads.add_radio(ChannelId(c as usize));
-                }
+                counts[c as usize] += t;
             }
             RowCase {
                 game: ChurnGame::new(budgets, rates),
-                loads,
+                loads: ChannelLoads::from_vec(counts),
                 rows,
             }
         })
@@ -166,12 +158,7 @@ fn reference_nash_check(game: &SpatialGame<ChurnGame>, s: &SparseStrategies) -> 
     let mut gains = Vec::new();
     let mut witness = None;
     for u in UserId::all(s.n_users()) {
-        let mut loads = ChannelLoads::zeros(s.n_channels());
-        for (c, &l) in nbr.dense_row(u.0).iter().enumerate() {
-            for _ in 0..l {
-                loads.add_radio(ChannelId(c));
-            }
-        }
+        let loads = ChannelLoads::from_vec(nbr.dense_row(u.0));
         let mut engine = BrEngine::new(game, &loads);
         let (br, after) = engine.best_response(game, s.row(u), &loads, u);
         let before = spatial_utility(game, s, &nbr, u);

@@ -17,11 +17,15 @@
 //!
 //! Every arm's active-set run is pinned **bit-identical** against the
 //! full-sweep oracle (`mismatches` in the gate line counts trace
-//! divergences — the bin asserts zero), and the generic-route wake-clock
-//! refinement is measured by replaying the same seeded perturbation
-//! stream through twin engines with the refinement on and off
-//! (`speedup` = unrefined / refined engine checks; the traces must stay
-//! identical, so the refinement is a pure optimization by construction).
+//! divergences — the bin asserts zero), and the generic route's park
+//! certificate (the entry-horizon threshold of
+//! [`ActiveSetDynamics`]) is measured by replaying the same seeded
+//! perturbation stream through twin engines with the certificate on and
+//! off (`speedup` = certificate-off / certificate-on engine checks; off,
+//! every parked user is re-checked after each mutation, like a sweep;
+//! the traces must stay identical, so the certificate is a pure
+//! optimization by construction). The JSON keeps its historical
+//! `wake_clock` / `refined_*` key names for the on arm.
 //! Writes the harvested tables and prints the `measured:` gate line
 //! CI's measured-smoke job asserts on. Only the full shape writes the
 //! tracked `results/BENCH_measured.json`: a `--smoke` run (and a debug
@@ -50,7 +54,7 @@ struct Config {
     n_channels: usize,
     seed: u64,
     max_rounds: usize,
-    /// Perturbation cycles of the wake-clock speedup replay.
+    /// Perturbation cycles of the certificate speedup replay.
     cycles: usize,
     harvest: HarvestConfig,
 }
@@ -176,7 +180,7 @@ fn run_arm(cfg: &Config, arm: &Arm) -> ArmResult {
     let state = d.into_state();
 
     // The sweep oracle must produce the same move sequence, round count
-    // and final state — the active-set worklist (wake-clock refinement
+    // and final state — the active-set worklist (park certificates
     // included) is an optimization, never a different trajectory.
     let (sweep_state, sweep_converged, sweep_rounds, sweep_trace) =
         sweep_dynamics_traced(&game, start, cfg.max_rounds);
@@ -210,18 +214,18 @@ fn run_arm(cfg: &Config, arm: &Arm) -> ArmResult {
 }
 
 /// Replay the same seeded perturbation stream through twin engines —
-/// wake-clock refinement on vs off — on the generic (measured) route.
-/// Returns `(refined counters, unrefined counters, refined wall ms,
-/// unrefined wall ms)`; panics if any cycle's traces diverge (the
-/// refinement must be a pure optimization).
-fn wake_clock_replay(
+/// park certificate on vs off — on the generic (measured) route.
+/// Returns `(on counters, off counters, on wall ms, off wall ms)`;
+/// panics if any cycle's traces diverge (the certificate must be a pure
+/// optimization).
+fn certificate_replay(
     cfg: &Config,
     game: &ChannelAllocationGame,
     settled: &SparseStrategies,
 ) -> (DynCounters, DynCounters, f64, f64) {
-    let run_cycles = |refined: bool| -> (DynCounters, f64, Vec<Vec<(UserId, StrategyVector)>>) {
+    let run_cycles = |certified: bool| -> (DynCounters, f64, Vec<Vec<(UserId, StrategyVector)>>) {
         let mut d = ActiveSetDynamics::new(game, settled.clone());
-        d.set_refined(refined);
+        d.set_refined(certified);
         // Flush the initial all-active epoch so the timed cycles start
         // from an identical settled worklist on both twins.
         let (ok, _) = d.run(game, cfg.max_rounds, None);
@@ -246,7 +250,7 @@ fn wake_clock_replay(
     let (on, on_ms, on_traces) = run_cycles(true);
     assert_eq!(
         on_traces, off_traces,
-        "refined and unrefined replays must be move-for-move identical"
+        "certificate-on and -off replays must be move-for-move identical"
     );
     (on, off, on_ms, off_ms)
 }
@@ -384,8 +388,8 @@ fn main() {
         );
     }
 
-    // ---- Measure: wake-clock refinement on the measured route -------
-    println!("\nwake-clock refinement replay (measured DCF, generic route):");
+    // ---- Measure: the park certificate on the measured route --------
+    println!("\npark-certificate replay (measured DCF, generic route):");
     let speedup_game = ChannelAllocationGame::new(
         GameConfig::new(cfg.users, cfg.radios, cfg.n_channels).expect("valid dimensions"),
         Arc::new(dcf.to_rate()),
@@ -394,11 +398,11 @@ fn main() {
     let (settled, ok, _) =
         mrca_core::br_fast::best_response_dynamics_sparse(&speedup_game, start, cfg.max_rounds);
     assert!(ok, "the speedup arm must settle");
-    let (on, off, on_ms, off_ms) = wake_clock_replay(&cfg, &speedup_game, &settled);
+    let (on, off, on_ms, off_ms) = certificate_replay(&cfg, &speedup_game, &settled);
     let speedup = off.checks as f64 / on.checks.max(1) as f64;
     println!(
-        "  {} cycles: refined {} checks ({} refined re-parks, {:.1} ms) vs \
-         unrefined {} checks ({:.1} ms) -> {:.2}x fewer engine checks",
+        "  {} cycles: certificate on {} checks ({} certificate re-parks, {:.1} ms) vs \
+         off {} checks ({:.1} ms) -> {:.2}x fewer engine checks",
         cfg.cycles, on.checks, on.refined_reparks, on_ms, off.checks, off_ms, speedup
     );
 
@@ -487,15 +491,15 @@ fn main() {
     );
     assert!(
         on.checks <= off.checks,
-        "the refinement must never add engine checks"
+        "the certificate must never add engine checks"
     );
     assert!(
         on.refined_reparks > 0,
-        "the wake-clock refinement must actually fire on the measured route"
+        "the certificate must actually re-park users on the measured route"
     );
     println!(
         "\nOK: {} arms converged to exact NE, traces pinned to the sweep oracle, \
-         refinement saved {:.2}x checks.",
+         the certificate saved {:.2}x checks.",
         converged, speedup
     );
 }
