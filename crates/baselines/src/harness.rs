@@ -2,6 +2,7 @@
 
 use crate::Allocator;
 use mrca_core::analysis::{allocation_stats, AllocationStats};
+use mrca_core::br_dp::is_nash;
 use mrca_core::ChannelAllocationGame;
 use serde::{Deserialize, Serialize};
 
@@ -46,7 +47,7 @@ pub fn compare(
                 efficiency += stats.efficiency;
                 fairness += stats.jain_fairness;
                 max_delta = max_delta.max(stats.max_delta);
-                if game.nash_check(&s).is_nash() {
+                if is_nash(game, &s) {
                     nash += 1;
                 }
             }

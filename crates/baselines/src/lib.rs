@@ -23,7 +23,7 @@
 pub mod coloring;
 pub mod harness;
 
-use mrca_core::algorithm::{algorithm1_cfg, Ordering, TieBreak};
+use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
 use mrca_core::dynamics::{random_start, BestResponseDriver, Schedule};
 use mrca_core::{ChannelAllocationGame, ChannelId, StrategyMatrix, UserId};
 use rand::rngs::StdRng;
@@ -167,16 +167,14 @@ impl Allocator for Algorithm1Allocator {
     }
 
     fn allocate(&self, game: &ChannelAllocationGame, _seed: u64) -> StrategyMatrix {
-        algorithm1_cfg(
-            game.config(),
-            &Ordering::with_tie_break(TieBreak::PreferUnused),
-        )
+        algorithm1(game, &Ordering::with_tie_break(TieBreak::PreferUnused))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrca_core::br_dp::{is_nash, validate};
     use mrca_core::GameConfig;
 
     fn game() -> ChannelAllocationGame {
@@ -195,8 +193,7 @@ mod tests {
         ];
         for a in &allocators {
             let s = a.allocate(&g, 7);
-            s.validate(g.config())
-                .unwrap_or_else(|_| panic!("{}", a.name()));
+            validate(&g, &s).unwrap_or_else(|_| panic!("{}", a.name()));
             for u in UserId::all(5) {
                 assert_eq!(s.user_total(u), 3, "{}", a.name());
             }
@@ -230,10 +227,10 @@ mod tests {
         let g = game();
         for seed in [0u64, 1, 2] {
             let s = SelfishAllocator::default().allocate(&g, seed);
-            assert!(g.nash_check(&s).is_nash(), "selfish seed {seed}");
+            assert!(is_nash(&g, &s), "selfish seed {seed}");
         }
         let s = Algorithm1Allocator.allocate(&g, 0);
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
     }
 
     #[test]
@@ -251,7 +248,7 @@ mod tests {
                     );
                     let s = GreedyAllocator.allocate(&g, 0);
                     assert!(s.max_delta() <= 1, "({n},{k},{c}): {:?}", s.loads());
-                    assert!(g.nash_check(&s).is_nash(), "({n},{k},{c})");
+                    assert!(is_nash(&g, &s), "({n},{k},{c})");
                 }
             }
         }

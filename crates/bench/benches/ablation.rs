@@ -9,6 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrca_bench::constant_game;
 use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
+use mrca_core::br_dp::{nash_check, utility};
 use mrca_core::enumerate::user_strategy_space;
 use mrca_core::nash::theorem1;
 use mrca_core::{ChannelAllocationGame, GameConfig, UserId};
@@ -50,11 +51,11 @@ fn bench_memoization_ablation(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ablation/rate_memoization");
     g.bench_function("nash_check_memoized_table", |b| {
-        b.iter(|| memoized.nash_check(black_box(&s)))
+        b.iter(|| nash_check(&memoized, black_box(&s)))
     });
     g.sample_size(10);
     g.bench_function("nash_check_raw_fixed_point", |b| {
-        b.iter(|| raw.nash_check(black_box(&s)))
+        b.iter(|| nash_check(&raw, black_box(&s)))
     });
     g.finish();
 }
@@ -66,18 +67,18 @@ fn bench_verification_ablation(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ablation/ne_verification");
     g.bench_function("theorem1", |b| b.iter(|| theorem1(&game, black_box(&s))));
-    g.bench_function("exact_dp", |b| b.iter(|| game.nash_check(black_box(&s))));
+    g.bench_function("exact_dp", |b| b.iter(|| nash_check(&game, black_box(&s))));
     g.bench_function("naive_enumeration", |b| {
         b.iter(|| {
             // For each user, scan its whole strategy space (what one would
             // do without the DP) — C(12,4) = 495 candidates per user.
             let mut is_ne = true;
             'outer: for u in UserId::all(12) {
-                let current = game.utility(&s, u);
+                let current = utility(&game, &s, u);
                 for cand in &space {
                     let mut alt = s.clone();
                     alt.set_user_strategy(u, cand);
-                    if game.utility(&alt, u) > current + 1e-9 {
+                    if utility(&game, &alt, u) > current + 1e-9 {
                         is_ne = false;
                         break 'outer;
                     }

@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrca_bench::constant_game;
-use mrca_core::br_dp::benefit_of_move_naive;
+use mrca_core::br_dp::{benefit_of_move, benefit_of_move_naive, nash_check};
 use mrca_core::dynamics::random_start;
 use mrca_core::{ChannelAllocationGame, ChannelId, StrategyMatrix, UserId};
 use std::time::Instant;
@@ -24,7 +24,7 @@ fn sweep_incremental(game: &ChannelAllocationGame, s: &StrategyMatrix) -> f64 {
                 continue;
             }
             for c in ChannelId::all(cfg.n_channels()) {
-                acc += game.benefit_of_move(s, u, b, c);
+                acc += benefit_of_move(game, s, u, b, c);
             }
         }
     }
@@ -91,7 +91,9 @@ fn bench_incremental_vs_naive(c: &mut Criterion) {
 
     // Context: the full Nash check on the same instance.
     let mut g = c.benchmark_group("incremental_vs_naive/nash_check_n10_k4_c8");
-    g.bench_function("nash_check", |b| b.iter(|| game.nash_check(black_box(&s))));
+    g.bench_function("nash_check", |b| {
+        b.iter(|| nash_check(&game, black_box(&s)))
+    });
     g.finish();
 }
 

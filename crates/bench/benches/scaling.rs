@@ -4,6 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mrca_bench::constant_game;
 use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
+use mrca_core::br_dp::{best_response, nash_check, utility};
 use mrca_core::UserId;
 use mrca_experiments::{OrderingSpec, RateSpec, ScenarioGrid, ScenarioSuite};
 use mrca_sim::prelude::*;
@@ -15,13 +16,17 @@ fn bench_scaling(c: &mut Criterion) {
         let s = algorithm1(&game, &Ordering::with_tie_break(TieBreak::PreferUnused));
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("all_utilities", n), &(), |b, _| {
-            b.iter(|| game.utilities(black_box(&s)))
+            b.iter(|| {
+                UserId::all(n)
+                    .map(|u| utility(&game, black_box(&s), u))
+                    .collect::<Vec<_>>()
+            })
         });
         g.bench_with_input(BenchmarkId::new("one_best_response", n), &(), |b, _| {
-            b.iter(|| game.best_response(black_box(&s), UserId(0)))
+            b.iter(|| best_response(&game, black_box(&s), UserId(0)))
         });
         g.bench_with_input(BenchmarkId::new("full_nash_check", n), &(), |b, _| {
-            b.iter(|| game.nash_check(black_box(&s)))
+            b.iter(|| nash_check(&game, black_box(&s)))
         });
     }
     g.finish();

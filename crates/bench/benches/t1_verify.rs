@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrca_bench::constant_game;
 use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
+use mrca_core::br_dp::is_nash;
 use mrca_core::nash::theorem1;
 
 fn bench_verification(c: &mut Criterion) {
@@ -20,7 +21,7 @@ fn bench_verification(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("exact_deviation_dp", format!("N{n}k{k}C{ch}")),
             &(),
-            |b, _| b.iter(|| game.nash_check(black_box(&ne)).is_nash()),
+            |b, _| b.iter(|| is_nash(&game, black_box(&ne))),
         );
     }
     g.finish();

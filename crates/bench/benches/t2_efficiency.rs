@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrca_core::pareto::{balanced_total_rate, optimal_total_rate};
-use mrca_core::GameConfig;
+use mrca_core::{ChannelAllocationGame, GameConfig};
 use mrca_mac::{ConstantRate, PhyParams, PracticalDcfRate, RateFunction};
 use std::sync::Arc;
 
@@ -19,10 +19,11 @@ fn bench_welfare(c: &mut Criterion) {
     for (n, k, ch) in [(10usize, 4u32, 8usize), (40, 4, 12), (100, 4, 24)] {
         let cfg = GameConfig::new(n, k, ch).expect("valid");
         for (rname, rate) in &rates {
+            let game = ChannelAllocationGame::new(cfg, Arc::clone(rate));
             g.bench_with_input(
                 BenchmarkId::new(format!("optimal_dp_{rname}"), format!("N{n}k{k}C{ch}")),
                 &(),
-                |b, _| b.iter(|| optimal_total_rate(black_box(&cfg), rate)),
+                |b, _| b.iter(|| optimal_total_rate(black_box(&game))),
             );
             g.bench_with_input(
                 BenchmarkId::new(
@@ -30,7 +31,7 @@ fn bench_welfare(c: &mut Criterion) {
                     format!("N{n}k{k}C{ch}"),
                 ),
                 &(),
-                |b, _| b.iter(|| balanced_total_rate(black_box(&cfg), rate)),
+                |b, _| b.iter(|| balanced_total_rate(black_box(&game))),
             );
         }
     }

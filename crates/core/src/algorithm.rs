@@ -17,14 +17,14 @@
 //! claims). The algorithm is rate-model-independent — it only reads radio
 //! counts — which mirrors the structure of Theorem 1.
 
-use crate::config::GameConfig;
-use crate::game::ChannelAllocationGame;
+use crate::br_dp::ChannelGame;
 use crate::strategy::StrategyMatrix;
 use crate::types::{ChannelId, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// How to pick among equally-qualified channels in steps 4 and 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -42,15 +42,16 @@ pub enum TieBreak {
 /// Order in which users place radios.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Ordering {
-    /// Permutation of user indices; users place all `k` radios in this
-    /// order (the paper's outer loop).
+    /// Permutation of user indices; users place all their radios in this
+    /// order (the paper's outer loop). Empty means descending budget,
+    /// ties in id order — see [`algorithm1`].
     pub users: Vec<usize>,
     /// Tie-breaking policy for channel selection.
     pub tie_break: TieBreak,
 }
 
 impl Default for Ordering {
-    /// Natural order `u1, u2, …` with lowest-index tie-breaking.
+    /// Natural order with lowest-index tie-breaking.
     fn default() -> Self {
         Ordering {
             users: Vec::new(), // empty = natural order
@@ -91,22 +92,24 @@ impl Ordering {
     }
 }
 
-/// Run Algorithm 1 and return the constructed strategy matrix.
+/// Run Algorithm 1 and return the constructed strategy matrix. It reads
+/// radio counts only, so any [`ChannelGame`] serves: each user places its
+/// own `k_i` radios in turn.
+///
+/// An empty `ordering.users` means descending budget, ties kept in id
+/// order (a stable sort): the paper's natural order `u1, u2, …` when all
+/// budgets are equal, and big devices first when they are not.
 ///
 /// # Panics
 ///
 /// Panics if `ordering.users` is non-empty and not a permutation of
 /// `0..|N|`.
-pub fn algorithm1(game: &ChannelAllocationGame, ordering: &Ordering) -> StrategyMatrix {
-    algorithm1_cfg(game.config(), ordering)
-}
-
-/// Rate-model-free form of [`algorithm1`] (the algorithm never consults
-/// `R`).
-pub fn algorithm1_cfg(cfg: &GameConfig, ordering: &Ordering) -> StrategyMatrix {
-    let n = cfg.n_users();
+pub fn algorithm1<G: ChannelGame + ?Sized>(game: &G, ordering: &Ordering) -> StrategyMatrix {
+    let n = game.n_users();
     let users: Vec<usize> = if ordering.users.is_empty() {
-        (0..n).collect()
+        let mut v: Vec<usize> = (0..n).collect();
+        v.sort_by_key(|&u| Reverse(game.radios_of(UserId(u))));
+        v
     } else {
         let mut sorted = ordering.users.clone();
         sorted.sort_unstable();
@@ -124,11 +127,11 @@ pub fn algorithm1_cfg(cfg: &GameConfig, ordering: &Ordering) -> StrategyMatrix {
 
     // The paper's algorithm only ever needs the current load vector,
     // which the matrix keeps across placements.
-    let mut s = StrategyMatrix::zeros(n, cfg.n_channels());
+    let mut s = StrategyMatrix::zeros(n, game.n_channels());
     for &u in &users {
         let user = UserId(u);
-        for _ in 0..cfg.radios_per_user() {
-            let c = place_one(cfg, &s, user, ordering.tie_break, rng.as_mut());
+        for _ in 0..game.radios_of(user) {
+            let c = place_one(&s, user, ordering.tie_break, rng.as_mut());
             let cur = s.get(user, c);
             s.set(user, c, cur + 1);
         }
@@ -138,7 +141,6 @@ pub fn algorithm1_cfg(cfg: &GameConfig, ordering: &Ordering) -> StrategyMatrix {
 
 /// Select the channel for one radio per steps 3–6 of Algorithm 1.
 fn place_one(
-    cfg: &GameConfig,
     s: &StrategyMatrix,
     user: UserId,
     tie: TieBreak,
@@ -149,11 +151,12 @@ fn place_one(
     let max = *loads.iter().max().expect("at least one channel");
 
     // Step 3: all loads equal → step 4: a channel where the user has no
-    // radio (one always exists: the user has placed < k ≤ |C| radios, and
-    // with equal loads it cannot cover all channels unless every channel
-    // already holds one of its radios, which would need ≥ |C| ≥ k placed).
+    // radio (one always exists: the user has placed < k_i ≤ |C| radios,
+    // and with equal loads it cannot cover all channels unless every
+    // channel already holds one of its radios, which would need ≥ |C| ≥
+    // k_i placed).
     let qualifying: Vec<usize> = if min == max {
-        let unused: Vec<usize> = (0..cfg.n_channels())
+        let unused: Vec<usize> = (0..s.n_channels())
             .filter(|&c| s.get(user, ChannelId(c)) == 0)
             .collect();
         assert!(
@@ -163,7 +166,7 @@ fn place_one(
         unused
     } else {
         // Step 6: least-loaded channels.
-        (0..cfg.n_channels()).filter(|&c| loads[c] == min).collect()
+        (0..s.n_channels()).filter(|&c| loads[c] == min).collect()
     };
 
     let pick = match tie {
@@ -183,6 +186,9 @@ fn place_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::br_dp::is_nash;
+    use crate::config::GameConfig;
+    use crate::game::ChannelAllocationGame;
     use crate::nash::theorem1;
     use crate::pareto::is_system_optimal;
 
@@ -195,7 +201,7 @@ mod tests {
         for (n, k, c) in [(4usize, 4u32, 5usize), (7, 4, 6), (4, 4, 6)] {
             let g = unit_game(n, k, c);
             let s = algorithm1(&g, &Ordering::default());
-            assert!(g.nash_check(&s).is_nash(), "({n},{k},{c}) not NE");
+            assert!(is_nash(&g, &s), "({n},{k},{c}) not NE");
             assert!(theorem1(&g, &s).is_nash(), "({n},{k},{c}) fails Thm 1");
             assert!(is_system_optimal(&g, &s), "({n},{k},{c}) not optimal");
         }
@@ -226,7 +232,7 @@ mod tests {
                 for c in (k as usize)..=6 {
                     let g = unit_game(n, k, c);
                     let s = algorithm1(&g, &Ordering::with_tie_break(TieBreak::PreferUnused));
-                    assert!(g.nash_check(&s).is_nash(), "({n},{k},{c})");
+                    assert!(is_nash(&g, &s), "({n},{k},{c})");
                 }
             }
         }
@@ -245,12 +251,12 @@ mod tests {
         let g = unit_game(6, 3, 5);
         let counterexample = (0..200u64)
             .map(|seed| algorithm1(&g, &Ordering::with_tie_break(TieBreak::Random(seed))))
-            .find(|s| !g.nash_check(s).is_nash());
+            .find(|s| !is_nash(&g, s));
         let s = counterexample.expect("some seed must expose the literal-reading failure");
         assert!(s.max_delta() <= 1, "output is still load-balanced");
         // The PreferUnused repair fixes the same instance for every seed.
         let s2 = algorithm1(&g, &Ordering::with_tie_break(TieBreak::PreferUnused));
-        assert!(g.nash_check(&s2).is_nash());
+        assert!(is_nash(&g, &s2));
     }
 
     #[test]
@@ -278,7 +284,7 @@ mod tests {
         assert_eq!(perms.len(), 24);
         for p in perms {
             let s = algorithm1(&g, &Ordering::with_users(p.clone(), TieBreak::LowestIndex));
-            assert!(g.nash_check(&s).is_nash(), "ordering {p:?}");
+            assert!(is_nash(&g, &s), "ordering {p:?}");
         }
     }
 
@@ -300,7 +306,7 @@ mod tests {
         let g = unit_game(2, 2, 5); // 4 radios ≤ 5 channels
         let s = algorithm1(&g, &Ordering::default());
         assert!(s.loads().iter().all(|&l| l <= 1));
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
     }
 
     #[test]
@@ -320,7 +326,7 @@ mod tests {
         // One user, three radios, four channels: one radio each on three
         // channels (never stacks — stacking splits its own rate).
         assert_eq!(s.loads().iter().filter(|&&l| l == 1).count(), 3);
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
     }
 
     fn permutations(n: usize) -> Vec<Vec<usize>> {

@@ -1,7 +1,8 @@
 //! Allocation metrics: load balance, fairness, efficiency.
 
-use crate::game::ChannelAllocationGame;
+use crate::br_dp::{utility, welfare_from_loads, ChannelGame};
 use crate::strategy::StrategyMatrix;
+use crate::types::UserId;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one allocation under one game.
@@ -26,10 +27,12 @@ pub struct AllocationStats {
 
 /// Compute [`AllocationStats`] for `s` under `game` (the matrix's kept
 /// loads feed every metric).
-pub fn allocation_stats(game: &ChannelAllocationGame, s: &StrategyMatrix) -> AllocationStats {
-    let utilities = game.utilities(s);
-    let total = game.total_utility(s);
-    let opt = crate::pareto::optimal_total_rate(game.config(), game.rate());
+pub fn allocation_stats<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> AllocationStats {
+    let utilities: Vec<f64> = UserId::all(game.n_users())
+        .map(|u| utility(game, s, u))
+        .collect();
+    let total = welfare_from_loads(game, s.loads());
+    let opt = crate::pareto::optimal_total_rate(game);
     let loads = s.loads().to_vec();
     AllocationStats {
         max_delta: s.max_delta(),

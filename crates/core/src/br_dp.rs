@@ -1,5 +1,6 @@
 //! The unified best-response engine: one [`ChannelGame`] trait, one
-//! knapsack DP, one traceback — shared by every game variant.
+//! knapsack DP, one traceback — and one body per operation, shared by
+//! every game variant.
 //!
 //! The paper's best response is a per-user knapsack over channels: with
 //! the *other* users' load `L_c` on channel `c` fixed, placing `t` radios
@@ -8,26 +9,33 @@
 //! `dp[c][r]` (best value over the first `c` channels using `r` radios)
 //! solves it exactly in `O(|C|·k²)`.
 //!
-//! That structure is identical across the homogeneous game of the paper,
-//! the heterogeneous-budget extension, the per-channel-rate extension and
-//! the energy-cost utility model — they differ *only* in the payoff
+//! That structure is identical across the homogeneous game of the paper
+//! ([`crate::game::ChannelAllocationGame`]), its extension to per-user
+//! budgets and per-channel rates ([`crate::heterogeneous::HeteroGame`])
+//! and the energy-cost utility model — they differ *only* in the payoff
 //! `f_c(t)` (and, for the energy game, in whether idling radios may win).
-//! Before this module each of them carried its own copy of the DP; a DP
-//! fix had to land four times. Now a game variant implements
-//! [`ChannelGame`] — dimensions, per-user radio budgets, and the
-//! per-channel payoff closure — and gets, generically:
+//! A game variant implements [`ChannelGame`] — dimensions, per-user radio
+//! budgets, and the per-channel payoff closure — and gets, generically:
 //!
-//! * Eq.-3 utilities in `O(|C|)` ([`utility`]);
+//! * Eq.-3 utilities in `O(|C|)` ([`utility`]) and the welfare of a load
+//!   vector, dense or sparse ([`welfare_from_loads`]);
 //! * the exact DP best response ([`best_response`]) — the *single*
 //!   `f[c][t]` + traceback implementation in the workspace;
 //! * the Eq.-7 benefit of a single-radio move in `O(1)`
 //!   ([`benefit_of_move`]) plus its clone-and-recompute oracle
 //!   ([`benefit_of_move_naive`]);
 //! * the exact Nash check with witnesses ([`nash_check`], [`max_gain`],
-//!   [`is_nash`]);
+//!   [`is_nash`]) and the budget check of a matrix ([`validate`]);
 //! * best-response dynamics ([`best_response_dynamics`]);
 //! * the Lemma-1/2/3/4 predicates and the Theorem-1 structural
 //!   certification (generic over [`ChannelGame`] in [`crate::nash`]).
+//!
+//! Algorithm 1 ([`crate::algorithm::algorithm1`]), the random start
+//! ([`crate::dynamics::random_start`]) and the welfare optimum
+//! ([`crate::pareto::optimal_total_rate`]) are generic over the same
+//! trait. They are free functions, not provided trait methods: the
+//! spatial game implements [`ChannelGame`] too, and a dense operation on
+//! it would read global loads where its payoffs read neighborhoods.
 //!
 //! Every entry point reads the channel loads `k_c` the
 //! [`StrategyMatrix`] keeps beside its rows, so none of them scans a
@@ -38,6 +46,7 @@
 //! recount and the `O(1)` Δ ≡ its clone-and-recompute oracle, (b) DP ≡
 //! exhaustive enumeration, and (c) `is_nash ⇔ max_gain ≤ ε`.
 
+use crate::error::Error;
 use crate::game::{improvement_eps, improves, NashCheck};
 use crate::rate_model::RateShape;
 use crate::strategy::{StrategyMatrix, StrategyVector};
@@ -157,6 +166,57 @@ pub fn utility<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix, user: User
         total += game.channel_payoff(c, others, kic);
     }
     total
+}
+
+/// Total welfare from the loads alone: `Σ_{c: k_c>0} payoff(c, 0, k_c)`,
+/// over a dense matrix's [`StrategyMatrix::loads`] or a sparse driver's
+/// [`ChannelLoads::as_slice`](crate::ChannelLoads::as_slice). For every
+/// anonymous per-channel payoff in this workspace that equals `Σ_i U_i`
+/// exactly — rate-sharing games contribute `1 · R_c(k_c)` per occupied
+/// channel (the identity behind Theorem 2), the energy model
+/// `R_c(k_c) − cost·k_c`.
+pub fn welfare_from_loads<G: ChannelGame + ?Sized>(game: &G, loads: &[u32]) -> f64 {
+    let mut total = 0.0;
+    for (c, &kc) in loads.iter().enumerate() {
+        if kc > 0 {
+            total += game.channel_payoff(ChannelId(c), 0, kc);
+        }
+    }
+    total
+}
+
+/// Check that `s` fits `game`: the matrix's shape first, then each
+/// user's deployed radios against its budget `k_i`. Using *fewer* radios
+/// is a legal strategy (Lemma 1 then shows it cannot happen in a NE), so
+/// this checks `≤`, not `==`.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidStrategy`] on the first violation.
+pub fn validate<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> Result<(), Error> {
+    if s.n_users() != game.n_users() {
+        return Err(Error::strategy(format!(
+            "matrix has {} rows, game has {} users",
+            s.n_users(),
+            game.n_users()
+        )));
+    }
+    if s.n_channels() != game.n_channels() {
+        return Err(Error::strategy(format!(
+            "matrix has {} columns, game has {} channels",
+            s.n_channels(),
+            game.n_channels()
+        )));
+    }
+    for u in UserId::all(game.n_users()) {
+        let (used, budget) = (s.user_total(u), game.radios_of(u));
+        if used > budget {
+            return Err(Error::strategy(format!(
+                "{u} uses {used} radios, budget is {budget}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Exact best response of `user`: the strategy vector maximizing its
@@ -444,7 +504,7 @@ mod tests {
     use super::*;
     use crate::config::GameConfig;
     use crate::game::ChannelAllocationGame;
-    use crate::rate_model::LinearDecayRate;
+    use crate::rate_model::{LinearDecayRate, RateModel};
     use std::sync::Arc;
 
     /// A minimal bespoke implementor: single shared rate, per-user
@@ -476,16 +536,28 @@ mod tests {
 
     #[test]
     fn trait_engine_matches_concrete_game() {
-        // The generic engine through the trait and the concrete game's
-        // delegating methods must agree bit-for-bit.
+        // The generic engine through `channel_payoff` against Eq. 3 and
+        // the welfare identity written out for the paper's game: the same
+        // expressions, so the same bits.
         let cfg = GameConfig::new(3, 2, 3).unwrap();
-        let game = ChannelAllocationGame::new(cfg, Arc::new(LinearDecayRate::new(6.0, 1.0, 1.0)));
+        let rate = Arc::new(LinearDecayRate::new(6.0, 1.0, 1.0));
+        let game = ChannelAllocationGame::new(cfg, rate.clone());
         let s = StrategyMatrix::from_rows(&[vec![2, 0, 0], vec![1, 1, 0], vec![0, 1, 1]]).unwrap();
+        let mut welfare = 0.0;
         for u in UserId::all(3) {
-            assert_eq!(utility(&game, &s, u), game.utility(&s, u));
-            assert_eq!(best_response(&game, &s, u), game.best_response(&s, u));
+            let mut eq3 = 0.0;
+            for c in ChannelId::all(3).filter(|&c| s.get(u, c) > 0) {
+                let kc = s.channel_load(c);
+                eq3 += s.get(u, c) as f64 / kc as f64 * rate.rate(kc);
+            }
+            assert_eq!(utility(&game, &s, u).to_bits(), eq3.to_bits());
+            welfare += eq3;
         }
-        assert_eq!(nash_check(&game, &s), game.nash_check(&s));
+        assert!((welfare_from_loads(&game, s.loads()) - welfare).abs() < 1e-12);
+        assert!(validate(&game, &s).is_ok());
+        let over = StrategyMatrix::from_rows(&[vec![3, 0, 0], vec![1, 1, 0], vec![0, 1, 1]]);
+        assert!(validate(&game, &over.unwrap()).is_err());
+        assert!(validate(&game, &StrategyMatrix::zeros(3, 4)).is_err());
     }
 
     #[test]

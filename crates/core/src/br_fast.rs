@@ -24,7 +24,7 @@
 //!   bit-identical to the full DP by construction.
 //!
 //! [`BrEngine`] routes between the two based on the game's declaration,
-//! and the sparse dynamics / Nash-check / protocol drivers below run
+//! and the sparse dynamics and Nash-check drivers below run
 //! entirely on [`SparseStrategies`] + [`ChannelLoads`] — no dense
 //! `|N|×|C|` matrix is ever materialized, which is what lets the
 //! `t9_scale` experiment sweep 10⁵–10⁶ users.
@@ -590,22 +590,6 @@ pub fn utility_sparse<G: ChannelGame + ?Sized>(
     total
 }
 
-/// Total welfare from the loads alone: `Σ_{c: k_c>0} payoff(c, 0, k_c)`.
-/// For every anonymous per-channel payoff in this workspace that equals
-/// `Σ_i U_i` exactly — rate-sharing games contribute `R_c(k_c)` per
-/// occupied channel (the identity behind Theorem 2), the energy model
-/// `R_c(k_c) − cost·k_c`.
-pub fn welfare_from_loads<G: ChannelGame + ?Sized>(game: &G, loads: &ChannelLoads) -> f64 {
-    let mut total = 0.0;
-    for c in ChannelId::all(loads.n_channels()) {
-        let kc = loads.load(c);
-        if kc > 0 {
-            total += game.channel_payoff(c, 0, kc);
-        }
-    }
-    total
-}
-
 /// A sparse row as a dense [`StrategyVector`] (witness/trace conversion).
 fn row_to_vector(row: &[SparseEntry], n_channels: usize) -> StrategyVector {
     let mut counts = vec![0u32; n_channels];
@@ -628,7 +612,7 @@ pub struct DynCounters {
     pub activations: u64,
     /// Checks the equivalent full sweep would have performed that the
     /// worklist proved unnecessary (`rounds · |N| − checks` for the round
-    /// drivers; counted per skipped probe for the protocol).
+    /// drivers).
     pub skipped_checks: u64,
     /// Parked users scheduled through the occupant index: one count per
     /// parked occupant a load change pushed out of its certificate
@@ -1319,12 +1303,6 @@ impl ActiveSetDynamics {
         self.parked[user.0]
     }
 
-    /// Record one check the caller proved unnecessary (the protocol's
-    /// settled-skip accounting).
-    pub(crate) fn note_skipped_check(&mut self) {
-        self.counters.skipped_checks += 1;
-    }
-
     /// Run round-robin rounds until a fixed point or `max_rounds`;
     /// returns `(converged, rounds)` with the sweep's exact round
     /// accounting (the converging round is the final, move-free one).
@@ -1367,7 +1345,7 @@ impl ActiveSetDynamics {
         for i in 0..self.pending.len() {
             let v = self.pending[i];
             if !self.in_pending[v as usize] {
-                continue; // lazily unscheduled (e.g. parked by a probe)
+                continue; // lazily unscheduled (e.g. a retired user)
             }
             self.in_pending[v as usize] = false;
             self.in_cur[v as usize] = true;
@@ -1498,32 +1476,7 @@ impl ActiveSetDynamics {
         self.phi_max + 1e-12 * self.phi_max.abs()
     }
 
-    /// Best response of `user` against the *current* state without
-    /// applying it: returns `Some(row)` when the user can improve, else
-    /// parks the user and returns `None`. This is the protocol's probe —
-    /// state (loads, engine) is untouched either way.
-    pub fn probe<G: ChannelGame + ?Sized>(
-        &mut self,
-        game: &G,
-        user: UserId,
-    ) -> Option<Vec<SparseEntry>> {
-        debug_assert!(!self.in_cur[user.0], "probe outside a running round");
-        self.counters.checks += 1;
-        let before = utility_sparse(game, &self.s, &self.loads, user);
-        let (br, after) = self
-            .engine
-            .best_response(game, self.s.row(user), &self.loads, user);
-        if improves(before, after) {
-            Some(br)
-        } else {
-            // Unschedule (lazily) and park with the recorded slack.
-            self.in_pending[user.0] = false;
-            self.park_user(game, user.0 as u32, &br, park_slack(before, after));
-            None
-        }
-    }
-
-    /// Apply an external row change (a protocol retune, a perturbation)
+    /// Apply an external row change (a retune, a perturbation)
     /// through the full wake machinery, and schedule the changed user
     /// itself for re-checking — unlike an internal move, the new row need
     /// not be a best response against the current loads.
@@ -1535,10 +1488,11 @@ impl ActiveSetDynamics {
     ) {
         self.apply_row_inner(game, user, new_row, None);
         self.wake(user.0 as u32, None);
-        // External callers (the distributed protocol above all) observe
-        // settledness through `is_settled`, i.e. the `parked` flags — so
-        // an external change must wake every tempted user *eagerly*; the
-        // lazy in-round scan only covers callers that drive `run`.
+        // Wake every tempted user now, not in the next round's lazy scan.
+        // No caller needs the eager drain: every caller drives `run` after
+        // the change. It stays because perfbench's retune-dp `counts:`
+        // lines are pinned with it; dropping it is a measured change of
+        // its own.
         self.drain_tempted(None);
     }
 
@@ -1815,11 +1769,11 @@ impl ActiveSetDynamics {
     }
 
     /// Eagerly wake every parked user the **current** horizon tempts.
-    /// Used where the lazy in-round scan cannot run: external
-    /// perturbations ([`apply_row`](Self::apply_row) — the protocol
-    /// reads settledness off the `parked` flags, so deferring the wake
-    /// would hide a live temptation), custom-permutation rounds (scan
-    /// order is rank, the index is keyed by id). The pop margin baked into
+    /// Used where the lazy in-round scan is not relied on: external
+    /// perturbations ([`apply_row`](Self::apply_row), so the `parked`
+    /// flags [`is_settled`](Self::is_settled) reads stay exact) and
+    /// custom-permutation rounds (scan order is rank, the index is keyed
+    /// by id). The pop margin baked into
     /// [`pop_horizon`](Self::pop_horizon) is *purely* relative — no
     /// absolute floor — so at any payoff scale it sits ~1000× under the
     /// `ε_u/k` park margin (the mover slack is `UTILITY_TOLERANCE·|u|`,
@@ -1886,9 +1840,9 @@ impl ActiveSetDynamics {
         }
         self.in_pending[vi] = true;
         self.pending.push(v);
-        // Compact when lazily-unscheduled entries pile up (the protocol
-        // wakes into `pending` but drains it through probes, never
-        // through `round`, so without this the vector would only grow).
+        // Compact when lazily-unscheduled entries pile up (a caller that
+        // wakes and retires users without running rounds would otherwise
+        // only grow the vector).
         if self.pending.len() > 2 * self.parked.len() + 64 {
             let mut live = Vec::with_capacity(self.parked.len());
             for i in 0..self.pending.len() {
@@ -2295,11 +2249,11 @@ pub fn is_nash_sparse<G: ChannelGame + ?Sized>(game: &G, s: &SparseStrategies) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::br_dp::welfare_from_loads;
     use crate::churn::ChurnGame;
     use crate::config::GameConfig;
     use crate::game::ChannelAllocationGame;
-    use crate::heterogeneous::{HeteroConfig, HeteroGame};
-    use crate::multi_rate::MultiRateGame;
+    use crate::heterogeneous::HeteroGame;
     use crate::rate_model::{ExponentialDecayRate, LinearDecayRate, RateModel, StepRate};
     use crate::strategy::StrategyMatrix;
     use crate::utility_models::EnergyCostGame;
@@ -2326,7 +2280,8 @@ mod tests {
     fn dp_traceback_packs_exact_ties_toward_low_channels() {
         // Budgets: the responder u0 (2 radios) plus enough users to build
         // others' loads (1, 5) on two channels.
-        let g = HeteroGame::with_unit_rate(HeteroConfig::new(vec![2, 1, 2, 2, 1], 2).unwrap());
+        let unit = Arc::new(crate::rate_model::ConstantRate::unit());
+        let g = HeteroGame::with_rate(vec![2, 1, 2, 2, 1], 2, unit).unwrap();
         let s = StrategyMatrix::from_rows(&[
             vec![0, 0], // the responder
             vec![1, 0],
@@ -2399,12 +2354,12 @@ mod tests {
             let sp = SparseStrategies::from_matrix(&g, &start);
             let (sparse, sconv, _, _) = best_response_dynamics_sparse_traced(&g, sp, 200);
             assert!(dconv && sconv, "seed {seed}");
-            assert!(g.nash_check(&dense).is_nash(), "seed {seed}");
+            assert!(br_dp::is_nash(&g, &dense), "seed {seed}");
             assert!(is_nash_sparse(&g, &sparse), "seed {seed}");
             let sloads = ChannelLoads::of_sparse(&sparse);
             assert!(sloads.max_delta() <= 1, "seed {seed}");
-            let dw = g.total_utility(&dense);
-            let sw = welfare_from_loads(&g, &sloads);
+            let dw = welfare_from_loads(&g, dense.loads());
+            let sw = welfare_from_loads(&g, sloads.as_slice());
             assert!((dw - sw).abs() <= 1e-9 * dw.abs().max(1.0), "seed {seed}");
         }
     }
@@ -2671,9 +2626,17 @@ mod tests {
         let g = unit_game(5, 2, 4);
         let s = crate::dynamics::random_start(&g, 3);
         let loads = ChannelLoads::of_sparse(&SparseStrategies::from_matrix(&g, &s));
+        // Total utility as the paper's game summed it: `R(k_c)` per
+        // channel, `0` for an empty one.
+        let total_utility: f64 = ChannelId::all(4)
+            .map(|c| match s.channel_load(c) {
+                0 => 0.0,
+                kc => g.rate().rate(kc),
+            })
+            .sum();
         assert_eq!(
-            welfare_from_loads(&g, &loads).to_bits(),
-            g.total_utility(&s).to_bits()
+            welfare_from_loads(&g, loads.as_slice()).to_bits(),
+            total_utility.to_bits()
         );
     }
 
@@ -2843,10 +2806,11 @@ mod tests {
             check_dp_certificate(&paper, seed)?;
             let energy = EnergyCostGame::new(paper, rng.gen_range(0.0..3.0));
             check_dp_certificate(&energy, seed)?;
-            let hetero_cfg = HeteroConfig::new(hetero_k, n_ch).unwrap();
-            check_dp_certificate(&HeteroGame::new(hetero_cfg, decaying_rate(&mut rng)), seed)?;
+            let hetero = HeteroGame::with_rate(hetero_k, n_ch, decaying_rate(&mut rng)).unwrap();
+            check_dp_certificate(&hetero, seed)?;
             let rates = (0..n_ch).map(|_| decaying_rate(&mut rng)).collect();
-            check_dp_certificate(&MultiRateGame::new(cfg, rates).unwrap(), seed)?;
+            let k = vec![cfg.radios_per_user(); n];
+            check_dp_certificate(&HeteroGame::new(k, n_ch, rates).unwrap(), seed)?;
             let rates = (0..n_ch).map(|_| rng.gen_range(0.2..4.0)).collect();
             check_dp_certificate(&ChurnGame::new(churn_k, rates).force_generic_route(), seed)?;
         }
@@ -2872,7 +2836,7 @@ mod tests {
         for seed in 0..5 {
             let m = crate::dynamics::random_start(&g, seed);
             let sp = SparseStrategies::from_matrix(&g, &m);
-            let dense_check = g.nash_check(&m);
+            let dense_check = br_dp::nash_check(&g, &m);
             let sparse_check = nash_check_sparse(&g, &sp);
             assert_eq!(dense_check.is_nash(), sparse_check.is_nash());
             for (a, b) in dense_check.gains.iter().zip(&sparse_check.gains) {

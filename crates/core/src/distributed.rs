@@ -20,11 +20,9 @@
 //! quantified by experiment T6. A device that sees no improving response
 //! stays put, so every equilibrium of the game is absorbing.
 
-use crate::br_dp::ChannelGame;
-use crate::br_fast::{ActiveSetDynamics, DynCounters};
-use crate::game::{improves, ChannelAllocationGame};
-use crate::sparse::{SparseEntry, SparseStrategies};
-use crate::strategy::StrategyMatrix;
+use crate::br_dp::{best_response, is_nash, utility, ChannelGame};
+use crate::game::improves;
+use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::UserId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,8 +70,8 @@ pub struct ProtocolOutcome {
 /// # Panics
 ///
 /// Panics if `activation_prob` is outside `(0, 1]`.
-pub fn run_protocol(
-    game: &ChannelAllocationGame,
+pub fn run_protocol<G: ChannelGame + ?Sized>(
+    game: &G,
     start: StrategyMatrix,
     cfg: &ProtocolConfig,
 ) -> ProtocolOutcome {
@@ -82,7 +80,7 @@ pub fn run_protocol(
         "activation probability must be in (0, 1], got {}",
         cfg.activation_prob
     );
-    let n = game.config().n_users();
+    let n = game.n_users();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut s = start;
     let mut retunes = 0usize;
@@ -93,13 +91,13 @@ pub fn run_protocol(
         // against the state as it stood at the round boundary. Movers are
         // applied only after the scan, so `s` itself is the snapshot — no
         // matrix clone.
-        let mut movers: Vec<(UserId, crate::strategy::StrategyVector)> = Vec::new();
+        let mut movers: Vec<(UserId, StrategyVector)> = Vec::new();
         for u in UserId::all(n) {
             if !rng.gen_bool(cfg.activation_prob) {
                 continue;
             }
-            let before = game.utility(&s, u);
-            let (br, after) = game.best_response(&s, u);
+            let before = utility(game, &s, u);
+            let (br, after) = best_response(game, &s, u);
             if improves(before, after) {
                 movers.push((u, br));
             }
@@ -112,7 +110,7 @@ pub fn run_protocol(
             retunes += 1;
         }
         // Termination test against the *current* state (cheap: exact check).
-        if game.nash_check(&s).is_nash() {
+        if is_nash(game, &s) {
             return ProtocolOutcome {
                 matrix: s,
                 converged: true,
@@ -131,116 +129,6 @@ pub fn run_protocol(
     }
 }
 
-/// Outcome of a sparse-engine protocol run (the large-N analogue of
-/// [`ProtocolOutcome`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseProtocolOutcome {
-    /// Final sparse allocation.
-    pub strategies: SparseStrategies,
-    /// Whether a Nash equilibrium was reached within the round budget.
-    pub converged: bool,
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Total retunings performed.
-    pub retunes: usize,
-    /// Rounds in which ≥ 2 devices moved simultaneously.
-    pub simultaneous_rounds: usize,
-    /// Active-set work counters: best responses actually computed versus
-    /// probes the worklist proved unnecessary.
-    pub counters: DynCounters,
-}
-
-/// [`run_protocol`] on the sparse large-N path, generic over every
-/// [`ChannelGame`]: the same sensing-snapshot semantics (all movers of a
-/// round best-respond to the round-boundary loads), but the state lives
-/// in an [`ActiveSetDynamics`] worklist engine. A settled device — one
-/// whose last probe found no improving response and whose recorded slack
-/// no later move could have overcome — skips its best-response
-/// computation entirely (its activation coin is still flipped, so the
-/// random stream and every observable outcome match the pre-active-set
-/// implementation bit for bit), and the per-round termination test probes
-/// only unsettled devices instead of scanning all `|N|`.
-///
-/// # Panics
-///
-/// Panics if `activation_prob` is outside `(0, 1]`.
-pub fn run_protocol_sparse<G: ChannelGame + ?Sized>(
-    game: &G,
-    start: SparseStrategies,
-    cfg: &ProtocolConfig,
-) -> SparseProtocolOutcome {
-    assert!(
-        cfg.activation_prob > 0.0 && cfg.activation_prob <= 1.0,
-        "activation probability must be in (0, 1], got {}",
-        cfg.activation_prob
-    );
-    let n = game.n_users();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut d = ActiveSetDynamics::new(game, start);
-    let mut retunes = 0usize;
-    let mut simultaneous_rounds = 0usize;
-
-    for round in 1..=cfg.max_rounds {
-        // Sensing snapshot: probes do not mutate loads or engine, so all
-        // of a round's movers best-respond to the round-boundary state,
-        // exactly like the dense protocol's snapshot load vector.
-        let mut movers: Vec<(UserId, Vec<SparseEntry>)> = Vec::new();
-        for u in UserId::all(n) {
-            if !rng.gen_bool(cfg.activation_prob) {
-                continue;
-            }
-            if d.is_settled(u) {
-                d.note_skipped_check();
-                continue;
-            }
-            if let Some(br) = d.probe(game, u) {
-                movers.push((u, br));
-            }
-        }
-        if movers.len() >= 2 {
-            simultaneous_rounds += 1;
-        }
-        // Apply the retunes through the wake machinery. A mover's new row
-        // was a best response to the *snapshot*, not necessarily to the
-        // post-application loads, so `apply_row` leaves it scheduled.
-        for (u, br) in &movers {
-            d.apply_row(game, *u, br);
-            retunes += 1;
-        }
-        // Termination test against the *current* state, with early exit:
-        // settled devices provably cannot improve, so only unsettled ones
-        // are probed (each no-op probe settles its device for later
-        // rounds).
-        let mut is_ne = true;
-        for u in UserId::all(n) {
-            if !d.is_settled(u) && d.probe(game, u).is_some() {
-                is_ne = false;
-                break;
-            }
-        }
-        if is_ne {
-            let counters = d.counters();
-            return SparseProtocolOutcome {
-                strategies: d.into_state(),
-                converged: true,
-                rounds: round,
-                retunes,
-                simultaneous_rounds,
-                counters,
-            };
-        }
-    }
-    let counters = d.counters();
-    SparseProtocolOutcome {
-        converged: false,
-        rounds: cfg.max_rounds,
-        retunes,
-        simultaneous_rounds,
-        strategies: d.into_state(),
-        counters,
-    }
-}
-
 /// Convergence statistics of the protocol over several seeds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolStats {
@@ -255,8 +143,8 @@ pub struct ProtocolStats {
 }
 
 /// Sweep the protocol over `seeds`, returning aggregate statistics.
-pub fn protocol_stats(
-    game: &ChannelAllocationGame,
+pub fn protocol_stats<G: ChannelGame + ?Sized>(
+    game: &G,
     p: f64,
     seeds: &[u64],
     max_rounds: usize,
@@ -299,6 +187,7 @@ mod tests {
     use super::*;
     use crate::config::GameConfig;
     use crate::dynamics::random_start;
+    use crate::game::ChannelAllocationGame;
 
     fn game(n: usize, k: u32, c: usize) -> ChannelAllocationGame {
         ChannelAllocationGame::with_constant_rate(GameConfig::new(n, k, c).unwrap(), 1.0)
@@ -318,7 +207,7 @@ mod tests {
                 },
             );
             assert!(out.converged, "seed {seed}: {} rounds", out.rounds);
-            assert!(g.nash_check(&out.matrix).is_nash());
+            assert!(is_nash(&g, &out.matrix));
             assert!(out.matrix.max_delta() <= 1);
         }
     }
@@ -377,30 +266,6 @@ mod tests {
             sim_full > sim_sparse,
             "full activation should collide more: {sim_full} vs {sim_sparse}"
         );
-    }
-
-    #[test]
-    fn sparse_protocol_matches_dense_protocol() {
-        let g = game(8, 3, 6);
-        for seed in 0..4 {
-            let start = random_start(&g, 40 + seed);
-            let cfg = ProtocolConfig {
-                activation_prob: 0.3,
-                max_rounds: 2000,
-                seed,
-            };
-            let dense = run_protocol(&g, start.clone(), &cfg);
-            let sparse = run_protocol_sparse(
-                &g,
-                crate::sparse::SparseStrategies::from_matrix(&g, &start),
-                &cfg,
-            );
-            assert_eq!(sparse.converged, dense.converged, "seed {seed}");
-            assert_eq!(sparse.rounds, dense.rounds, "seed {seed}");
-            assert_eq!(sparse.retunes, dense.retunes, "seed {seed}");
-            assert_eq!(sparse.simultaneous_rounds, dense.simultaneous_rounds);
-            assert_eq!(sparse.strategies.to_dense(), dense.matrix, "seed {seed}");
-        }
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!
 //! * [`BestResponseDriver`] — each user, in (round-robin or random) turn,
 //!   recomputes its exact best response (the DP of
-//!   [`ChannelAllocationGame::best_response`]) and switches if it strictly
-//!   gains.
+//!   [`br_dp::best_response`]) and switches if it strictly gains.
 //! * [`RadioDynamics`] — each *radio* independently moves to the channel
 //!   maximizing its own share `R(k_c)/k_c`. Viewing radios as players
 //!   turns the game into an anonymous congestion game with payoff
@@ -19,8 +18,8 @@
 //!
 //! Experiment T4 measures rounds-to-convergence across instance sizes.
 
-use crate::br_dp::ChannelGame;
-use crate::br_fast::{self, ActiveSetDynamics, DynCounters};
+use crate::br_dp::{self, welfare_from_loads, ChannelGame};
+use crate::br_fast::{ActiveSetDynamics, DynCounters};
 use crate::game::{improves, ChannelAllocationGame};
 use crate::sparse::SparseStrategies;
 use crate::strategy::StrategyMatrix;
@@ -72,13 +71,13 @@ impl BestResponseDriver {
     /// Run from `start` for at most `max_rounds` rounds. Terminates early
     /// at the first round in which no user moved — then the matrix is a NE
     /// (Definition 1) by construction.
-    pub fn run(
+    pub fn run<G: ChannelGame + ?Sized>(
         &self,
-        game: &ChannelAllocationGame,
+        game: &G,
         start: StrategyMatrix,
         max_rounds: usize,
     ) -> ConvergenceOutcome {
-        let n = game.config().n_users();
+        let n = game.n_users();
         let mut s = start;
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = match self.schedule {
@@ -87,7 +86,7 @@ impl BestResponseDriver {
         };
         // Every evaluation below is O(1)/O(|C|) against the matrix's kept
         // loads — no matrix clones, no column scans.
-        let mut welfare = vec![game.total_utility(&s)];
+        let mut welfare = vec![welfare_from_loads(game, s.loads())];
         let mut moves = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
@@ -99,8 +98,8 @@ impl BestResponseDriver {
             let mut moved = false;
             for &u in &order {
                 let user = UserId(u);
-                let before = game.utility(&s, user);
-                let (br, after) = game.best_response(&s, user);
+                let before = br_dp::utility(game, &s, user);
+                let (br, after) = br_dp::best_response(game, &s, user);
                 if improves(before, after) {
                     s.set_user_strategy(user, &br);
                     moves += 1;
@@ -108,7 +107,7 @@ impl BestResponseDriver {
                 }
             }
             rounds += 1;
-            welfare.push(game.total_utility(&s));
+            welfare.push(welfare_from_loads(game, s.loads()));
             if !moved {
                 converged = true;
                 break;
@@ -139,7 +138,7 @@ pub struct SparseOutcome {
     pub moves: usize,
     /// Total-welfare trajectory, entry 0 = start (computed from the loads
     /// via the per-channel identity — see
-    /// [`br_fast::welfare_from_loads`]).
+    /// [`br_dp::welfare_from_loads`]).
     pub welfare_trajectory: Vec<f64>,
     /// Active-set work counters (checks performed, checks the worklist
     /// proved unnecessary, wake-ups, moves).
@@ -169,7 +168,7 @@ impl BestResponseDriver {
             Schedule::RoundRobin => None,
         };
         let mut d = ActiveSetDynamics::new(game, start);
-        let mut welfare = vec![br_fast::welfare_from_loads(game, d.loads())];
+        let mut welfare = vec![welfare_from_loads(game, d.loads().as_slice())];
         // rank[u] = position of u in this round's activation order.
         let mut rank: Vec<u32> = Vec::new();
         let mut rounds = 0usize;
@@ -190,7 +189,7 @@ impl BestResponseDriver {
             };
             let moved = d.round(game, perm, None);
             rounds += 1;
-            welfare.push(br_fast::welfare_from_loads(game, d.loads()));
+            welfare.push(welfare_from_loads(game, d.loads().as_slice()));
             if !moved {
                 converged = true;
                 break;
@@ -239,7 +238,7 @@ impl RadioDynamics {
         let n_ch = cfg.n_channels();
         let mut s = start;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut welfare = vec![game.total_utility(&s)];
+        let mut welfare = vec![welfare_from_loads(game, s.loads())];
         let mut moves = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
@@ -312,7 +311,7 @@ impl RadioDynamics {
                 }
             }
             rounds += 1;
-            welfare.push(game.total_utility(&s));
+            welfare.push(welfare_from_loads(game, s.loads()));
             if !moved {
                 converged = true;
                 break;
@@ -336,125 +335,18 @@ pub fn rosenthal_potential(game: &ChannelAllocationGame, s: &StrategyMatrix) -> 
     mrca_game::potential::rosenthal_potential(s.loads(), |k| game.rate().rate(k) / k as f64)
 }
 
-/// Log-linear (noisy best-response) radio dynamics.
-///
-/// At each step one uniformly-random radio re-selects its channel with
-/// Gibbs probabilities `∝ exp(share/T)` over the post-move per-radio
-/// shares. As `T → 0` this approaches radio-level better response; for
-/// potential games the stationary distribution concentrates on maximizers
-/// of the Rosenthal potential, which makes log-linear learning the
-/// standard *equilibrium-selection* story — here it selects the
-/// load-balanced states. A practical extension the paper's one-shot
-/// analysis does not cover: it tolerates noisy measurements of channel
-/// quality.
-#[derive(Debug, Clone)]
-pub struct LogLinearDynamics {
-    temperature: f64,
-    seed: u64,
-}
-
-impl LogLinearDynamics {
-    /// Create the dynamics with Gibbs temperature `t` (> 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `t > 0` and finite.
-    pub fn new(temperature: f64, seed: u64) -> Self {
-        assert!(
-            temperature > 0.0 && temperature.is_finite(),
-            "temperature must be positive and finite, got {temperature}"
-        );
-        LogLinearDynamics { temperature, seed }
-    }
-
-    /// Run `steps` single-radio Gibbs updates from `start` and return the
-    /// final matrix. Unlike the deterministic drivers there is no
-    /// convergence test — the process is ergodic; callers inspect the
-    /// terminal state (or its statistics over seeds).
-    pub fn run(
-        &self,
-        game: &ChannelAllocationGame,
-        start: StrategyMatrix,
-        steps: usize,
-    ) -> StrategyMatrix {
-        let cfg = game.config();
-        let n_ch = cfg.n_channels();
-        let mut s = start;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // Flat radio index: (user, slot).
-        let radios: Vec<UserId> = UserId::all(cfg.n_users())
-            .flat_map(|u| std::iter::repeat_n(u, cfg.radios_per_user() as usize))
-            .collect();
-        if radios.is_empty() {
-            return s;
-        }
-        for _ in 0..steps {
-            let user = radios[rng.gen_range(0..radios.len())];
-            // Locate one of the user's deployed radios (deploy an idle one
-            // if any — realizes Lemma 1 stochastically).
-            let deployed = s.user_total(user);
-            let from = if deployed < cfg.radios_per_user() {
-                None
-            } else {
-                let mut idx = rng.gen_range(0..deployed);
-                let mut chan = None;
-                for c in ChannelId::all(n_ch) {
-                    let here = s.get(user, c);
-                    if idx < here {
-                        chan = Some(c);
-                        break;
-                    }
-                    idx -= here;
-                }
-                chan
-            };
-            // Candidate shares: staying (if deployed) or moving to c.
-            let mut weights = Vec::with_capacity(n_ch);
-            let mut total = 0.0f64;
-            for c in ChannelId::all(n_ch) {
-                let share = if Some(c) == from {
-                    let kc = s.channel_load(c);
-                    game.rate().rate(kc) / kc as f64
-                } else {
-                    let kc = s.channel_load(c) + 1;
-                    game.rate().rate(kc) / kc as f64
-                };
-                let w = (share / self.temperature).exp();
-                total += w;
-                weights.push(w);
-            }
-            let mut pick = rng.gen_range(0.0..total);
-            let mut dest = ChannelId(n_ch - 1);
-            for (c, &w) in weights.iter().enumerate() {
-                if pick < w {
-                    dest = ChannelId(c);
-                    break;
-                }
-                pick -= w;
-            }
-            match from {
-                Some(b) if b != dest => s.move_radio(user, b, dest),
-                None => {
-                    let cur = s.get(user, dest);
-                    s.set(user, dest, cur + 1);
-                }
-                _ => {}
-            }
-        }
-        s
-    }
-}
-
 /// A uniformly random full deployment: every radio of every user lands on
-/// an independent uniform channel. The canonical "bad start" for dynamics
-/// experiments.
-pub fn random_start(game: &ChannelAllocationGame, seed: u64) -> StrategyMatrix {
-    let cfg = game.config();
+/// an independent uniform channel, drawn user by user from
+/// `StdRng::seed_from_u64(seed)`. The canonical "bad start" for dynamics
+/// experiments, for the paper's game and the per-user-budget extension
+/// alike.
+pub fn random_start<G: ChannelGame + ?Sized>(game: &G, seed: u64) -> StrategyMatrix {
+    let n_ch = game.n_channels();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut s = StrategyMatrix::zeros(cfg.n_users(), cfg.n_channels());
-    for u in UserId::all(cfg.n_users()) {
-        for _ in 0..cfg.radios_per_user() {
-            let c = ChannelId(rng.gen_range(0..cfg.n_channels()));
+    let mut s = StrategyMatrix::zeros(game.n_users(), n_ch);
+    for u in UserId::all(game.n_users()) {
+        for _ in 0..game.radios_of(u) {
+            let c = ChannelId(rng.gen_range(0..n_ch));
             let cur = s.get(u, c);
             s.set(u, c, cur + 1);
         }
@@ -465,6 +357,7 @@ pub fn random_start(game: &ChannelAllocationGame, seed: u64) -> StrategyMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::br_dp::is_nash;
     use crate::config::GameConfig;
     use crate::rate_model::LinearDecayRate;
     use std::sync::Arc;
@@ -480,7 +373,7 @@ mod tests {
             let start = random_start(&g, seed);
             let out = BestResponseDriver::new(Schedule::RoundRobin).run(&g, start, 100);
             assert!(out.converged, "seed {seed}");
-            assert!(g.nash_check(&out.matrix).is_nash(), "seed {seed}");
+            assert!(is_nash(&g, &out.matrix), "seed {seed}");
             assert!(out.matrix.max_delta() <= 1, "seed {seed}: not balanced");
         }
     }
@@ -496,7 +389,7 @@ mod tests {
                 200,
             );
             assert!(out.converged, "seed {seed}");
-            assert!(g.nash_check(&out.matrix).is_nash(), "seed {seed}");
+            assert!(is_nash(&g, &out.matrix), "seed {seed}");
         }
     }
 
@@ -576,51 +469,6 @@ mod tests {
         let g = unit_game(3, 2, 3);
         let out = BestResponseDriver::new(Schedule::RoundRobin).run(&g, random_start(&g, 5), 50);
         assert_eq!(out.welfare_trajectory.len(), out.rounds + 1);
-    }
-
-    #[test]
-    fn log_linear_low_temperature_balances_loads() {
-        // At low temperature the Gibbs dynamics behave like better
-        // response and concentrate on potential maximizers = balanced
-        // states.
-        let g = unit_game(6, 3, 5);
-        let start = random_start(&g, 2);
-        let end = LogLinearDynamics::new(0.01, 7).run(&g, start, 4000);
-        assert!(
-            end.max_delta() <= 1,
-            "low-T log-linear should balance: {:?}",
-            end.loads()
-        );
-        for u in UserId::all(6) {
-            assert_eq!(end.user_total(u), 3, "all radios deployed");
-        }
-    }
-
-    #[test]
-    fn log_linear_high_temperature_stays_noisy() {
-        // At high temperature moves are near-uniform: the chain keeps
-        // wandering, so across several seeds at least one terminal state
-        // is unbalanced (each individual state may be balanced by luck).
-        let g = unit_game(6, 3, 5);
-        let some_unbalanced = (0..6).any(|seed| {
-            let end = LogLinearDynamics::new(100.0, seed).run(&g, random_start(&g, seed), 1500);
-            end.max_delta() > 1
-        });
-        assert!(some_unbalanced, "high-T dynamics should not always balance");
-    }
-
-    #[test]
-    fn log_linear_is_deterministic_per_seed() {
-        let g = unit_game(4, 2, 3);
-        let a = LogLinearDynamics::new(0.1, 5).run(&g, random_start(&g, 1), 500);
-        let b = LogLinearDynamics::new(0.1, 5).run(&g, random_start(&g, 1), 500);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature")]
-    fn zero_temperature_rejected() {
-        let _ = LogLinearDynamics::new(0.0, 1);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The channel-allocation game: utilities (Eq. 3), benefit of change
-//! (Eq. 7), exact best responses, and Nash verification.
+//! The paper's channel-allocation game: one budget `k`, one rate model
+//! `R`, the improvement predicate every move and Nash verdict routes
+//! through, and the adapter to the generic game toolkit. Its utilities
+//! (Eq. 3), benefit of change (Eq. 7), exact best responses and Nash
+//! check are the generic bodies of [`br_dp`] over [`ChannelGame`].
 
 use crate::br_dp::{self, ChannelGame};
 use crate::config::GameConfig;
 use crate::enumerate::user_strategy_space;
-use crate::error::Error;
 use crate::rate_model::{ConstantRate, RateModel, RateShape};
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::{ChannelId, UserId};
@@ -55,7 +57,7 @@ pub struct ChannelAllocationGame {
     rate: Arc<dyn RateModel>,
 }
 
-/// Outcome of the exact Nash check of [`ChannelAllocationGame::nash_check`].
+/// Outcome of the exact Nash check of [`br_dp::nash_check`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NashCheck {
     /// Per-user best-response improvement over the current utility
@@ -102,113 +104,6 @@ impl ChannelAllocationGame {
     /// The channel rate model.
     pub fn rate(&self) -> &Arc<dyn RateModel> {
         &self.rate
-    }
-
-    /// Validate a strategy matrix against this game.
-    ///
-    /// # Errors
-    ///
-    /// See [`StrategyMatrix::validate`].
-    pub fn validate(&self, s: &StrategyMatrix) -> Result<(), Error> {
-        s.validate(&self.config)
-    }
-
-    /// The paper's Eq. 3: `U_i(S) = Σ_c (k_{i,c}/k_c)·R(k_c)`, in
-    /// `O(|C|)` against the matrix's kept loads.
-    pub fn utility(&self, s: &StrategyMatrix, user: UserId) -> f64 {
-        let mut u = 0.0;
-        for c in ChannelId::all(self.config.n_channels()) {
-            let kic = s.get(user, c);
-            if kic == 0 {
-                continue;
-            }
-            let kc = s.channel_load(c);
-            u += kic as f64 / kc as f64 * self.rate.rate(kc);
-        }
-        u
-    }
-
-    /// Utilities of all users (`O(|N|·|C|)` total).
-    pub fn utilities(&self, s: &StrategyMatrix) -> Vec<f64> {
-        UserId::all(self.config.n_users())
-            .map(|i| self.utility(s, i))
-            .collect()
-    }
-
-    /// Total utility `U_total = Σ_i U_i = Σ_{c: k_c>0} R(k_c)`.
-    pub fn total_utility(&self, s: &StrategyMatrix) -> f64 {
-        // Summing per channel is both faster and exactly the identity used
-        // in the proof of Theorem 2.
-        ChannelId::all(self.config.n_channels())
-            .map(|c| {
-                let kc = s.channel_load(c);
-                if kc == 0 {
-                    0.0
-                } else {
-                    self.rate.rate(kc)
-                }
-            })
-            .sum()
-    }
-
-    /// The paper's Eq. 7: the benefit of change Δ for user `i` moving one
-    /// radio from channel `b` to channel `c`.
-    ///
-    /// Only channels `b` and `c` change, so Δ reduces to four terms:
-    ///
-    /// ```text
-    /// Δ = (k_{i,b}−1)/(k_b−1)·R(k_b−1) + (k_{i,c}+1)/(k_c+1)·R(k_c+1)
-    ///   −  k_{i,b}/k_b·R(k_b)          −  k_{i,c}/k_c·R(k_c)
-    /// ```
-    ///
-    /// valid for any rate model (no algebraic simplification beyond
-    /// cancelling the untouched channels), `O(1)` against the matrix's
-    /// kept loads. Pinned against the clone-and-recompute ground truth
-    /// ([`br_dp::benefit_of_move_naive`]) by the `incremental_equiv`
-    /// property suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user has no radio on `b`.
-    pub fn benefit_of_move(
-        &self,
-        s: &StrategyMatrix,
-        user: UserId,
-        b: ChannelId,
-        c: ChannelId,
-    ) -> f64 {
-        br_dp::benefit_of_move(self, s, user, b, c)
-    }
-
-    /// Exact best response of `user` against the rest of `s`: the strategy
-    /// vector maximizing Eq. 3 given the other users' radios, together with
-    /// its utility.
-    ///
-    /// Computed by dynamic programming over channels: with the other
-    /// users' load `L_c` on channel `c` fixed, placing `t` radios there
-    /// yields `f_c(t) = t/(L_c+t)·R(L_c+t)` independently per channel, and
-    /// the budget couples the channels. `dp[c][r]` = best utility using the
-    /// first `c` channels and `r` radios; `O(|C|·k²)` time.
-    ///
-    /// The optimum always uses all `k` radios: placing an extra radio on a
-    /// channel the user does not occupy strictly gains (`f_c(1) > 0` there)
-    /// and never affects other channels — the constructive argument behind
-    /// the paper's Lemma 1. The DP therefore fixes `Σ t_c = k`; it is
-    /// the single shared DP of [`br_dp::best_response`].
-    pub fn best_response(&self, s: &StrategyMatrix, user: UserId) -> (StrategyVector, f64) {
-        br_dp::best_response(self, s, user)
-    }
-
-    /// Exact Nash check by best-response comparison (Definition 1): for
-    /// each user, compare the current utility with the exact best response.
-    /// `O(|N|·|C|·k²)` — polynomial, unlike exhaustive profile scans.
-    pub fn nash_check(&self, s: &StrategyMatrix) -> NashCheck {
-        br_dp::nash_check(self, s)
-    }
-
-    /// True when `s` is a Nash equilibrium (Definition 1).
-    pub fn is_nash(&self, s: &StrategyMatrix) -> bool {
-        self.nash_check(s).is_nash()
     }
 
     /// Wrap this game in an adapter implementing [`mrca_game::Game`], with
@@ -322,13 +217,13 @@ impl mrca_game::Game for IndexedGame {
 
     fn utility(&self, player: mrca_game::PlayerId, profile: &[usize]) -> f64 {
         let m = self.to_matrix(profile);
-        self.game.utility(&m, UserId(player.0))
+        br_dp::utility(&self.game, &m, UserId(player.0))
     }
 
     fn best_response(&self, player: mrca_game::PlayerId, profile: &[usize]) -> (usize, f64) {
         // Use the structured DP instead of scanning the whole space.
         let m = self.to_matrix(profile);
-        let (vec, u) = self.game.best_response(&m, UserId(player.0));
+        let (vec, u) = br_dp::best_response(&self.game, &m, UserId(player.0));
         let idx = self
             .space
             .iter()
@@ -341,6 +236,9 @@ impl mrca_game::Game for IndexedGame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::br_dp::{
+        benefit_of_move, best_response, is_nash, nash_check, utility, welfare_from_loads,
+    };
     use crate::rate_model::LinearDecayRate;
 
     fn figure2() -> StrategyMatrix {
@@ -363,13 +261,13 @@ mod tests {
         let g = unit_game(4, 4, 5);
         let s = figure2();
         // u1 = 1/4 + 1/3 + 1/2 + 1/3 = 17/12.
-        assert!((g.utility(&s, UserId(0)) - 17.0 / 12.0).abs() < 1e-12);
+        assert!((utility(&g, &s, UserId(0)) - 17.0 / 12.0).abs() < 1e-12);
         // u2 = 1/4 + 1/2 + 1 = 7/4.
-        assert!((g.utility(&s, UserId(1)) - 1.75).abs() < 1e-12);
+        assert!((utility(&g, &s, UserId(1)) - 1.75).abs() < 1e-12);
         // u3 = 1/4 + 2/3 + 1/3 = 5/4.
-        assert!((g.utility(&s, UserId(2)) - 1.25).abs() < 1e-12);
+        assert!((utility(&g, &s, UserId(2)) - 1.25).abs() < 1e-12);
         // u4 = 1/4 + 1/3 = 7/12.
-        assert!((g.utility(&s, UserId(3)) - 7.0 / 12.0).abs() < 1e-12);
+        assert!((utility(&g, &s, UserId(3)) - 7.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -377,16 +275,16 @@ mod tests {
         let g = unit_game(4, 4, 5);
         let s = figure2();
         // All 5 channels occupied, R = 1 each.
-        assert!((g.total_utility(&s) - 5.0).abs() < 1e-12);
+        assert!((welfare_from_loads(&g, s.loads()) - 5.0).abs() < 1e-12);
         // And equals the sum of user utilities.
-        let sum: f64 = g.utilities(&s).iter().sum();
-        assert!((g.total_utility(&s) - sum).abs() < 1e-12);
+        let sum: f64 = UserId::all(4).map(|u| utility(&g, &s, u)).sum();
+        assert!((welfare_from_loads(&g, s.loads()) - sum).abs() < 1e-12);
     }
 
     #[test]
     fn figure1_is_not_a_nash_equilibrium() {
         let g = unit_game(4, 4, 5);
-        let check = g.nash_check(&figure2());
+        let check = nash_check(&g, &figure2());
         assert!(!check.is_nash());
         // u4 idles two radios; its gain must be large.
         assert!(check.gains[3] > 0.5);
@@ -396,7 +294,7 @@ mod tests {
     fn benefit_of_move_matches_lemma2_example() {
         // Paper: Lemma 2 applies to u1 with b = c4, c = c5 (δ = 2 > 1).
         let g = unit_game(4, 4, 5);
-        let d = g.benefit_of_move(&figure2(), UserId(0), ChannelId(3), ChannelId(4));
+        let d = benefit_of_move(&g, &figure2(), UserId(0), ChannelId(3), ChannelId(4));
         assert!(d > 0.0, "moving u1's radio c4→c5 must be profitable: {d}");
     }
 
@@ -405,7 +303,7 @@ mod tests {
         // Paper: Lemma 3 applies to u3 with b = c2, c = c3 (k_{3,b} = 2,
         // δ = 1).
         let g = unit_game(4, 4, 5);
-        let d = g.benefit_of_move(&figure2(), UserId(2), ChannelId(1), ChannelId(2));
+        let d = benefit_of_move(&g, &figure2(), UserId(2), ChannelId(1), ChannelId(2));
         assert!(d > 0.0, "moving u3's radio c2→c3 must be profitable: {d}");
     }
 
@@ -413,7 +311,7 @@ mod tests {
     fn benefit_of_move_same_channel_is_zero() {
         let g = unit_game(4, 4, 5);
         assert_eq!(
-            g.benefit_of_move(&figure2(), UserId(0), ChannelId(0), ChannelId(0)),
+            benefit_of_move(&g, &figure2(), UserId(0), ChannelId(0), ChannelId(0)),
             0.0
         );
     }
@@ -422,7 +320,7 @@ mod tests {
     fn best_response_uses_all_radios() {
         let g = unit_game(4, 4, 5);
         for u in 0..4 {
-            let (br, _) = g.best_response(&figure2(), UserId(u));
+            let (br, _) = best_response(&g, &figure2(), UserId(u));
             assert_eq!(br.radios_in_use(), 4, "user {u} best response idles radios");
         }
     }
@@ -437,12 +335,12 @@ mod tests {
         let s = StrategyMatrix::from_rows(&[vec![2, 0, 0], vec![1, 1, 0], vec![0, 1, 1]]).unwrap();
         for u in 0..3 {
             let user = UserId(u);
-            let (_, dp_val) = g.best_response(&s, user);
+            let (_, dp_val) = best_response(&g, &s, user);
             let mut best = f64::NEG_INFINITY;
             for cand in user_strategy_space(3, 2) {
                 let mut alt = s.clone();
                 alt.set_user_strategy(user, &cand);
-                best = best.max(g.utility(&alt, user));
+                best = best.max(utility(&g, &alt, user));
             }
             assert!(
                 (dp_val - best).abs() < 1e-12,
@@ -456,7 +354,7 @@ mod tests {
         // Fact 1 regime: |N|·k = 3 ≤ |C| = 3, one radio per channel.
         let g = unit_game(3, 1, 3);
         let s = StrategyMatrix::from_rows(&[vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]]).unwrap();
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
     }
 
     #[test]
@@ -464,7 +362,7 @@ mod tests {
         // 2 users × 2 radios on 2 channels: each user one radio per channel.
         let g = unit_game(2, 2, 2);
         let s = StrategyMatrix::from_rows(&[vec![1, 1], vec![1, 1]]).unwrap();
-        let check = g.nash_check(&s);
+        let check = nash_check(&g, &s);
         assert!(check.is_nash(), "gains: {:?}", check.gains);
     }
 
@@ -476,7 +374,7 @@ mod tests {
         // R(1) + R(3)/3 = 4/3 > 1.
         let g = unit_game(2, 2, 2);
         let s = StrategyMatrix::from_rows(&[vec![2, 0], vec![0, 2]]).unwrap();
-        let check = g.nash_check(&s);
+        let check = nash_check(&g, &s);
         assert!(!check.is_nash());
         assert!((check.max_gain() - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -491,7 +389,7 @@ mod tests {
             for p in 0..2 {
                 assert_eq!(
                     idx.utility(mrca_game::PlayerId(p), &profile),
-                    g.utility(&m, UserId(p))
+                    utility(&g, &m, UserId(p))
                 );
             }
             assert_eq!(idx.to_profile(&m), profile);

@@ -17,10 +17,12 @@
 //! * the strategy space and utility function (Eq. 3): [`strategy`],
 //!   [`game`] — the [`StrategyMatrix`] keeps its channel loads `k_c`
 //!   beside its rows, so every dense operation reads them in `O(1)`;
-//! * the unified best-response engine — one [`br_dp::ChannelGame`] trait
-//!   and one knapsack DP shared by the homogeneous game and every
-//!   extension (heterogeneous budgets, per-channel rates, energy costs):
-//!   [`br_dp`];
+//! * the unified best-response engine — one [`br_dp::ChannelGame`] trait,
+//!   one knapsack DP and one body per operation (utility, Δ, best
+//!   response, Nash check, welfare, budget check), shared by the
+//!   homogeneous game and every extension: [`br_dp`];
+//! * the paper's game with per-user budgets `k_i` and per-channel rate
+//!   models `R_c`, in one validated type: [`heterogeneous::HeteroGame`];
 //! * the large-N evaluation layer — sparse CSR strategy storage
 //!   ([`sparse`]) with the load vector its drivers keep beside it
 //!   ([`loads`]), and the `O(k log |C|)` lazy-heap / incremental-DP best
@@ -36,8 +38,7 @@
 //!   single collision domain bit-identically, a measured Rosenthal-style
 //!   potential and an explicit best-response cycle detector: [`spatial`],
 //!   pinned by the `spatial_equiv` clique-reduction differential suite;
-//! * the benefit-of-change Δ (Eq. 7):
-//!   [`game::ChannelAllocationGame::benefit_of_move`];
+//! * the benefit-of-change Δ (Eq. 7): [`br_dp::benefit_of_move`];
 //! * Lemmas 1–4, Proposition 1, and both directions of Theorem 1 as
 //!   executable predicates with violation witnesses: [`nash`];
 //! * Theorem 2 (efficiency): separate *Pareto-optimality* and
@@ -65,7 +66,7 @@
 //!
 //! // Run the paper's Algorithm 1 and verify its output.
 //! let s = algorithm1(&game, &Ordering::default());
-//! assert!(game.nash_check(&s).is_nash());
+//! assert!(is_nash(&game, &s));
 //! assert!(theorem1(&game, &s).is_nash());
 //! assert!(is_system_optimal(&game, &s));
 //! # Ok::<(), mrca_core::Error>(())
@@ -88,7 +89,8 @@ pub mod error;
 pub mod game;
 pub mod heterogeneous;
 pub mod loads;
-pub mod multi_rate;
+#[cfg(test)]
+mod multi_rate;
 pub mod nash;
 pub mod par;
 pub mod pareto;
@@ -116,17 +118,21 @@ pub use types::{ChannelId, UserId};
 pub mod prelude {
     pub use crate::algorithm::{algorithm1, Ordering, TieBreak};
     pub use crate::analysis::{jain_fairness, load_balance_delta, AllocationStats};
-    pub use crate::br_dp::ChannelGame;
+    pub use crate::br_dp::{
+        benefit_of_move, best_response, best_response_dynamics, is_nash, max_gain, nash_check,
+        utility, validate, welfare_from_loads, ChannelGame,
+    };
     pub use crate::br_fast::{
         best_response_dynamics_sparse, best_response_dynamics_sparse_counted, is_nash_sparse,
         nash_check_sparse, ActiveSetDynamics, BrEngine, DynCounters,
     };
     pub use crate::config::GameConfig;
     pub use crate::display::render_allocation;
-    pub use crate::dynamics::{BestResponseDriver, RadioDynamics, Schedule};
+    pub use crate::dynamics::{random_start, BestResponseDriver, RadioDynamics, Schedule};
     pub use crate::enumerate::enumerate_allocations;
     pub use crate::error::Error;
     pub use crate::game::ChannelAllocationGame;
+    pub use crate::heterogeneous::HeteroGame;
     pub use crate::loads::ChannelLoads;
     pub use crate::nash::{theorem1, theorem1_applicable, NashCheck, Theorem1Verdict};
     pub use crate::pareto::{is_pareto_optimal_ne, is_system_optimal, optimal_total_rate};

@@ -318,14 +318,13 @@ mod tests {
 
     #[test]
     fn lemmas_apply_to_heterogeneous_and_multi_rate_games() {
-        use crate::heterogeneous::{HeteroConfig, HeteroGame};
-        use crate::multi_rate::MultiRateGame;
+        use crate::heterogeneous::HeteroGame;
         use crate::rate_model::{ConstantRate, RateModel};
         use crate::strategy::StrategyMatrix;
 
         // Hetero: the 2-radio user idles one radio (Lemma 1) and stacks
         // none; the 1-radio user sits on the crowded channel (Lemma 2).
-        let hg = HeteroGame::with_unit_rate(HeteroConfig::new(vec![2, 1, 1], 3).unwrap());
+        let hg = HeteroGame::with_rate(vec![2, 1, 1], 3, Arc::new(ConstantRate::unit())).unwrap();
         let s = StrategyMatrix::from_rows(&[vec![1, 0, 0], vec![1, 0, 0], vec![1, 0, 0]]).unwrap();
         let l1 = lemma1_violations(&hg, &s);
         assert_eq!(l1.len(), 1, "only the 2-radio user under-deploys");
@@ -337,8 +336,9 @@ mod tests {
 
         // Multi-rate: same structural predicates, benefits from the
         // per-channel payoffs.
-        let mg = MultiRateGame::new(
-            GameConfig::new(3, 1, 3).unwrap(),
+        let mg = HeteroGame::new(
+            vec![1; 3],
+            3,
             vec![
                 Arc::new(ConstantRate::new(2.0)) as Arc<dyn RateModel>,
                 Arc::new(ConstantRate::unit()),

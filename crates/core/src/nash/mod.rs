@@ -3,10 +3,9 @@
 //!
 //! Two independent roads to the same answer:
 //!
-//! 1. **Exact deviation search** —
-//!    [`ChannelAllocationGame::nash_check`](crate::game::ChannelAllocationGame::nash_check)
-//!    computes every user's exact best response (polynomial DP). This is
-//!    ground truth, valid for *any* rate model.
+//! 1. **Exact deviation search** — [`br_dp::nash_check`] computes every
+//!    user's exact best response (polynomial DP). This is ground truth,
+//!    valid for *any* rate model.
 //! 2. **Structural characterization** — [`theorem1()`] evaluates the
 //!    paper's closed-form conditions in `O(|N|·|C|)` without touching the
 //!    rate function.
@@ -66,6 +65,7 @@ pub fn fact1_applies<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::br_dp::is_nash;
     use crate::config::GameConfig;
     use crate::game::ChannelAllocationGame;
 
@@ -75,7 +75,7 @@ mod tests {
         let g = ChannelAllocationGame::with_constant_rate(GameConfig::new(2, 2, 5).unwrap(), 1.0);
         let s = StrategyMatrix::from_rows(&[vec![1, 1, 0, 0, 0], vec![0, 0, 1, 1, 0]]).unwrap();
         assert_eq!(fact1_applies(&g, &s), Some(true));
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
     }
 
     #[test]
@@ -84,7 +84,7 @@ mod tests {
         let s = StrategyMatrix::from_rows(&[vec![2, 0, 0, 0, 0], vec![0, 0, 1, 1, 0]]).unwrap();
         assert_eq!(fact1_applies(&g, &s), Some(false));
         // And indeed it is not a NE: u1 gains by spreading.
-        assert!(!g.nash_check(&s).is_nash());
+        assert!(!is_nash(&g, &s));
     }
 
     #[test]
@@ -100,6 +100,6 @@ mod tests {
         // u2 idles one radio: flat loads but not a NE (Lemma 1).
         let s = StrategyMatrix::from_rows(&[vec![1, 1, 0, 0, 0], vec![0, 0, 1, 0, 0]]).unwrap();
         assert_eq!(fact1_applies(&g, &s), Some(false));
-        assert!(!g.nash_check(&s).is_nash());
+        assert!(!is_nash(&g, &s));
     }
 }

@@ -219,6 +219,7 @@ pub fn theorem1<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> Theore
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::br_dp::{is_nash, nash_check};
     use crate::config::GameConfig;
     use crate::game::ChannelAllocationGame;
 
@@ -260,7 +261,7 @@ mod tests {
         let s = figure4();
         assert_eq!(s.loads(), vec![5, 5, 5, 5, 4, 4]);
         assert!(theorem1(&g, &s).is_nash());
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
     }
 
     #[test]
@@ -281,7 +282,7 @@ mod tests {
         let s = figure5();
         assert_eq!(s.loads(), vec![3, 3, 3, 3, 2, 2]);
         assert!(theorem1(&g, &s).is_nash());
-        assert!(g.nash_check(&s).is_nash());
+        assert!(is_nash(&g, &s));
         // No user stacks radios: the "no exception" case of the paper.
         for u in UserId::all(4) {
             for c in ChannelId::all(6) {
@@ -340,7 +341,7 @@ mod tests {
             other => panic!("expected Stacked, got {other:?}"),
         }
         // Exact check agrees: not a NE.
-        assert!(!g.nash_check(&s).is_nash());
+        assert!(!is_nash(&g, &s));
     }
 
     #[test]
@@ -382,7 +383,7 @@ mod tests {
         }
         // Exact check agrees: u1 moving a radio c5 → c6 gains
         // 2/3 + 2/5 = 16/15 > 1.
-        assert!(!g.nash_check(&s).is_nash());
+        assert!(!is_nash(&g, &s));
     }
 
     #[test]
@@ -406,7 +407,7 @@ mod tests {
         assert!(theorem1(&g, &s).is_nash(), "literal conditions pass");
         // …but the exact deviation search disagrees: u1 moving one radio
         // c4 → c1 earns 1/5 + 2/2 = 1.2 > 1.
-        let check = g.nash_check(&s);
+        let check = nash_check(&g, &s);
         assert!(
             !check.is_nash(),
             "the corner profile is not deviation-stable"
@@ -446,18 +447,25 @@ mod tests {
 
     #[test]
     fn theorem1_applies_to_hetero_with_per_user_budgets() {
-        use crate::heterogeneous::{HeteroConfig, HeteroGame};
+        use crate::heterogeneous::HeteroGame;
+        use crate::rate_model::ConstantRate;
+        use std::sync::Arc;
+        let unit =
+            |budgets, c| HeteroGame::with_rate(budgets, c, Arc::new(ConstantRate::unit())).unwrap();
         // Equal budgets reduce to the homogeneous verdict.
         let homo = unit_game(7, 4, 6);
-        let hetero = HeteroGame::with_unit_rate(HeteroConfig::new(vec![4; 7], 6).unwrap());
+        let hetero = unit(vec![4; 7], 6);
         let s = figure4();
         assert_eq!(theorem1(&homo, &s), theorem1(&hetero, &s));
         // A genuinely mixed fleet: condition 0 reads each user's own k_i,
         // so a full deployment of (2,1,1) radios has no idle-radio verdict.
-        let mixed = HeteroGame::with_unit_rate(HeteroConfig::new(vec![2, 1, 1], 2).unwrap());
+        let mixed = unit(vec![2, 1, 1], 2);
         let sm = StrategyMatrix::from_rows(&[vec![1, 1], vec![1, 0], vec![0, 1]]).unwrap();
         assert!(theorem1(&mixed, &sm).is_nash());
-        assert!(mixed.is_nash(&sm), "exact check agrees on the mixed fleet");
+        assert!(
+            is_nash(&mixed, &sm),
+            "exact check agrees on the mixed fleet"
+        );
         // Under-deployment is flagged against the *user's* budget.
         let idle = StrategyMatrix::from_rows(&[vec![1, 0], vec![1, 0], vec![0, 1]]).unwrap();
         match theorem1(&mixed, &idle) {
@@ -471,7 +479,7 @@ mod tests {
 
     #[test]
     fn theorem1_structural_verdict_can_disagree_with_exact_check_on_multi_rate() {
-        use crate::multi_rate::MultiRateGame;
+        use crate::heterogeneous::HeteroGame;
         use crate::rate_model::{ConstantRate, RateModel};
         use std::sync::Arc;
         // 4 single-radio users, channel 1 is 4x better: the exact NE
@@ -479,8 +487,9 @@ mod tests {
         // structural theorem certifies is NOT deviation-stable. The
         // predicate is *available* on multi-rate games precisely so sweeps
         // can measure this divergence.
-        let g = MultiRateGame::new(
-            crate::config::GameConfig::new(4, 1, 3).unwrap(),
+        let g = HeteroGame::new(
+            vec![1; 4],
+            3,
             vec![
                 Arc::new(ConstantRate::new(4.0)) as Arc<dyn RateModel>,
                 Arc::new(ConstantRate::unit()),
@@ -497,7 +506,7 @@ mod tests {
         .unwrap();
         assert!(theorem1(&g, &balanced).is_nash(), "structurally balanced");
         assert!(
-            !g.is_nash(&balanced),
+            !is_nash(&g, &balanced),
             "but a user on a unit channel gains by joining the 4x one"
         );
     }

@@ -30,37 +30,44 @@
 //!
 //! Experiment T2 quantifies all of this per rate model.
 
-use crate::config::GameConfig;
+use crate::br_dp::{utility, welfare_from_loads, ChannelGame};
 use crate::game::ChannelAllocationGame;
-use crate::rate_model::RateModel;
 use crate::strategy::StrategyMatrix;
+use crate::types::{ChannelId, UserId};
 
 /// Relative tolerance for welfare comparisons.
 const REL_TOL: f64 = 1e-9;
 
-/// Exact maximum of `Σ_c R(k_c)` over all load vectors summing to the
-/// game's total radio count, by dynamic programming over channels
-/// (`O(|C|·m²)` for `m = |N|·k` total radios).
+/// Exact maximum of `Σ_c R_c(k_c)` over all load vectors summing to the
+/// game's total radio count `m = Σ_i k_i`, by dynamic programming over
+/// channels (`O(|C|·m²)`).
+///
+/// A channel holding `t` radios yields `channel_payoff(c, 0, t)` in
+/// total — `1 · R_c(t)` for the fair-share games, bit for bit.
 ///
 /// This deliberately ignores per-user budgets: total welfare depends on
 /// loads only, and any load vector with every `k_c ≤ m` is realizable by
 /// *some* strategy matrix (users fill channels greedily), so the DP bound
 /// is tight for welfare purposes.
-pub fn optimal_total_rate(cfg: &GameConfig, rate: &dyn RateModel) -> f64 {
-    let m = cfg.total_radios() as usize;
-    let c = cfg.n_channels();
+pub fn optimal_total_rate<G: ChannelGame + ?Sized>(game: &G) -> f64 {
+    let m = crate::br_dp::total_radios(game) as usize;
     // dp[r] = best welfare placing r radios on the channels seen so far.
     let neg = f64::NEG_INFINITY;
     let mut dp = vec![neg; m + 1];
     dp[0] = 0.0;
-    for _ in 0..c {
+    for c in ChannelId::all(game.n_channels()) {
         let mut next = vec![neg; m + 1];
         for r in 0..=m {
             for t in 0..=r {
                 if dp[r - t] == neg {
                     continue;
                 }
-                let v = dp[r - t] + if t == 0 { 0.0 } else { rate.rate(t as u32) };
+                let v = dp[r - t]
+                    + if t == 0 {
+                        0.0
+                    } else {
+                        game.channel_payoff(c, 0, t as u32)
+                    };
                 if v > next[r] {
                     next[r] = v;
                 }
@@ -73,8 +80,10 @@ pub fn optimal_total_rate(cfg: &GameConfig, rate: &dyn RateModel) -> f64 {
 
 /// Welfare of the perfectly balanced load vector (`δ ≤ 1`), which by
 /// Theorem 1 is the welfare of **every** NE.
-pub fn balanced_total_rate(cfg: &GameConfig, rate: &dyn RateModel) -> f64 {
-    cfg.balanced_loads()
+pub fn balanced_total_rate(game: &ChannelAllocationGame) -> f64 {
+    let rate = game.rate();
+    game.config()
+        .balanced_loads()
         .iter()
         .map(|&l| if l == 0 { 0.0 } else { rate.rate(l) })
         .sum()
@@ -83,14 +92,14 @@ pub fn balanced_total_rate(cfg: &GameConfig, rate: &dyn RateModel) -> f64 {
 /// `optimal_total_rate − balanced_total_rate`: the amount by which the
 /// paper's Theorem 2 can be violated for a given rate model (0 for
 /// constant `R`; tests exhibit a positive gap for cliff-shaped `R`).
-pub fn welfare_gap(cfg: &GameConfig, rate: &dyn RateModel) -> f64 {
-    optimal_total_rate(cfg, rate) - balanced_total_rate(cfg, rate)
+pub fn welfare_gap(game: &ChannelAllocationGame) -> f64 {
+    optimal_total_rate(game) - balanced_total_rate(game)
 }
 
 /// True when `s` achieves the exact welfare optimum of its game.
-pub fn is_system_optimal(game: &ChannelAllocationGame, s: &StrategyMatrix) -> bool {
-    let total = game.total_utility(s);
-    let opt = optimal_total_rate(game.config(), game.rate());
+pub fn is_system_optimal<G: ChannelGame + ?Sized>(game: &G, s: &StrategyMatrix) -> bool {
+    let total = welfare_from_loads(game, s.loads());
+    let opt = optimal_total_rate(game);
     total >= opt - REL_TOL * opt.abs().max(1.0)
 }
 
@@ -98,14 +107,18 @@ pub fn is_system_optimal(game: &ChannelAllocationGame, s: &StrategyMatrix) -> bo
 /// all strategy matrices of the game. Exponential; small instances only —
 /// the T2 experiment bounds the enumeration explicitly.
 pub fn is_pareto_optimal_ne(game: &ChannelAllocationGame, s: &StrategyMatrix) -> bool {
-    let mine = game.utilities(s);
+    let utilities = |m: &StrategyMatrix| -> Vec<f64> {
+        UserId::all(m.n_users())
+            .map(|u| utility(game, m, u))
+            .collect()
+    };
+    let mine = utilities(s);
     let mut dominated = false;
     crate::enumerate::enumerate_allocations(game.config(), |other| {
         if dominated {
             return;
         }
-        let theirs = game.utilities(other);
-        if mrca_game::pareto::dominates(&theirs, &mine) {
+        if mrca_game::pareto::dominates(&utilities(other), &mine) {
             dominated = true;
         }
     });
@@ -115,18 +128,23 @@ pub fn is_pareto_optimal_ne(game: &ChannelAllocationGame, s: &StrategyMatrix) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rate_model::{ConstantRate, StepRate};
+    use crate::br_dp::is_nash;
+    use crate::config::GameConfig;
+    use crate::rate_model::{ConstantRate, RateModel, StepRate};
     use std::sync::Arc;
+
+    fn game(cfg: GameConfig, rate: impl RateModel + 'static) -> ChannelAllocationGame {
+        ChannelAllocationGame::new(cfg, Arc::new(rate))
+    }
 
     #[test]
     fn constant_rate_has_zero_gap() {
         for (n, k, c) in [(2usize, 2u32, 2usize), (4, 4, 5), (7, 4, 6), (3, 2, 4)] {
-            let cfg = GameConfig::new(n, k, c).unwrap();
-            let r = ConstantRate::unit();
+            let g = game(GameConfig::new(n, k, c).unwrap(), ConstantRate::unit());
             assert!(
-                welfare_gap(&cfg, &r).abs() < 1e-12,
+                welfare_gap(&g).abs() < 1e-12,
                 "({n},{k},{c}): gap {}",
-                welfare_gap(&cfg, &r)
+                welfare_gap(&g)
             );
         }
     }
@@ -134,29 +152,27 @@ mod tests {
     #[test]
     fn optimal_equals_channels_times_rate_when_all_used() {
         // Constant R = 1 and |N|·k ≥ |C|: optimum = |C|.
-        let cfg = GameConfig::new(4, 4, 5).unwrap();
-        let r = ConstantRate::unit();
-        assert!((optimal_total_rate(&cfg, &r) - 5.0).abs() < 1e-12);
+        let g = game(GameConfig::new(4, 4, 5).unwrap(), ConstantRate::unit());
+        assert!((optimal_total_rate(&g) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn optimal_caps_at_total_radios_when_channels_abound() {
         // 1 user × 2 radios on 5 channels: at most 2 channels carry rate.
-        let cfg = GameConfig::new(1, 2, 5).unwrap();
-        let r = ConstantRate::unit();
-        assert!((optimal_total_rate(&cfg, &r) - 2.0).abs() < 1e-12);
-        assert!((balanced_total_rate(&cfg, &r) - 2.0).abs() < 1e-12);
+        let g = game(GameConfig::new(1, 2, 5).unwrap(), ConstantRate::unit());
+        assert!((optimal_total_rate(&g) - 2.0).abs() < 1e-12);
+        assert!((balanced_total_rate(&g) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn cliff_rate_breaks_system_optimality_of_balanced_loads() {
         // The documented Theorem-2 boundary: R(1) = 10, R(k ≥ 2) = 2.
         let cfg = GameConfig::new(2, 2, 2).unwrap();
-        let cliff = StepRate::new("cliff", vec![10.0, 2.0, 2.0, 2.0]);
+        let cliff = game(cfg, StepRate::new("cliff", vec![10.0, 2.0, 2.0, 2.0]));
         // Balanced loads (2,2): welfare 4. Optimal (3,1): 12.
-        assert!((balanced_total_rate(&cfg, &cliff) - 4.0).abs() < 1e-12);
-        assert!((optimal_total_rate(&cfg, &cliff) - 12.0).abs() < 1e-12);
-        assert!((welfare_gap(&cfg, &cliff) - 8.0).abs() < 1e-12);
+        assert!((balanced_total_rate(&cliff) - 4.0).abs() < 1e-12);
+        assert!((optimal_total_rate(&cliff) - 12.0).abs() < 1e-12);
+        assert!((welfare_gap(&cliff) - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -173,15 +189,17 @@ mod tests {
         let game = ChannelAllocationGame::new(cfg, cliff);
         let s = StrategyMatrix::from_rows(&[vec![1, 1], vec![1, 1]]).unwrap();
         // It is a NE…
-        assert!(game.nash_check(&s).is_nash());
+        assert!(is_nash(&game, &s));
         // …not system-optimal…
         assert!(!is_system_optimal(&game, &s));
         // …and not Pareto-optimal either: (1,0)/(0,1) dominates with
         // utilities (10, 10).
         assert!(!is_pareto_optimal_ne(&game, &s));
         let half = StrategyMatrix::from_rows(&[vec![1, 0], vec![0, 1]]).unwrap();
-        assert_eq!(game.utilities(&half), vec![10.0, 10.0]);
-        assert!(!game.nash_check(&half).is_nash(), "but parking is unstable");
+        for u in UserId::all(2) {
+            assert_eq!(utility(&game, &half, u), 10.0);
+        }
+        assert!(!is_nash(&game, &half), "but parking is unstable");
     }
 
     #[test]
@@ -190,7 +208,7 @@ mod tests {
             ChannelAllocationGame::with_constant_rate(GameConfig::new(2, 2, 3).unwrap(), 1.0);
         // Balanced NE: loads (2,1,1).
         let s = StrategyMatrix::from_rows(&[vec![1, 1, 0], vec![1, 0, 1]]).unwrap();
-        assert!(game.nash_check(&s).is_nash());
+        assert!(is_nash(&game, &s));
         assert!(is_system_optimal(&game, &s));
         assert!(is_pareto_optimal_ne(&game, &s));
     }
@@ -221,6 +239,6 @@ mod tests {
                 best = best.max(w);
             }
         }
-        assert!((optimal_total_rate(&cfg, &rate) - best).abs() < 1e-12);
+        assert!((optimal_total_rate(&game(cfg, rate)) - best).abs() < 1e-12);
     }
 }

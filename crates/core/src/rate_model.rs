@@ -425,7 +425,7 @@ impl RateModel for StepRate {
 /// Multiplicative wrapper `factor · R(k)`: a wider (factor > 1) or
 /// interference-impaired (factor < 1) channel with the same sharing
 /// shape. The per-channel rate-vector axis of the scenario suites builds
-/// [`MultiRateGame`](crate::multi_rate::MultiRateGame)-style channel sets
+/// [`HeteroGame`](crate::heterogeneous::HeteroGame) channel sets
 /// by scaling one base model, so a single grid axis can express
 /// "channel 1 is twice as good" without enumerating whole model families.
 #[derive(Debug, Clone)]

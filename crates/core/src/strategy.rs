@@ -4,7 +4,6 @@
 //! giving the number of its radios on each channel; the joint strategy of
 //! all users is the matrix `S` whose rows are the `s_i`.
 
-use crate::config::GameConfig;
 use crate::error::Error;
 use crate::types::{ChannelId, UserId};
 use serde::{Deserialize, Serialize};
@@ -308,42 +307,6 @@ impl StrategyMatrix {
             .filter_map(|(c, &l)| (l == min).then_some(ChannelId(c)))
             .collect()
     }
-
-    /// Validate against a configuration: shape matches and every user's
-    /// radio count is within budget (`k_i ≤ k`). Note that using *fewer*
-    /// radios is a legal strategy (Lemma 1 then shows it cannot happen in a
-    /// NE) — so this checks `≤`, not `==`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidStrategy`] describing the first violation.
-    pub fn validate(&self, cfg: &GameConfig) -> Result<(), Error> {
-        if self.n_users != cfg.n_users() {
-            return Err(Error::strategy(format!(
-                "matrix has {} rows, config has {} users",
-                self.n_users,
-                cfg.n_users()
-            )));
-        }
-        if self.n_channels != cfg.n_channels() {
-            return Err(Error::strategy(format!(
-                "matrix has {} columns, config has {} channels",
-                self.n_channels,
-                cfg.n_channels()
-            )));
-        }
-        for i in 0..self.n_users {
-            let total = self.user_total(UserId(i));
-            if total > cfg.radios_per_user() {
-                return Err(Error::strategy(format!(
-                    "user {} uses {total} radios, budget is {}",
-                    UserId(i),
-                    cfg.radios_per_user()
-                )));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for StrategyMatrix {
@@ -438,14 +401,17 @@ mod tests {
 
     #[test]
     fn validate_against_config() {
-        let cfg = GameConfig::new(4, 4, 5).unwrap();
-        figure2().validate(&cfg).unwrap();
+        use crate::br_dp::validate;
+        use crate::config::GameConfig;
+        use crate::game::ChannelAllocationGame;
+        let game = |n, k, c| {
+            ChannelAllocationGame::with_constant_rate(GameConfig::new(n, k, c).unwrap(), 1.0)
+        };
+        validate(&game(4, 4, 5), &figure2()).unwrap();
         // Shrinking the budget makes u1 (4 radios) over budget.
-        let tight = GameConfig::new(4, 3, 5).unwrap();
-        assert!(figure2().validate(&tight).is_err());
+        assert!(validate(&game(4, 3, 5), &figure2()).is_err());
         // Wrong shape.
-        let other = GameConfig::new(4, 4, 6).unwrap();
-        assert!(figure2().validate(&other).is_err());
+        assert!(validate(&game(4, 4, 6), &figure2()).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   are *unchanged* (monotone-transformation invariance, verified
 //!   mechanically): the paper's analysis is robust to risk-averse users.
 
-use crate::br_dp::{self, ChannelGame};
+use crate::br_dp::{self, best_response, ChannelGame};
 use crate::game::{improves, ChannelAllocationGame};
 use crate::strategy::{StrategyMatrix, StrategyVector};
 use crate::types::{ChannelId, UserId};
@@ -66,17 +66,12 @@ impl EnergyCostGame {
         self.cost_per_radio
     }
 
-    /// Utility: paper's Eq. 3 minus `cost · k_i`.
+    /// Utility: paper's Eq. 3 minus `cost · k_i`. Its exact best response
+    /// is the shared DP ([`br_dp::best_response`]), where *using fewer
+    /// radios is allowed to win* (each used radio pays the cost —
+    /// [`ChannelGame::may_idle_radios`]).
     pub fn utility(&self, s: &StrategyMatrix, user: UserId) -> f64 {
-        self.inner.utility(s, user) - self.cost_per_radio * s.user_total(user) as f64
-    }
-
-    /// Exact best response: the shared DP over channels and radio budget
-    /// ([`br_dp::best_response`]), where *using fewer radios is allowed to
-    /// win* (each used radio pays the cost —
-    /// [`ChannelGame::may_idle_radios`]). `O(|C|·k²)`.
-    pub fn best_response(&self, s: &StrategyMatrix, user: UserId) -> (StrategyVector, f64) {
-        br_dp::best_response(self, s, user)
+        br_dp::utility(&self.inner, s, user) - self.cost_per_radio * s.user_total(user) as f64
     }
 
     /// Exact Nash check.
@@ -86,7 +81,7 @@ impl EnergyCostGame {
         let mut best_active = Vec::with_capacity(n);
         for u in UserId::all(n) {
             let before = self.utility(s, u);
-            let (br, after) = self.best_response(s, u);
+            let (br, after) = best_response(self, s, u);
             gains.push((after - before).max(0.0));
             best_active.push(br.radios_in_use());
         }
@@ -98,7 +93,7 @@ impl EnergyCostGame {
     pub fn is_nash(&self, s: &StrategyMatrix) -> bool {
         UserId::all(self.inner.config().n_users()).all(|u| {
             let before = self.utility(s, u);
-            let (_, after) = self.best_response(s, u);
+            let (_, after) = best_response(self, s, u);
             !improves(before, after)
         })
     }
@@ -116,7 +111,7 @@ impl EnergyCostGame {
             let mut moved = false;
             for u in UserId::all(n) {
                 let before = self.utility(&s, u);
-                let (br, after) = self.best_response(&s, u);
+                let (br, after) = best_response(self, &s, u);
                 if improves(before, after) {
                     s.set_user_strategy(u, &br);
                     moved = true;
@@ -182,20 +177,20 @@ impl ConcaveUtilityGame {
 
     /// Transformed utility.
     pub fn utility(&self, s: &StrategyMatrix, user: UserId) -> f64 {
-        self.inner.utility(s, user).powf(self.alpha)
+        br_dp::utility(&self.inner, s, user).powf(self.alpha)
     }
 
     /// Best response — computed on the *inner* game: `x ↦ x^α` is strictly
     /// increasing on `x ≥ 0`, so argmaxes coincide.
     pub fn best_response(&self, s: &StrategyMatrix, user: UserId) -> (StrategyVector, f64) {
-        let (v, u) = self.inner.best_response(s, user);
+        let (v, u) = best_response(&self.inner, s, user);
         (v, u.powf(self.alpha))
     }
 
     /// Nash check — delegated for the same reason; the NE set is provably
     /// identical to the inner game's (tests verify on enumerations).
     pub fn is_nash(&self, s: &StrategyMatrix) -> bool {
-        self.inner.nash_check(s).is_nash()
+        br_dp::is_nash(&self.inner, s)
     }
 }
 
@@ -203,6 +198,7 @@ impl ConcaveUtilityGame {
 mod tests {
     use super::*;
     use crate::algorithm::{algorithm1, Ordering, TieBreak};
+    use crate::br_dp::{is_nash, utility};
     use crate::config::GameConfig;
     use crate::enumerate::enumerate_allocations;
 
@@ -215,9 +211,9 @@ mod tests {
         let g = base(3, 2, 3);
         let e = EnergyCostGame::new(g.clone(), 0.0);
         let s = algorithm1(&g, &Ordering::default());
-        assert_eq!(g.nash_check(&s).is_nash(), e.is_nash(&s));
+        assert_eq!(is_nash(&g, &s), e.is_nash(&s));
         for u in UserId::all(3) {
-            assert_eq!(g.utility(&s, u), e.utility(&s, u));
+            assert_eq!(utility(&g, &s, u), e.utility(&s, u));
         }
     }
 
@@ -241,7 +237,7 @@ mod tests {
         );
         // And the resulting profile is NOT a NE of the costless game
         // (there, deploying is always better).
-        assert!(!g.nash_check(&end).is_nash());
+        assert!(!is_nash(&g, &end));
     }
 
     #[test]
@@ -280,7 +276,7 @@ mod tests {
         let e = EnergyCostGame::new(g, 0.3);
         let s = StrategyMatrix::from_rows(&[vec![1, 1, 0], vec![0, 1, 1]]).unwrap();
         for u in UserId::all(2) {
-            let (_, dp_val) = e.best_response(&s, u);
+            let (_, dp_val) = best_response(&e, &s, u);
             let mut best = f64::NEG_INFINITY;
             for cand in crate::enumerate::user_strategy_space(3, 2) {
                 let mut alt = s.clone();
@@ -297,7 +293,7 @@ mod tests {
         let cg = ConcaveUtilityGame::new(g.clone(), 0.5);
         enumerate_allocations(g.config(), |s| {
             assert_eq!(
-                g.nash_check(s).is_nash(),
+                is_nash(&g, s),
                 cg.is_nash(s),
                 "NE sets must coincide at {s}"
             );
@@ -310,7 +306,7 @@ mod tests {
         let cg = ConcaveUtilityGame::new(g.clone(), 0.5);
         let s = algorithm1(&g, &Ordering::with_tie_break(TieBreak::PreferUnused));
         for u in UserId::all(2) {
-            assert!((cg.utility(&s, u) - g.utility(&s, u).sqrt()).abs() < 1e-12);
+            assert!((cg.utility(&s, u) - utility(&g, &s, u).sqrt()).abs() < 1e-12);
         }
     }
 

@@ -16,12 +16,12 @@ use mrca_core::{ChannelId, GameConfig, StrategyMatrix, UserId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The generic invariant harness. `naive_utility` must be an
-/// *independent* implementation of the game's utility (the concrete
-/// games' own Eq.-3 `utility`), so (a) cross-checks the generic engine
-/// against it. The two load bookkeeping schemes are cross-checked too:
-/// `s`'s loads, kept through every mutation that built it, against a
-/// column-by-column recount and against `from_rows`' fresh count.
+/// The generic invariant harness. `naive_utility` is the game's Eq.-3
+/// utility as callers compute it; (a) reads it on the kept loads and on
+/// a freshly counted matrix. The two load bookkeeping schemes are
+/// cross-checked too: `s`'s loads, kept through every mutation that
+/// built it, against a column-by-column recount and against
+/// `from_rows`' fresh count.
 pub fn check_conformance<G: ChannelGame>(
     game: &G,
     naive_utility: &dyn Fn(&StrategyMatrix, UserId) -> f64,
@@ -37,8 +37,7 @@ pub fn check_conformance<G: ChannelGame>(
     let fresh = StrategyMatrix::from_rows(&rows).expect("a matrix's own rows");
 
     for u in UserId::all(n) {
-        // (a) utilities: generic on kept loads == generic on fresh loads
-        // == concrete.
+        // (a) utilities: generic on kept loads == generic on fresh loads.
         let nu = naive_utility(s, u);
         prop_assert_eq!(
             br_dp::utility(game, s, u),

@@ -5,18 +5,16 @@
 //! (a) **kept ≡ fresh ≡ naive** — the loads a matrix keeps through its
 //!     mutations equal a recount, and utilities, best responses and
 //!     Eq.-7 benefits read through them agree with a freshly counted
-//!     matrix, the concrete games' own utilities and the
-//!     clone-and-recompute Δ;
+//!     matrix and the clone-and-recompute Δ;
 //! (b) **DP ≡ enumeration** — the shared knapsack DP's best response is
 //!     optimal against brute-force enumeration of the user's whole
 //!     strategy space (and its traceback achieves its claimed value);
 //! (c) **`is_nash ⇔` no ε-improving deviation** — the Nash verdict, the
 //!     gain vector and the scale-relative improvement predicate
-//!     (`improves`) tell the same story, and agree with the concrete
-//!     game's own `is_nash`.
+//!     (`improves`) tell the same story.
 //!
-//! Instantiated for the homogeneous paper game, the heterogeneous-budget
-//! extension and the per-channel-rate extension. Runs under the default
+//! Instantiated for the homogeneous paper game and for `HeteroGame` on
+//! both of its axes: mixed budgets and per-channel rates. Runs under the default
 //! case count per property; the scheduled CI job raises `PROPTEST_CASES`
 //! ~10x for deep fuzzing without slowing the per-PR gate.
 
@@ -24,8 +22,7 @@ mod common;
 
 use common::{check_conformance, config_strategy, matrix_for_budgets, rate_strategy};
 use mrca_core::br_dp;
-use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
-use mrca_core::multi_rate::MultiRateGame;
+use mrca_core::heterogeneous::HeteroGame;
 use mrca_core::rate_model::RateModel;
 use mrca_core::{GameConfig, StrategyMatrix, UserId};
 use proptest::prelude::*;
@@ -52,13 +49,13 @@ fn hetero_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
             )
         })
         .prop_flat_map(|(budgets, c, rate)| {
-            let game = HeteroGame::new(HeteroConfig::new(budgets.clone(), c).unwrap(), rate);
+            let game = HeteroGame::with_rate(budgets.clone(), c, rate).unwrap();
             matrix_for_budgets(budgets, c).prop_map(move |m| (game.clone(), m))
         })
 }
 
 /// Multi-rate instance: an independent strictly positive model per channel.
-fn multi_rate_instance() -> impl Strategy<Value = (MultiRateGame, StrategyMatrix)> {
+fn multi_rate_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
     (
         config_strategy(),
         proptest::collection::vec(rate_strategy(), 4),
@@ -67,9 +64,9 @@ fn multi_rate_instance() -> impl Strategy<Value = (MultiRateGame, StrategyMatrix
             let per_channel: Vec<Arc<dyn RateModel>> = (0..cfg.n_channels())
                 .map(|c| Arc::clone(&rates[c % rates.len()]))
                 .collect();
-            let game = MultiRateGame::new(cfg, per_channel).unwrap();
-            matrix_for_budgets(vec![cfg.radios_per_user(); cfg.n_users()], cfg.n_channels())
-                .prop_map(move |m| (game.clone(), m))
+            let budgets = vec![cfg.radios_per_user(); cfg.n_users()];
+            let game = HeteroGame::new(budgets.clone(), cfg.n_channels(), per_channel).unwrap();
+            matrix_for_budgets(budgets, cfg.n_channels()).prop_map(move |m| (game.clone(), m))
         })
 }
 
@@ -81,27 +78,22 @@ proptest! {
     #[test]
     fn homogeneous_game_conforms(instance in homogeneous_instance()) {
         let (game, s) = instance;
-        check_conformance(&game, &|m, u| game.utility(m, u), &s)?;
-        // The concrete verdict agrees with the generic one.
-        prop_assert_eq!(game.nash_check(&s), br_dp::nash_check(&game, &s));
-        prop_assert_eq!(game.is_nash(&s), br_dp::is_nash(&game, &s));
+        check_conformance(&game, &|m, u| br_dp::utility(&game, m, u), &s)?;
     }
 
     /// The heterogeneous-budget extension satisfies every engine invariant.
     #[test]
     fn hetero_game_conforms(instance in hetero_instance()) {
         let (game, s) = instance;
-        check_conformance(&game, &|m, u| game.utility(m, u), &s)?;
-        prop_assert_eq!(game.is_nash(&s), br_dp::is_nash(&game, &s));
-        prop_assert_eq!(game.max_gain(&s), br_dp::nash_check(&game, &s).max_gain());
+        check_conformance(&game, &|m, u| br_dp::utility(&game, m, u), &s)?;
+        prop_assert_eq!(br_dp::max_gain(&game, &s), br_dp::nash_check(&game, &s).max_gain());
     }
 
     /// The per-channel-rate extension satisfies every engine invariant.
     #[test]
     fn multi_rate_game_conforms(instance in multi_rate_instance()) {
         let (game, s) = instance;
-        check_conformance(&game, &|m, u| game.utility(m, u), &s)?;
-        prop_assert_eq!(game.is_nash(&s), br_dp::is_nash(&game, &s));
+        check_conformance(&game, &|m, u| br_dp::utility(&game, m, u), &s)?;
     }
 
     /// Lemma and Theorem-1 predicates run on every variant, and every

@@ -99,7 +99,7 @@ fn dense_and_sparse_engines_replay_identical_golden_traces() {
         assert_eq!(drounds, g.rounds, "{}: dense rounds", g.name);
         assert_eq!(fingerprint(&dtrace), g.trace, "{}: dense trace", g.name);
         assert_eq!(dense.loads(), g.loads, "{}: dense final loads", g.name);
-        assert!(g.game.nash_check(&dense).is_nash(), "{}", g.name);
+        assert!(br_dp::is_nash(&g.game, &dense), "{}", g.name);
 
         // Sparse fast engine (heap for the constant games, incremental DP
         // for the decay game).

@@ -16,8 +16,7 @@
 use mrca_core::br_dp::{self, ChannelGame};
 use mrca_core::br_fast::{self, BrEngine};
 use mrca_core::enumerate::user_strategy_space;
-use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
-use mrca_core::multi_rate::MultiRateGame;
+use mrca_core::heterogeneous::HeteroGame;
 use mrca_core::rate_model::{
     ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, ScaledRate, StepRate,
 };
@@ -26,9 +25,9 @@ use mrca_core::{ChannelId, ChannelLoads, GameConfig, StrategyMatrix, UserId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The cross-engine invariant harness. `naive_utility` is the concrete
-/// game's own Eq.-3 utility, used both as the replay oracle and for the
-/// exhaustive enumeration.
+/// The cross-engine invariant harness. `naive_utility` is the game's
+/// Eq.-3 utility, used both as the replay oracle and for the exhaustive
+/// enumeration.
 fn check_fast_paths<G: ChannelGame>(
     game: &G,
     naive_utility: &dyn Fn(&StrategyMatrix, UserId) -> f64,
@@ -282,12 +281,12 @@ fn hetero_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
             )
         })
         .prop_flat_map(|(budgets, c, rate)| {
-            let game = HeteroGame::new(HeteroConfig::new(budgets.clone(), c).unwrap(), rate);
+            let game = HeteroGame::with_rate(budgets.clone(), c, rate).unwrap();
             matrix_for_budgets(budgets, c).prop_map(move |m| (game.clone(), m))
         })
 }
 
-fn multi_rate_instance() -> impl Strategy<Value = (MultiRateGame, StrategyMatrix)> {
+fn multi_rate_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
     (
         config_strategy(),
         proptest::collection::vec(rate_strategy(), 4),
@@ -308,9 +307,9 @@ fn multi_rate_instance() -> impl Strategy<Value = (MultiRateGame, StrategyMatrix
             let per_channel: Vec<Arc<dyn RateModel>> = (0..cfg.n_channels())
                 .map(|c| Arc::clone(&pool[c % pool.len()]))
                 .collect();
-            let game = MultiRateGame::new(cfg, per_channel).unwrap();
-            matrix_for_budgets(vec![cfg.radios_per_user(); cfg.n_users()], cfg.n_channels())
-                .prop_map(move |m| (game.clone(), m))
+            let budgets = vec![cfg.radios_per_user(); cfg.n_users()];
+            let game = HeteroGame::new(budgets.clone(), cfg.n_channels(), per_channel).unwrap();
+            matrix_for_budgets(budgets, cfg.n_channels()).prop_map(move |m| (game.clone(), m))
         })
 }
 
@@ -404,7 +403,7 @@ proptest! {
     #[test]
     fn homogeneous_fast_paths_agree(instance in homogeneous_instance()) {
         let (game, m) = instance;
-        check_fast_paths(&game, &|s, u| game.utility(s, u), &m)?;
+        check_fast_paths(&game, &|s, u| br_dp::utility(&game, s, u), &m)?;
     }
 
     /// Homogeneous game: active-set dynamics == full-sweep dynamics
@@ -455,7 +454,7 @@ proptest! {
     #[test]
     fn hetero_fast_paths_agree(instance in hetero_instance()) {
         let (game, m) = instance;
-        check_fast_paths(&game, &|s, u| game.utility(s, u), &m)?;
+        check_fast_paths(&game, &|s, u| br_dp::utility(&game, s, u), &m)?;
     }
 
     /// Per-channel rates: all fast paths agree (heap route included when
@@ -463,7 +462,7 @@ proptest! {
     #[test]
     fn multi_rate_fast_paths_agree(instance in multi_rate_instance()) {
         let (game, m) = instance;
-        check_fast_paths(&game, &|s, u| game.utility(s, u), &m)?;
+        check_fast_paths(&game, &|s, u| br_dp::utility(&game, s, u), &m)?;
     }
 
     /// Incremental repairs never drift from freshly-built engines, on
@@ -718,7 +717,7 @@ fn concave_hetero_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatri
             )
         })
         .prop_flat_map(|(budgets, c, rate)| {
-            let game = HeteroGame::new(HeteroConfig::new(budgets.clone(), c).unwrap(), rate);
+            let game = HeteroGame::with_rate(budgets.clone(), c, rate).unwrap();
             matrix_for_budgets(budgets, c).prop_map(move |m| (game.clone(), m))
         })
 }

@@ -16,7 +16,10 @@
 //!   on matrices from every constructor, the kept loads equal a
 //!   column-by-column recount after every single step.
 
-use mrca_core::br_dp::benefit_of_move_naive;
+use mrca_core::br_dp::{
+    benefit_of_move, benefit_of_move_naive, best_response, is_nash, nash_check, utility,
+    welfare_from_loads,
+};
 use mrca_core::dynamics::{random_start, BestResponseDriver, Schedule};
 use mrca_core::rate_model::{
     ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, StepRate,
@@ -157,10 +160,9 @@ proptest! {
         let s = random_start(&game, seed);
         let f = fresh(&s);
         for u in UserId::all(cfg.n_users()) {
-            prop_assert_eq!(game.utility(&s, u), game.utility(&f, u));
+            prop_assert_eq!(utility(&game, &s, u), utility(&game, &f, u));
         }
-        prop_assert_eq!(game.total_utility(&s), game.total_utility(&f));
-        prop_assert_eq!(game.utilities(&s), game.utilities(&f));
+        prop_assert_eq!(welfare_from_loads(&game, s.loads()), welfare_from_loads(&game, f.loads()));
     }
 
     /// Incremental Eq. 7 ≡ clone-and-recompute Eq. 7 for every legal
@@ -176,8 +178,8 @@ proptest! {
                     continue;
                 }
                 for c in ChannelId::all(cfg.n_channels()) {
-                    let fast = game.benefit_of_move(&s, u, b, c);
-                    let fresh_delta = game.benefit_of_move(&f, u, b, c);
+                    let fast = benefit_of_move(&game, &s, u, b, c);
+                    let fresh_delta = benefit_of_move(&game, &f, u, b, c);
                     let naive = benefit_of_move_naive(&game, &s, u, b, c);
                     prop_assert_eq!(fast, fresh_delta, "kept vs fresh loads must be identical");
                     let scale = naive.abs().max(fast.abs()).max(1.0);
@@ -198,12 +200,12 @@ proptest! {
         let s = random_start(&game, seed);
         let f = fresh(&s);
         for u in UserId::all(cfg.n_users()) {
-            let (brc, uc) = game.best_response(&s, u);
-            let (brn, un) = game.best_response(&f, u);
+            let (brc, uc) = best_response(&game, &s, u);
+            let (brn, un) = best_response(&game, &f, u);
             prop_assert_eq!(uc, un);
             prop_assert_eq!(brc, brn);
         }
-        prop_assert_eq!(game.nash_check(&s), game.nash_check(&f));
+        prop_assert_eq!(nash_check(&game, &s), nash_check(&game, &f));
     }
 
     /// The loads a matrix keeps through a full dynamics run stay exact,
@@ -216,7 +218,7 @@ proptest! {
         prop_assert!(out.converged);
         let f = fresh(&out.matrix);
         prop_assert_eq!(out.matrix.loads(), f.loads());
-        prop_assert!(game.nash_check(&f).is_nash());
+        prop_assert!(is_nash(&game, &f));
     }
 
     /// The loads a matrix keeps equal a recount of its cells after every

@@ -14,8 +14,7 @@
 use mrca_core::br_dp::ChannelGame;
 use mrca_core::br_fast::{self, ActiveSetDynamics, DynCounters};
 use mrca_core::churn::ChurnGame;
-use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
-use mrca_core::multi_rate::MultiRateGame;
+use mrca_core::heterogeneous::HeteroGame;
 use mrca_core::rate_model::{
     ExponentialDecayRate, LinearDecayRate, MeasuredRate, RateModel, RateShape, StepRate,
 };
@@ -202,12 +201,12 @@ fn hetero_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
             )
         })
         .prop_flat_map(|(budgets, c, rate)| {
-            let game = HeteroGame::new(HeteroConfig::new(budgets.clone(), c).unwrap(), rate);
+            let game = HeteroGame::with_rate(budgets.clone(), c, rate).unwrap();
             matrix_strategy(budgets, c).prop_map(move |m| (game.clone(), m))
         })
 }
 
-fn multi_rate_instance() -> impl Strategy<Value = (MultiRateGame, StrategyMatrix)> {
+fn multi_rate_instance() -> impl Strategy<Value = (HeteroGame, StrategyMatrix)> {
     (
         config_strategy(),
         proptest::collection::vec(
@@ -224,9 +223,9 @@ fn multi_rate_instance() -> impl Strategy<Value = (MultiRateGame, StrategyMatrix
             let per_channel: Vec<Arc<dyn RateModel>> = (0..cfg.n_channels())
                 .map(|c| Arc::clone(&pool[c % pool.len()]))
                 .collect();
-            let game = MultiRateGame::new(cfg, per_channel).unwrap();
-            matrix_strategy(vec![cfg.radios_per_user(); cfg.n_users()], cfg.n_channels())
-                .prop_map(move |m| (game.clone(), m))
+            let budgets = vec![cfg.radios_per_user(); cfg.n_users()];
+            let game = HeteroGame::new(budgets.clone(), cfg.n_channels(), per_channel).unwrap();
+            matrix_strategy(budgets, cfg.n_channels()).prop_map(move |m| (game.clone(), m))
         })
 }
 

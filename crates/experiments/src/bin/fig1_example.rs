@@ -34,7 +34,7 @@ fn main() {
         t.row(&cells![
             u,
             s.user_total(u),
-            format!("{:.4}", game.utility(&s, u))
+            format!("{:.4}", utility(&game, &s, u))
         ]);
     }
     println!("{}", t.to_text());
@@ -52,7 +52,7 @@ fn main() {
     for v in lemma4_violations(&game, &s) {
         println!("  {v}");
     }
-    let check = game.nash_check(&s);
+    let check = nash_check(&game, &s);
     println!(
         "\nExact deviation search: is_nash = {}, max unilateral gain = {:.4}",
         check.is_nash(),
@@ -77,7 +77,7 @@ fn main() {
     // CSV artifact.
     let mut csv = Table::new(&["user", "radios_used", "utility"]);
     for u in UserId::all(4) {
-        csv.row(&cells![u, s.user_total(u), game.utility(&s, u)]);
+        csv.row(&cells![u, s.user_total(u), utility(&game, &s, u)]);
     }
     write_result("fig1_utilities.csv", &csv.to_csv());
     println!("\nOK: Figure 1/2 reproduced (matrix, utilities, lemma witnesses).");

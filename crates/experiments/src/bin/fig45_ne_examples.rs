@@ -48,7 +48,7 @@ fn main() {
     ] {
         println!("{name} allocation:\n{}", render_allocation(s));
         let thm = theorem1(g, s);
-        let exact = g.nash_check(s);
+        let exact = nash_check(g, s);
         t.row(&cells![
             name,
             format!("{:?}", s.loads()),
@@ -56,7 +56,7 @@ fn main() {
             thm.is_nash(),
             exact.is_nash(),
             is_system_optimal(g, s),
-            format!("{:.3}", g.total_utility(s)),
+            format!("{:.3}", welfare_from_loads(g, s.loads())),
             exception
         ]);
         assert!(thm.is_nash(), "{name}: Theorem 1 must certify");

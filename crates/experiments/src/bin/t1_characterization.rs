@@ -13,6 +13,7 @@
 //! across the change, so neither the exact-deviation side nor
 //! `theorem1` clones a matrix or recounts a load vector per profile.
 
+use mrca_core::br_dp::is_nash;
 use mrca_core::enumerate::{allocation_count, enumerate_allocations};
 use mrca_core::nash::theorem1;
 use mrca_experiments::{cells, write_result};
@@ -75,7 +76,7 @@ fn main() {
         let mut total = 0u64;
         enumerate_allocations(&cfg, |s| {
             total += 1;
-            let brute = game.nash_check(s).is_nash();
+            let brute = is_nash(&game, s);
             let thm = theorem1(&game, s).is_nash();
             if brute {
                 n_brute += 1;

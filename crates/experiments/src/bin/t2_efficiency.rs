@@ -54,10 +54,9 @@ fn main() {
         "thm2 holds",
     ];
     let report = suite.run_with(&headers, |cell| {
-        let cfg = cell.config();
-        let rate = cell.rate.build(cfg.total_radios());
-        let ne = balanced_total_rate(&cfg, &rate);
-        let opt = optimal_total_rate(&cfg, &rate);
+        let game = cell.game();
+        let ne = balanced_total_rate(&game);
+        let opt = optimal_total_rate(&game);
         let poa = if ne > 0.0 { opt / ne } else { f64::INFINITY };
         vec![cells![
             cell.instance(),
@@ -65,7 +64,7 @@ fn main() {
             format!("{:.3e}", ne),
             format!("{:.3e}", opt),
             format!("{poa:.4}"),
-            welfare_gap(&cfg, &rate).abs() < 1e-6 * opt.max(1.0)
+            welfare_gap(&game).abs() < 1e-6 * opt.max(1.0)
         ]
         .to_vec()]
     });

@@ -61,7 +61,7 @@ fn main() {
                         cell.ordering.name(),
                         cell.instance(),
                         order_seed,
-                        game.nash_check(&s).is_nash(),
+                        is_nash(&game, &s),
                         theorem1(&game, &s).is_nash(),
                         s.max_delta() <= 1,
                         is_system_optimal(&game, &s)

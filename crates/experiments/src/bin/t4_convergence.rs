@@ -15,6 +15,7 @@
 //! wake-ups — the output-sensitivity evidence for the event-driven
 //! dynamics.
 
+use mrca_core::br_dp::is_nash;
 use mrca_core::dynamics::{random_start, BestResponseDriver, RadioDynamics, Schedule};
 use mrca_core::SparseStrategies;
 use mrca_experiments::suite::derive_seed;
@@ -94,7 +95,7 @@ fn main() {
                     }
                     _ => {
                         let out = RadioDynamics::new(dyn_seed).run(&game, start, cap);
-                        let is_ne = game.nash_check(&out.matrix).is_nash();
+                        let is_ne = is_nash(&game, &out.matrix);
                         (out.rounds, out.moves, out.converged, is_ne)
                     }
                 };

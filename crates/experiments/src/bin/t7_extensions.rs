@@ -10,11 +10,11 @@
 //!   reference 11 of the paper).
 
 use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
-use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
 use mrca_core::prelude::*;
 use mrca_core::utility_models::EnergyCostGame;
 use mrca_experiments::{cells, table::Table, write_result};
 use mrca_mac::{OptimalAlohaRate, OptimalCsmaRate, PhyParams, RateFunction, TdmaRate};
+use std::sync::Arc;
 
 fn main() {
     println!("== T7: extensions (deferred future work of the paper) ==\n");
@@ -37,11 +37,7 @@ fn main() {
         let active: u32 = UserId::all(6).map(|u| end.user_total(u)).sum();
         assert!(active <= prev, "supply curve must be non-increasing");
         prev = active;
-        a.row(&cells![
-            format!("{cost:.1}"),
-            active,
-            base.nash_check(&end).is_nash()
-        ]);
+        a.row(&cells![format!("{cost:.1}"), active, is_nash(&base, &end)]);
     }
     println!("{}", a.to_text());
     write_result("t7_energy_supply.csv", &a.to_csv());
@@ -63,16 +59,17 @@ fn main() {
         (vec![3, 2, 1], 6),
         (vec![5, 1, 1, 1, 1, 1, 1, 1], 5),
     ] {
-        let g = HeteroGame::with_unit_rate(HeteroConfig::new(fleet.clone(), c).expect("valid"));
-        let s = g.algorithm1(TieBreak::PreferUnused, None);
-        let ne = g.is_nash(&s);
+        let g =
+            HeteroGame::with_rate(fleet.clone(), c, Arc::new(ConstantRate::unit())).expect("valid");
+        let s = algorithm1(&g, &Ordering::with_tie_break(TieBreak::PreferUnused));
+        let ne = is_nash(&g, &s);
         b.row(&cells![
             format!("{fleet:?}"),
             c,
             format!("{:?}", s.loads()),
             s.max_delta(),
             ne,
-            format!("{:.3}", g.total_utility(&s))
+            format!("{:.3}", welfare_from_loads(&g, s.loads()))
         ]);
         assert!(ne, "fleet {fleet:?}");
         assert!(s.max_delta() <= 1);

@@ -14,8 +14,8 @@
 //! | `t4_convergence` | Best-response convergence scaling |
 //! | `t5_bianchi` | Bianchi model vs slot-level simulation |
 //! | `t6_distributed` | distributed-protocol activation sweep |
-//! | `t7_extensions` | heterogeneous / multi-rate / energy extensions |
-//! | `t8_suite` | `ScenarioSuite` grid sweep + extended axes (T8b) |
+//! | `t7_extensions` | energy-cost supply curve, mixed-budget fleets, slotted Aloha |
+//! | `t8_suite` | `ScenarioSuite` grid sweep + extended axes (T8b: budgets × channel rates) |
 //! | `t9_scale` | large-N sparse+heap sweep, 10⁵–10⁶ users, streamed CSV |
 //! | `t10_churn` | churn service: seeded event replay vs a standing equilibrium |
 //! | `t11_spatial` | spatial interference sweep on geometric conflict graphs |
@@ -24,7 +24,11 @@
 //!
 //! Each binary prints an ASCII table/plot and writes a CSV to `results/`
 //! (workspace root), so the repository regenerates every table above with
-//! `cargo run --release -p mrca-experiments --bin all`.
+//! `cargo run --release -p mrca-experiments --bin all`. The seeded binaries
+//! from `fig1_example` to `t8_suite` (all but `t6_distributed`) are pinned
+//! byte for byte: `.github/paper-golden.sh` prints their stdout and the
+//! sha256 of every result file they write, and CI diffs that against
+//! `.github/paper-golden.txt`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,9 +45,9 @@ pub mod table;
 pub use progress::ProgressMeter;
 pub use shard::ShardSpec;
 pub use suite::{
-    AxisGame, BudgetSpec, CellOutcome, ChannelScaleSpec, ExtendedCell, ExtendedOutcome,
-    ExtendedScenarioGrid, ExtendedScenarioSuite, MeasuredSim, OrderingSpec, RateSpec, ScenarioCell,
-    ScenarioGrid, ScenarioSuite, SuiteReport,
+    BudgetSpec, CellOutcome, ChannelScaleSpec, ExtendedCell, ExtendedOutcome, ExtendedScenarioGrid,
+    ExtendedScenarioSuite, MeasuredSim, OrderingSpec, RateSpec, ScenarioCell, ScenarioGrid,
+    ScenarioSuite, SuiteReport,
 };
 
 use std::fs;

@@ -28,24 +28,21 @@
 
 use crate::table::Table;
 use mrca_core::algorithm::{algorithm1, Ordering, TieBreak};
-use mrca_core::br_dp::ChannelGame;
+use mrca_core::br_dp::{is_nash, welfare_from_loads};
 use mrca_core::br_fast;
 use mrca_core::dynamics::{random_start, BestResponseDriver, Schedule};
+use mrca_core::heterogeneous::HeteroGame;
 use mrca_core::nash::theorem1;
 use mrca_core::par;
 use mrca_core::rate_model::{
-    ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, RateShape, ScaledRate,
+    ConstantRate, ExponentialDecayRate, LinearDecayRate, RateModel, ScaledRate,
 };
 use mrca_core::sparse::SparseStrategies;
-use mrca_core::{
-    ChannelAllocationGame, ChannelId, ChannelLoads, GameConfig, StrategyMatrix, UserId,
-};
+use mrca_core::{ChannelAllocationGame, ChannelLoads, GameConfig};
 use mrca_mac::{
     FixedAlohaRate, HarvestConfig, OptimalCsmaRate, PhyParams, PracticalDcfRate, RateHarvester,
     TdmaRate,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Rate-model axis of a scenario grid: a constructible *description* of a
@@ -759,7 +756,7 @@ fn evaluate_cell(cell: &ScenarioCell, max_rounds: usize) -> CellOutcome {
     let ordering = cell.ordering.build(cell.n_users, derive_seed(cell.seed, 0));
     let algo1 = algorithm1(&game, &ordering);
     let start = random_start(&game, derive_seed(cell.seed, 1));
-    let start_welfare = game.total_utility(&start);
+    let start_welfare = welfare_from_loads(&game, start.loads());
     let out = BestResponseDriver::new(Schedule::RandomPermutation {
         seed: derive_seed(cell.seed, 2),
     })
@@ -769,13 +766,13 @@ fn evaluate_cell(cell: &ScenarioCell, max_rounds: usize) -> CellOutcome {
         max_rounds,
     );
     CellOutcome {
-        algo1_nash: game.nash_check(&algo1).is_nash(),
+        algo1_nash: is_nash(&game, &algo1),
         algo1_theorem1: theorem1(&game, &algo1).is_nash(),
         algo1_delta: algo1.max_delta(),
         br_converged: out.converged,
         br_rounds: out.rounds,
         br_nash: br_fast::nash_check_sparse(&game, &out.strategies).is_nash(),
-        br_welfare: br_fast::welfare_from_loads(&game, &ChannelLoads::of_sparse(&out.strategies)),
+        br_welfare: welfare_from_loads(&game, ChannelLoads::of_sparse(&out.strategies).as_slice()),
         start_welfare,
         cell: cell.clone(),
     }
@@ -855,65 +852,6 @@ impl ChannelScaleSpec {
     }
 }
 
-/// The extended cell's game — per-user budgets × per-channel rates —
-/// evaluated entirely through the generic [`ChannelGame`] engine. This is
-/// the trait's extensibility story in one type: no bespoke DP, no bespoke
-/// Nash check, just dimensions and a payoff.
-#[derive(Debug, Clone)]
-pub struct AxisGame {
-    budgets: Vec<u32>,
-    rates: Vec<Arc<dyn RateModel>>,
-}
-
-impl AxisGame {
-    /// Build from explicit budgets and per-channel rate models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either vector is empty (the grid constructors never
-    /// produce such cells).
-    pub fn new(budgets: Vec<u32>, rates: Vec<Arc<dyn RateModel>>) -> Self {
-        assert!(!budgets.is_empty() && !rates.is_empty(), "empty axis game");
-        AxisGame { budgets, rates }
-    }
-
-    /// Per-user budgets.
-    pub fn budgets(&self) -> &[u32] {
-        &self.budgets
-    }
-}
-
-impl ChannelGame for AxisGame {
-    fn n_users(&self) -> usize {
-        self.budgets.len()
-    }
-
-    fn n_channels(&self) -> usize {
-        self.rates.len()
-    }
-
-    fn radios_of(&self, user: UserId) -> u32 {
-        self.budgets[user.0]
-    }
-
-    fn channel_payoff(&self, channel: ChannelId, others_load: u32, slots: u32) -> f64 {
-        if slots == 0 {
-            return 0.0;
-        }
-        let total = others_load + slots;
-        slots as f64 / total as f64 * self.rates[channel.0].rate(total)
-    }
-
-    fn payoff_shape(&self) -> RateShape {
-        // Heap-eligible only when every channel's model classifies as
-        // concave sharing (constant / scaled-constant rates): fold the
-        // per-channel shapes down to the weakest claim.
-        self.rates
-            .iter()
-            .fold(RateShape::ConcaveSharing, |acc, r| acc.meet(r.shape()))
-    }
-}
-
 /// One cell of an extended grid: the classic dimensions plus the budget
 /// and channel-scale axes.
 #[derive(Debug, Clone, PartialEq)]
@@ -943,8 +881,10 @@ impl ExtendedCell {
             .budgets(self.n_users, self.radios, self.n_channels)
     }
 
-    /// Materialize the cell's game.
-    pub fn game(&self) -> AxisGame {
+    /// Materialize the cell's game: per-user budgets × per-channel rates,
+    /// evaluated entirely through the generic
+    /// [`ChannelGame`](mrca_core::ChannelGame) engine.
+    pub fn game(&self) -> HeteroGame {
         let budgets = self.budgets();
         let max_load: u32 = budgets.iter().sum();
         let base = self.rate.build(max_load);
@@ -960,7 +900,8 @@ impl ExtendedCell {
                 }
             })
             .collect();
-        AxisGame::new(budgets, rates)
+        HeteroGame::new(budgets, self.n_channels, rates)
+            .expect("budgets are clamped into [1, |C|], one rate per channel")
     }
 
     /// Instance label `N=..,k=..,C=..`.
@@ -985,8 +926,7 @@ impl ExtendedCell {
 /// Declarative grid over `(n, k, |C|, rate) × budgets × channel scales`.
 ///
 /// Orderings are absent on purpose: the extended pipeline is
-/// dynamics-only (Algorithm 1 is a homogeneous-game construction; its
-/// heterogeneous generalization lives on `HeteroGame` directly).
+/// dynamics-only.
 #[derive(Debug, Clone)]
 pub struct ExtendedScenarioGrid {
     /// Values of `|N|`.
@@ -1209,30 +1149,14 @@ impl ExtendedScenarioSuite {
     }
 }
 
-/// Seeded random start respecting per-user budgets: every user deploys
-/// its full `k_i` on uniformly random channels (the extended analogue of
-/// `dynamics::random_start`).
-pub fn random_budget_start(budgets: &[u32], n_channels: usize, seed: u64) -> StrategyMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut s = StrategyMatrix::zeros(budgets.len(), n_channels);
-    for (u, &k) in budgets.iter().enumerate() {
-        let user = UserId(u);
-        for _ in 0..k {
-            let c = ChannelId(rng.gen_range(0..n_channels));
-            s.set(user, c, s.get(user, c) + 1);
-        }
-    }
-    s
-}
-
 /// The extended per-cell pipeline: seeded random start, sparse-engine
 /// best-response dynamics ([`br_fast`]: the active-set worklist over the
 /// heap or incremental DP per the cell's rate declaration), exact sparse
 /// Nash check and Theorem-1 certification — all through the
-/// [`ChannelGame`] engine.
+/// [`ChannelGame`](mrca_core::ChannelGame) engine.
 fn evaluate_extended_cell(cell: &ExtendedCell, max_rounds: usize) -> ExtendedOutcome {
     let game = cell.game();
-    let start = random_budget_start(game.budgets(), cell.n_channels, derive_seed(cell.seed, 1));
+    let start = random_start(&game, derive_seed(cell.seed, 1));
     let sparse_start = SparseStrategies::from_matrix(&game, &start);
     let (end, converged, rounds) =
         br_fast::best_response_dynamics_sparse(&game, sparse_start, max_rounds);
@@ -1248,7 +1172,7 @@ fn evaluate_extended_cell(cell: &ExtendedCell, max_rounds: usize) -> ExtendedOut
         nash: check.is_nash(),
         max_gain: check.max_gain(),
         delta: loads.max_delta(),
-        welfare: br_fast::welfare_from_loads(&game, &loads),
+        welfare: welfare_from_loads(&game, loads.as_slice()),
         thm1_nash,
         cell: cell.clone(),
     }
@@ -1349,7 +1273,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrca_core::br_dp;
 
     fn small_grid() -> ScenarioGrid {
         ScenarioGrid {
@@ -1557,25 +1480,60 @@ mod tests {
 
     #[test]
     fn axis_game_uniform_axes_match_the_concrete_games() {
-        use mrca_core::heterogeneous::{HeteroConfig, HeteroGame};
-        // AxisGame with uniform scales ≡ HeteroGame on the same budgets.
-        let budgets = vec![3u32, 2, 1];
-        let axis = AxisGame::new(
-            budgets.clone(),
-            (0..4)
-                .map(|_| Arc::new(ConstantRate::unit()) as Arc<dyn RateModel>)
-                .collect(),
-        );
-        let hetero = HeteroGame::with_unit_rate(HeteroConfig::new(budgets.clone(), 4).unwrap());
-        let s = random_budget_start(&budgets, 4, 99);
-        for u in UserId::all(3) {
-            assert_eq!(br_dp::utility(&axis, &s, u), hetero.utility(&s, u));
-            assert_eq!(
-                br_dp::best_response(&axis, &s, u),
-                hetero.best_response(&s, u)
-            );
+        use mrca_core::br_dp::{best_response, nash_check, utility, ChannelGame};
+        use mrca_core::pareto::optimal_total_rate;
+        use mrca_core::UserId;
+        // An extended cell with uniform budget and scale axes builds the
+        // paper cell's game, bit for bit.
+        let rates = [
+            RateSpec::ConstantUnit,
+            RateSpec::Bianchi,
+            RateSpec::LinearDecay {
+                r1: 6.0,
+                slope: 0.7,
+                floor: 0.5,
+            },
+        ];
+        for rate in rates {
+            for (n, k, c) in [(1, 1, 1), (3, 2, 4), (5, 3, 3), (6, 1, 5)] {
+                let paper = ScenarioCell {
+                    n_users: n,
+                    radios: k,
+                    n_channels: c,
+                    rate: rate.clone(),
+                    ordering: OrderingSpec::Natural,
+                    seed: 0,
+                }
+                .game();
+                let ext = ExtendedCell {
+                    n_users: n,
+                    radios: k,
+                    n_channels: c,
+                    rate: rate.clone(),
+                    budget: BudgetSpec::Uniform,
+                    scale: ChannelScaleSpec::Uniform,
+                    seed: 0,
+                }
+                .game();
+                assert_eq!(ext.payoff_shape(), paper.payoff_shape());
+                assert_eq!(
+                    optimal_total_rate(&ext).to_bits(),
+                    optimal_total_rate(&paper).to_bits()
+                );
+                let s = random_start(&ext, 99);
+                assert_eq!(s, random_start(&paper, 99));
+                for u in UserId::all(n) {
+                    assert_eq!(
+                        utility(&ext, &s, u).to_bits(),
+                        utility(&paper, &s, u).to_bits()
+                    );
+                    assert_eq!(best_response(&ext, &s, u), best_response(&paper, &s, u));
+                }
+                assert_eq!(nash_check(&ext, &s), nash_check(&paper, &s));
+                let o = Ordering::with_tie_break(TieBreak::PreferUnused);
+                assert_eq!(algorithm1(&ext, &o), algorithm1(&paper, &o));
+            }
         }
-        assert_eq!(br_dp::nash_check(&axis, &s), hetero.nash_check(&s));
     }
 
     #[test]

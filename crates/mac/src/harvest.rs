@@ -6,10 +6,9 @@
 //! seeds, and keep the sample mean with a 95% confidence half-width per
 //! entry. The result is a [`MeasuredTable`] — plain data with
 //! provenance — which persists to CSV/JSON byte-deterministically and
-//! converts to an [`mrca_core::rate_model::MeasuredRate`] whose
-//! CI-aware [`RateShape`](mrca_core::rate_model::RateShape)
-//! classification drives engine-route selection and Theorem-1
-//! applicability downstream.
+//! converts to an [`mrca_core::rate_model::MeasuredRate`] whose CI-aware
+//! [`RateShape`] classification drives engine-route selection and
+//! Theorem-1 applicability downstream.
 //!
 //! ```text
 //! DcfSimulator / simulate_success_rate          (mrca-mac sims)

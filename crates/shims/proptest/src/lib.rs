@@ -270,7 +270,7 @@ pub mod collection {
     use super::StdRng;
     use rand::Rng;
 
-    /// Lengths acceptable to [`vec`]: a fixed `usize` or a `Range<usize>`.
+    /// Lengths acceptable to [`vec`](fn@vec): a fixed `usize` or a `Range<usize>`.
     pub trait IntoSizeRange {
         /// Draw a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

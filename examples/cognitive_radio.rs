@@ -44,14 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         start.set(UserId(n - 1), ChannelId(0), radios);
 
         let out = BestResponseDriver::new(Schedule::RoundRobin).run(&game, start, 100);
-        let ne = game.nash_check(&out.matrix).is_nash();
+        let ne = is_nash(&game, &out.matrix);
         println!(
             "{:>6} {:>18} {:>6} {:>10} {:>12.3} {:>9}",
             n,
             format!("{:?}", out.matrix.loads()),
             out.matrix.max_delta(),
             ne,
-            game.total_utility(&out.matrix),
+            welfare_from_loads(&game, out.matrix.loads()),
             out.rounds
         );
         assert!(ne, "population must re-equilibrate after an arrival");

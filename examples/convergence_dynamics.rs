@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "potential Φ = {:.4}, welfare = {:.4}\n",
         rosenthal_potential(&game, &s),
-        game.total_utility(&s)
+        welfare_from_loads(&game, s.loads())
     );
 
     let driver = BestResponseDriver::new(Schedule::RoundRobin);
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.loads(),
             s.max_delta(),
             rosenthal_potential(&game, &s),
-            game.total_utility(&s)
+            welfare_from_loads(&game, s.loads())
         );
         if out.moves == 0 {
             break;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(round < 50, "must converge quickly");
     }
 
-    let check = game.nash_check(&s);
+    let check = nash_check(&game, &s);
     println!("\nConverged to a Nash equilibrium: {}", check.is_nash());
     println!(
         "Theorem 1 certifies it:          {}",

@@ -6,26 +6,22 @@
 //! cargo run --release --example extensions_tour
 //! ```
 
-use multi_radio_alloc::core::algorithm::TieBreak;
 use multi_radio_alloc::core::distributed::{run_protocol, ProtocolConfig};
-use multi_radio_alloc::core::dynamics::random_start;
-use multi_radio_alloc::core::heterogeneous::{HeteroConfig, HeteroGame};
 use multi_radio_alloc::core::utility_models::{ConcaveUtilityGame, EnergyCostGame};
 use multi_radio_alloc::prelude::*;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Heterogeneous fleet: an AP with 4 radios, laptops with 2,
     //    sensors with 1.
     println!("1. Heterogeneous fleet");
-    let fleet = HeteroGame::with_unit_rate(HeteroConfig::new(vec![4, 2, 2, 1, 1, 1], 5)?);
-    let s = fleet.algorithm1(TieBreak::PreferUnused, None);
-    println!("   loads {:?}  NE: {}", s.loads(), fleet.is_nash(&s));
+    let fleet = HeteroGame::with_rate(vec![4, 2, 2, 1, 1, 1], 5, Arc::new(ConstantRate::unit()))?;
+    let s = algorithm1(&fleet, &Ordering::with_tie_break(TieBreak::PreferUnused));
+    println!("   loads {:?}  NE: {}", s.loads(), is_nash(&fleet, &s));
     println!(
         "   utilities: {:?}\n",
-        fleet
-            .utilities(&s)
-            .iter()
-            .map(|u| format!("{u:.2}"))
+        UserId::all(6)
+            .map(|u| format!("{:.2}", utility(&fleet, &s, u)))
             .collect::<Vec<_>>()
     );
 
@@ -36,13 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = ChannelAllocationGame::with_constant_rate(cfg, 1.0);
     for cost in [0.0, 0.3, 0.5, 0.9] {
         let e = EnergyCostGame::new(base.clone(), cost);
-        let (end, _) = e.converge(
-            multi_radio_alloc::core::algorithm::algorithm1(
-                &base,
-                &multi_radio_alloc::core::algorithm::Ordering::default(),
-            ),
-            300,
-        );
+        let (end, _) = e.converge(algorithm1(&base, &Ordering::default()), 300);
         let active: u32 = UserId::all(6).map(|u| end.user_total(u)).sum();
         println!("   cost {cost:.1}: {active:2} of 18 radios stay active");
     }
@@ -51,10 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Concave (risk-averse) utilities change nothing: same equilibria.
     println!("3. Concave utility transform");
     let cg = ConcaveUtilityGame::new(base.clone(), 0.5);
-    let ne = multi_radio_alloc::core::algorithm::algorithm1(
-        &base,
-        &multi_radio_alloc::core::algorithm::Ordering::default(),
-    );
+    let ne = algorithm1(&base, &Ordering::default());
     println!(
         "   same allocation is a NE under sqrt-utility: {}\n",
         cg.is_nash(&ne)
@@ -94,23 +81,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. Heterogeneous channels: equilibria water-fill instead of
     //    count-balancing.
     println!("6. Heterogeneous channels (per-channel R_c)");
-    use multi_radio_alloc::core::multi_rate::MultiRateGame;
-    use std::sync::Arc;
-    let cfg = GameConfig::new(6, 1, 3)?;
-    let multi = MultiRateGame::new(
-        cfg,
+    let multi = HeteroGame::new(
+        vec![1; 6],
+        3,
         vec![
             Arc::new(ConstantRate::new(2.0)) as Arc<dyn RateFunction>,
             Arc::new(ConstantRate::new(1.0)),
             Arc::new(ConstantRate::new(1.0)),
         ],
     )?;
-    let helper = ChannelAllocationGame::with_constant_rate(cfg, 1.0);
-    let (end, _) = multi.converge(random_start(&helper, 3), 200);
+    let (end, _, _) = best_response_dynamics(&multi, random_start(&multi, 3), 200);
     println!(
         "   channel rates (2.0, 1.0, 1.0) → NE loads {:?} (water-filling, not δ ≤ 1 on counts)",
         end.loads()
     );
-    println!("   NE: {}", multi.is_nash(&end));
+    println!("   NE: {}", is_nash(&multi, &end));
     Ok(())
 }

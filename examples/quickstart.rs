@@ -24,10 +24,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Strategy matrix:\n{}", allocation);
 
     // Verify the paper's claims mechanically.
-    let check = game.nash_check(&allocation);
     println!(
         "Nash equilibrium (no user can gain by deviating): {}",
-        check.is_nash()
+        is_nash(&game, &allocation)
     );
     println!(
         "Theorem-1 structural check:                       {:?}",
@@ -43,8 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Per-user utilities: everyone gets an equal share of the spectrum.
-    for (u, util) in game.utilities(&allocation).iter().enumerate() {
-        println!("  U(u{}) = {:.0} bit/s", u + 1, util);
+    for u in UserId::all(cfg.n_users()) {
+        let util = utility(&game, &allocation, u);
+        println!("  U(u{}) = {:.0} bit/s", u.0 + 1, util);
     }
     Ok(())
 }

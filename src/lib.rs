@@ -19,7 +19,7 @@
 //! let cfg = GameConfig::new(4, 4, 6)?;
 //! let game = ChannelAllocationGame::with_constant_rate(cfg, 1.0);
 //! let ne = algorithm1(&game, &Ordering::default());
-//! assert!(game.nash_check(&ne).is_nash());
+//! assert!(is_nash(&game, &ne));
 //! # Ok::<(), multi_radio_alloc::core::Error>(())
 //! ```
 

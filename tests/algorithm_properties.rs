@@ -42,7 +42,7 @@ fn algorithm1_prefer_unused_is_ne_for_all_rate_models() {
             let cfg = GameConfig::new(n, k, c).unwrap();
             let game = ChannelAllocationGame::new(cfg, Arc::clone(&rate));
             let s = algorithm1(&game, &Ordering::with_tie_break(TieBreak::PreferUnused));
-            let check = game.nash_check(&s);
+            let check = nash_check(&game, &s);
             assert!(
                 check.is_nash(),
                 "({n},{k},{c}) with {}: max gain {}",
@@ -86,7 +86,7 @@ fn best_response_dynamics_converge_for_all_rate_models() {
             );
             assert!(out.converged, "{}: seed {seed}", game.rate().name());
             assert!(
-                game.nash_check(&out.matrix).is_nash(),
+                is_nash(&game, &out.matrix),
                 "{}: seed {seed}",
                 game.rate().name()
             );
@@ -100,14 +100,14 @@ fn dynamics_never_decrease_welfare_at_convergence_for_constant_rate() {
     // of the random start (Theorem 2 via dynamics).
     let cfg = GameConfig::new(6, 2, 4).unwrap();
     let game = ChannelAllocationGame::with_constant_rate(cfg, 1.0);
-    let opt = optimal_total_rate(game.config(), game.rate());
+    let opt = optimal_total_rate(&game);
     for seed in 0..6u64 {
         let out = BestResponseDriver::new(Schedule::RoundRobin).run(
             &game,
             random_start(&game, seed),
             200,
         );
-        assert!((game.total_utility(&out.matrix) - opt).abs() < 1e-9);
+        assert!((welfare_from_loads(&game, out.matrix.loads()) - opt).abs() < 1e-9);
     }
 }
 
@@ -119,8 +119,8 @@ fn fact1_regime_end_to_end() {
     let game = ChannelAllocationGame::with_constant_rate(cfg, 1.0);
     let s = algorithm1(&game, &Ordering::default());
     assert!(s.loads().iter().all(|&l| l <= 1));
-    assert!((game.total_utility(&s) - 6.0).abs() < 1e-12);
-    assert!(game.nash_check(&s).is_nash());
+    assert!((welfare_from_loads(&game, s.loads()) - 6.0).abs() < 1e-12);
+    assert!(is_nash(&game, &s));
     assert!(theorem1(&game, &s).is_nash());
 }
 
@@ -133,7 +133,7 @@ fn ordering_invariance_of_welfare() {
     let mut welfares = Vec::new();
     for seed in 0..10 {
         let s = algorithm1(&game, &Ordering::random(seed, 5));
-        welfares.push(game.total_utility(&s));
+        welfares.push(welfare_from_loads(&game, s.loads()));
     }
     for w in &welfares {
         assert!((w - welfares[0]).abs() < 1e-12);

@@ -4,7 +4,6 @@
 use multi_radio_alloc::core::algorithm::{algorithm1, Ordering, TieBreak};
 use multi_radio_alloc::core::distributed::{protocol_stats, run_protocol, ProtocolConfig};
 use multi_radio_alloc::core::dynamics::random_start;
-use multi_radio_alloc::core::heterogeneous::{HeteroConfig, HeteroGame};
 use multi_radio_alloc::core::utility_models::{ConcaveUtilityGame, EnergyCostGame};
 use multi_radio_alloc::prelude::*;
 use std::sync::Arc;
@@ -14,22 +13,26 @@ fn hetero_reduces_to_homogeneous() {
     // Equal budgets: both Algorithm-1 variants land on NE of both models
     // with the same welfare.
     let homo = ChannelAllocationGame::with_constant_rate(GameConfig::new(5, 3, 4).unwrap(), 1.0);
-    let hetero = HeteroGame::with_unit_rate(HeteroConfig::new(vec![3; 5], 4).unwrap());
+    let hetero = HeteroGame::with_rate(vec![3; 5], 4, Arc::new(ConstantRate::unit())).unwrap();
     let s_homo = algorithm1(&homo, &Ordering::with_tie_break(TieBreak::PreferUnused));
-    let s_hetero = hetero.algorithm1(TieBreak::PreferUnused, Some((0..5).collect()));
-    assert!(homo.nash_check(&s_homo).is_nash());
-    assert!(hetero.is_nash(&s_hetero));
-    assert!((homo.total_utility(&s_homo) - hetero.total_utility(&s_hetero)).abs() < 1e-12);
+    let s_hetero = algorithm1(
+        &hetero,
+        &Ordering::with_users((0..5).collect(), TieBreak::PreferUnused),
+    );
+    assert!(is_nash(&homo, &s_homo));
+    assert!(is_nash(&hetero, &s_hetero));
+    let welfare_homo = welfare_from_loads(&homo, s_homo.loads());
+    assert!((welfare_homo - welfare_from_loads(&hetero, s_hetero.loads())).abs() < 1e-12);
 }
 
 #[test]
 fn hetero_load_balancing_with_dcf_rate() {
     let rate: Arc<dyn RateFunction> =
         Arc::new(PracticalDcfRate::new(PhyParams::bianchi_fhss(), 32));
-    let g = HeteroGame::new(HeteroConfig::new(vec![4, 3, 2, 2, 1], 5).unwrap(), rate);
-    let s = g.algorithm1(TieBreak::PreferUnused, None);
+    let g = HeteroGame::with_rate(vec![4, 3, 2, 2, 1], 5, rate).unwrap();
+    let s = algorithm1(&g, &Ordering::with_tie_break(TieBreak::PreferUnused));
     assert!(s.max_delta() <= 1);
-    assert!(g.is_nash(&s), "gain {}", g.max_gain(&s));
+    assert!(is_nash(&g, &s), "gain {}", max_gain(&g, &s));
 }
 
 #[test]
@@ -97,11 +100,11 @@ fn aloha_rate_plugs_into_the_game() {
     let rate: Arc<dyn RateFunction> = Arc::new(OptimalAlohaRate::new(1e6));
     let g = ChannelAllocationGame::new(GameConfig::new(6, 2, 4).unwrap(), rate);
     let s = algorithm1(&g, &Ordering::with_tie_break(TieBreak::PreferUnused));
-    assert!(g.nash_check(&s).is_nash());
+    assert!(is_nash(&g, &s));
     assert!(s.max_delta() <= 1);
     // Aloha's steep k=1→2 drop is convex, so the balanced NE can sit
     // below the welfare optimum (the same Theorem-2 boundary T2 maps for
     // the cliff rate) — but never above the DP bound.
-    let opt = optimal_total_rate(g.config(), g.rate());
-    assert!(g.total_utility(&s) <= opt + 1e-9);
+    let opt = optimal_total_rate(&g);
+    assert!(welfare_from_loads(&g, s.loads()) <= opt + 1e-9);
 }

@@ -52,7 +52,7 @@ fn eq7_matches_direct_utility_difference_everywhere() {
                             if b == ch {
                                 continue;
                             }
-                            let direct = game.benefit_of_move(&s, u, b, ch);
+                            let direct = benefit_of_move(&game, &s, u, b, ch);
                             let algebra = eq7(
                                 rate.as_ref(),
                                 s.get(u, b),

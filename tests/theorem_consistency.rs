@@ -36,7 +36,7 @@ fn generic_ne_enumeration_matches_theorem1() {
         for profile in &generic_ne {
             let m = idx.to_matrix(profile);
             assert!(theorem1(&game, &m).is_nash(), "({n},{k},{c}): {m}");
-            assert!(game.nash_check(&m).is_nash());
+            assert!(is_nash(&game, &m));
         }
     }
 }
@@ -64,7 +64,7 @@ fn ne_loads_are_always_balanced() {
     for (n, k, c) in [(2usize, 2u32, 2usize), (3, 2, 3), (2, 3, 3)] {
         let game = constant_game(n, k, c);
         enumerate_allocations(game.config(), |s| {
-            if game.nash_check(s).is_nash() {
+            if is_nash(&game, s) {
                 assert!(
                     s.max_delta() <= 1,
                     "({n},{k},{c}): NE with unbalanced loads {:?}",
@@ -80,7 +80,7 @@ fn lemma1_holds_in_every_ne() {
     for (n, k, c) in [(2usize, 2u32, 3usize), (3, 2, 3)] {
         let game = constant_game(n, k, c);
         enumerate_allocations(game.config(), |s| {
-            if game.nash_check(s).is_nash() {
+            if is_nash(&game, s) {
                 for u in UserId::all(n) {
                     assert_eq!(
                         s.user_total(u),
@@ -125,7 +125,7 @@ fn indexed_nash_matches_matrix_nash_for_decreasing_rate() {
         let m = idx.to_matrix(&profile);
         assert_eq!(
             is_pure_nash(&idx, &profile),
-            game.nash_check(&m).is_nash(),
+            is_nash(&game, &m),
             "profile {profile:?}"
         );
     }
@@ -185,8 +185,6 @@ fn theorem1_cached_matches_theorem1_on_randomized_instances() {
 
 #[test]
 fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
-    use multi_radio_alloc::core::heterogeneous::{HeteroConfig, HeteroGame};
-    use multi_radio_alloc::core::multi_rate::MultiRateGame;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -196,7 +194,7 @@ fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
         let c = rng.gen_range(2..=5usize);
         // Heterogeneous budgets, random (budget-respecting) deployment.
         let budgets: Vec<u32> = (0..n).map(|_| rng.gen_range(1..=c as u32)).collect();
-        let hg = HeteroGame::with_unit_rate(HeteroConfig::new(budgets.clone(), c).unwrap());
+        let hg = HeteroGame::with_rate(budgets.clone(), c, Arc::new(ConstantRate::unit())).unwrap();
         let mut s = multi_radio_alloc::core::StrategyMatrix::zeros(n, c);
         for (u, &b) in budgets.iter().enumerate() {
             for _ in 0..rng.gen_range(0..=b) {
@@ -212,8 +210,9 @@ fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
 
         // Multi-rate: same structural check, per-channel models.
         let k = rng.gen_range(1..=c as u32);
-        let mg = MultiRateGame::new(
-            GameConfig::new(n, k, c).unwrap(),
+        let mg = HeteroGame::new(
+            vec![k; n],
+            c,
             (0..c)
                 .map(|i| {
                     std::sync::Arc::new(ConstantRate::new(1.0 + i as f64))
@@ -222,8 +221,7 @@ fn theorem1_cached_consistency_extends_to_hetero_and_multi_rate() {
                 .collect(),
         )
         .unwrap();
-        let base = constant_game(n, k, c);
-        let sm = multi_radio_alloc::core::dynamics::random_start(&base, rng.gen());
+        let sm = random_start(&mg, rng.gen());
         assert_eq!(
             theorem1(&mg, &fresh(&sm)),
             theorem1(&mg, &sm),
